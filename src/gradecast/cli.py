@@ -204,12 +204,14 @@ def _load_inputs(settings: _Settings):
         if not os.path.exists(path):
             raise UsageError(f"input file not found: {path}")
     try:
-        dataset, warnings = load_dataset(sub_path, gb_path)
+        dataset, repairs = load_dataset(sub_path, gb_path)
     except IngestError as exc:
         raise UsageError(str(exc)) from exc
-    if warnings:
-        print(f"warning: {warnings} submission rows re-numbered during ingest",
-              file=sys.stderr)
+    for count, what in ((repairs.dropped, "dropped after a correct answer"),
+                        (repairs.renumbered, "re-numbered")):
+        if count:
+            print(f"warning: {count} submission rows {what} during ingest",
+                  file=sys.stderr)
     return dataset
 
 
@@ -344,8 +346,10 @@ def cmd_sweep(settings: _Settings) -> int:
     spec = _model_spec(names[0], settings, seed)
     header = settings.header("sweep")
 
+    matrix = assemble_feature_matrix(dataset)
+    y = np.array([int(rec.final_grade) for rec in dataset.students])
     try:
-        result = selection.threshold_sweep(dataset, spec, normalize=normalize, jobs=jobs)
+        result = selection.threshold_sweep(matrix, y, spec, normalize=normalize, jobs=jobs)
     except selection.SweepFailure as exc:
         print(f"sweep failed at thresholds {exc.thresholds}: {exc.__cause__}",
               file=sys.stderr)
@@ -365,7 +369,6 @@ def cmd_sweep(settings: _Settings) -> int:
         print(f"t_perf={combo[0]:.2f} t_subs={combo[1]:.2f} "
               f"accuracy={100.0 * acc:.1f}%{star}")
 
-    matrix = assemble_feature_matrix(dataset)
     mask = selection.apply_variance_threshold(matrix, *result.winner)
     mask_path = os.path.join(out_dir, "mask.json")
     selection.write_mask_json(mask, matrix.names, mask_path)

@@ -203,17 +203,19 @@ def auroc_correct(preds) -> tuple[float, bool]:
 
 
 def summarize(preds) -> EvalReport:
-    """Compute all metrics and assert the internal identities."""
+    """Compute all metrics; raise ValueError if an internal identity fails."""
     n = len(preds)
     acc = accuracy(preds)
     err = mse(preds)
     hist = distance_histogram(preds)
     f1 = f1_micro(preds)
     auc, degenerate = auroc_correct(preds)
-    assert f1 == acc, "micro-F1 must equal accuracy for single-label grades"
-    assert sum(hist) == n, "distance histogram must cover every prediction"
-    assert err == sum(d * d * h for d, h in enumerate(hist)) / n, \
-        "MSE must match its distance-histogram decomposition"
+    if f1 != acc:
+        raise ValueError("micro-F1 must equal accuracy for single-label grades")
+    if sum(hist) != n:
+        raise ValueError("distance histogram must cover every prediction")
+    if err != sum(d * d * h for d, h in enumerate(hist)) / n:
+        raise ValueError("MSE must match its distance-histogram decomposition")
     return EvalReport(n, acc, err, micro_average_precision(preds), auc, f1,
                       hist, degenerate)
 

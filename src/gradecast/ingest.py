@@ -7,8 +7,8 @@ ordering, so the same set of rows always produces the same dataset.
 
 Repairs are preferred over rejection where the log is merely untidy:
 attempt numbers are re-issued densely in timestamp order, and submissions
-recorded after a correct answer are dropped.  Each repair increments a
-warning count that is returned to the caller.  Structural problems (bad
+recorded after a correct answer are dropped.  The number of repaired rows
+of each kind is returned to the caller.  Structural problems (bad
 fields, duplicate students, out-of-range scores) raise instead.
 """
 from __future__ import annotations
@@ -105,6 +105,27 @@ class SubmissionEvent:
     correct: bool
 
 
+class RepairCount(int):
+    """Number of repaired submission rows, split by kind.
+
+    The int value is the total, so callers that want one number use it as
+    one.  ``dropped`` counts attempts recorded after a correct answer,
+    ``renumbered`` counts kept rows whose attempt number was re-issued.
+    """
+
+    dropped: int
+    renumbered: int
+
+    def __new__(cls, dropped: int, renumbered: int):
+        total = super().__new__(cls, dropped + renumbered)
+        total.dropped = dropped
+        total.renumbered = renumbered
+        return total
+
+    def __getnewargs__(self):     # pickle and copy rebuild from the split
+        return self.dropped, self.renumbered
+
+
 @dataclass(frozen=True)
 class StudentRecord:
     student_id: str
@@ -155,14 +176,14 @@ def _data_lines(path) -> Iterable[tuple[int, str]]:
             yield line_no, line
 
 
-def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], int]:
+def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
     """Parse submissions.csv into canonically ordered events.
 
-    Returns (events, warning_count).  Events come back sorted by
+    Returns (events, repairs).  Events come back sorted by
     (student_id, question_id, timestamp).  Within each (student, question)
     group, attempts recorded after a correct answer are dropped and attempt
-    numbers are re-issued densely in timestamp order; each repaired or
-    dropped row counts one warning.
+    numbers are re-issued densely in timestamp order; each dropped or
+    renumbered row counts once in ``repairs``.
     """
     raw: list[SubmissionEvent] = []
     saw_header = False
@@ -196,7 +217,7 @@ def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], int]:
     raw.sort(key=lambda e: (e.student_id, e.question_id, e.timestamp,
                             e.attempt_number, e.correct))
     events: list[SubmissionEvent] = []
-    warnings = 0
+    dropped = renumbered = 0
     i = 0
     while i < len(raw):
         j = i
@@ -206,16 +227,16 @@ def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], int]:
         group = raw[i:j]
         for pos, ev in enumerate(group):
             if ev.correct and pos + 1 < len(group):
-                warnings += len(group) - pos - 1
+                dropped += len(group) - pos - 1
                 group = group[:pos + 1]
                 break
         for pos, ev in enumerate(group, start=1):
             if ev.attempt_number != pos:
                 ev = replace(ev, attempt_number=pos)
-                warnings += 1
+                renumbered += 1
             events.append(ev)
         i = j
-    return tuple(events), warnings
+    return tuple(events), RepairCount(dropped, renumbered)
 
 
 def parse_gradebook(path) -> tuple[StudentRecord, ...]:
@@ -281,11 +302,11 @@ def build_dataset(events: Sequence[SubmissionEvent],
     return Dataset(tuple(events), tuple(students), catalog)
 
 
-def load_dataset(submissions_path, gradebook_path) -> tuple[Dataset, int]:
-    """Parse both files and join them.  Returns (dataset, warning_count)."""
-    events, warnings = parse_submissions(submissions_path)
+def load_dataset(submissions_path, gradebook_path) -> tuple[Dataset, RepairCount]:
+    """Parse both files and join them.  Returns (dataset, repairs)."""
+    events, repairs = parse_submissions(submissions_path)
     students = parse_gradebook(gradebook_path)
-    return build_dataset(events, students), warnings
+    return build_dataset(events, students), repairs
 
 
 def write_submissions(events: Iterable[SubmissionEvent], path,

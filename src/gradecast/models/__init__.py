@@ -7,7 +7,7 @@ grade.
 """
 from __future__ import annotations
 
-from . import baselines, bayes, neighbors, regression, svm, tree
+from . import baselines, bayes, dual, neighbors, regression, svm, tree
 from .base import (KINDS, N_GRADES, REGRESSION_BACKENDS, DimensionMismatch,
                    ModelSpec, PredictionOutcome, argmax_lower_grade)
 
@@ -30,5 +30,5 @@ def train(spec: ModelSpec, X, y):
 __all__ = [
     "KINDS", "N_GRADES", "REGRESSION_BACKENDS", "DimensionMismatch",
     "ModelSpec", "PredictionOutcome", "argmax_lower_grade", "train",
-    "baselines", "bayes", "neighbors", "regression", "svm", "tree",
+    "baselines", "bayes", "dual", "neighbors", "regression", "svm", "tree",
 ]

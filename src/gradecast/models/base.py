@@ -34,7 +34,6 @@ class ModelSpec:
     regression_backend: str = "least_squares"
     epsilon: float = 0.1
     seed: int = 0
-    gamma_mode: str = "inverse_dim"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -47,8 +46,6 @@ class ModelSpec:
             raise ValueError(f"unknown regression backend {self.regression_backend!r}")
         if self.epsilon < 0:
             raise ValueError("epsilon must be non-negative")
-        if self.gamma_mode != "inverse_dim":
-            raise ValueError(f"unknown gamma mode {self.gamma_mode!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,12 @@ Two interchangeable backends:
   normal equations of the centered system (damping 1e-6; required because
   the feature count can exceed the row count, leaving the plain normal
   equations singular).
-* epsilon_svr: linear epsilon-insensitive support vector regression solved
-  by SMO-style pairwise coordinate ascent on the dual.
+* epsilon_svr: linear epsilon-insensitive support vector regression.  Its
+  dual over the 2n variables (alpha; alpha*) goes to the shared solver in
+  ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y);
+  the weights are X' beta with beta = alpha - alpha*.  A fit that reaches
+  the solver's iteration cap keeps its best-so-far beta and carries a
+  warning.
 
 Prediction for both: clamp the numeric estimate to [1, 5], round half away
 from zero; class_scores[g] = -|estimate - g|.
@@ -20,13 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, check_dim,
                    validate_training_data)
 
 RIDGE_DAMPING = 1e-6
 _CG_REL_TOL = 1e-10
-SVR_TOL = 1e-3
-SVR_MAX_UPDATES = 10_000
 
 
 def round_half_away_from_zero(value: float) -> int:
@@ -64,101 +67,18 @@ def _cg_normal_equations(Xc: np.ndarray, yc: np.ndarray, damping: float) -> np.n
     return w
 
 
-def _svr_smo(K: np.ndarray, y: np.ndarray, C: float, epsilon: float,
-             tol: float = SVR_TOL,
-             max_updates: int = SVR_MAX_UPDATES) -> tuple[np.ndarray, float, bool]:
-    """Maximal-violating-pair ascent on the epsilon-SVR dual.
+def svr_dual(K: np.ndarray, y: np.ndarray, C: float,
+             epsilon: float) -> tuple[np.ndarray, float, bool, int]:
+    """Solve the epsilon-SVR dual.  Returns (beta, b, converged, iterations).
 
-    Works on beta_i = alpha_i - alpha_i* in [-C, C] with sum(beta) = 0.
-    Returns (beta, b, converged).
+    The estimate is sum_i beta_i K(x_i, x) + b, with |beta_i| <= C and
+    sum(beta) = 0.
     """
     n = y.size
-    beta = np.zeros(n)
-    u = np.zeros(n)  # u = K @ beta
-    converged = False
-    for _ in range(max_updates):
-        g = y - u
-        up = g - np.where(beta >= 0.0, epsilon, -epsilon)
-        dn = -g - np.where(beta <= 0.0, epsilon, -epsilon)
-        up[beta >= C] = -np.inf
-        dn[beta <= -C] = -np.inf
-        i = int(np.argmax(up))
-        j = int(np.argmax(dn))
-        if i == j:
-            # A single index cannot move both ways; try the runner-up on
-            # whichever side loses less.
-            up2 = up.copy()
-            up2[i] = -np.inf
-            dn2 = dn.copy()
-            dn2[j] = -np.inf
-            i2, j2 = int(np.argmax(up2)), int(np.argmax(dn2))
-            if up2[i2] + dn[j] >= up[i] + dn2[j2]:
-                i = i2
-            else:
-                j = j2
-        if not np.isfinite(up[i]) or not np.isfinite(dn[j]) or up[i] + dn[j] <= tol:
-            converged = True
-            break
-        t = _best_pair_move(K, y, u, beta, i, j, C, epsilon)
-        if t == 0.0:
-            converged = True
-            break
-        beta[i] += t
-        beta[j] -= t
-        u += t * (K[:, i] - K[:, j])
-    b = _svr_bias(beta, y, u, C, epsilon)
-    return beta, b, converged
-
-
-def _best_pair_move(K, y, u, beta, i, j, C, epsilon) -> float:
-    """Exact maximizer of the dual gain for the move beta_i += t, beta_j -= t."""
-    lo = max(-C - beta[i], beta[j] - C)
-    hi = min(C - beta[i], beta[j] + C)
-    if hi <= lo:
-        return 0.0
-    eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
-    gi = y[i] - u[i]
-    gj = y[j] - u[j]
-
-    def gain(t: float) -> float:
-        return ((gi - gj) * t - 0.5 * eta * t * t
-                - epsilon * (abs(beta[i] + t) - abs(beta[i]))
-                - epsilon * (abs(beta[j] - t) - abs(beta[j])))
-
-    candidates = [lo, hi, -beta[i], beta[j]]
-    if eta > 0.0:
-        for si in (-1.0, 1.0):
-            for sj in (-1.0, 1.0):
-                candidates.append((gi - gj - epsilon * si + epsilon * sj) / eta)
-    best_t, best_gain = 0.0, 0.0
-    for t in candidates:
-        t = min(max(t, lo), hi)
-        g = gain(t)
-        if g > best_gain + 1e-15:
-            best_t, best_gain = t, g
-    return best_t
-
-
-def _svr_bias(beta, y, u, C, epsilon) -> float:
-    inner = 1e-10
-    g = y - u
-    free_pos = (beta > inner) & (beta < C - inner)
-    free_neg = (beta < -inner) & (beta > -C + inner)
-    estimates = np.concatenate([g[free_pos] - epsilon, g[free_neg] + epsilon])
-    if estimates.size:
-        return float(estimates.mean())
-    lower, upper = [], []
-    for bi, gi in zip(beta, g):
-        if bi >= C - inner:
-            upper.append(gi - epsilon)
-        elif bi <= -C + inner:
-            lower.append(gi + epsilon)
-        else:
-            lower.append(gi - epsilon)
-            upper.append(gi + epsilon)
-    lo = max(lower) if lower else min(upper)
-    hi = min(upper) if upper else max(lower)
-    return 0.5 * (lo + hi)
+    a, rho, converged, iterations = dual.solve(
+        np.block([[K, -K], [-K, K]]), np.repeat([1.0, -1.0], n),
+        np.concatenate([epsilon - y, epsilon + y]), C)
+    return a[:n] - a[n:], -rho, converged, iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +110,6 @@ def fit(spec: ModelSpec, X, y) -> RegressionModel:
         w = _cg_normal_equations(X - xmean, yf - ymean, RIDGE_DAMPING)
         return RegressionModel(w, ymean - float(xmean @ w), X.shape[1],
                                "least_squares")
-    K = X @ X.T
-    beta, b, converged = _svr_smo(K, yf, spec.C, spec.epsilon)
-    warnings = () if converged else ("svr: update cap reached",)
+    beta, b, converged, _ = svr_dual(X @ X.T, yf, spec.C, spec.epsilon)
+    warnings = () if converged else ("svr: iteration cap reached",)
     return RegressionModel(X.T @ beta, b, X.shape[1], "epsilon_svr", warnings)

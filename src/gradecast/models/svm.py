@@ -1,12 +1,13 @@
-"""RBF-kernel support vector classifier trained with SMO.
+"""RBF-kernel support vector classifier, one-vs-one over grade pairs.
 
-One soft-margin binary machine per unordered grade pair (one-vs-one).  Each
-pair is solved by sequential minimal optimization on the dual with a KKT
-tolerance of 1e-3; the solver stops once a full pass over the training
-points makes no alpha update, or after a hard cap of passes (best-so-far is
-kept and flagged).  Multiclass prediction is by pairwise voting; the sum of
-|decision value| over won pairs, weighted at 1e-6, breaks vote ties
-deterministically, and any remaining exact tie goes to the lower grade.
+One soft-margin binary machine per unordered grade pair.  Each pair's dual
+is handed to the shared solver in ``dual`` (two-variable updates chosen by
+maximal violating pair and second-order gain, stopping tolerance 1e-3);
+a pair that reaches the solver's iteration cap keeps its best-so-far alphas
+and the fitted model carries a warning.  Multiclass prediction is by
+pairwise voting; the sum of |decision value| over won pairs, weighted at
+1e-6, breaks vote ties deterministically, and any remaining exact tie goes
+to the lower grade.
 """
 from __future__ import annotations
 
@@ -14,12 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dual
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
                    check_dim, validate_training_data)
-
-KKT_TOL = 1e-3
-MAX_PASSES = 10_000
-_STEP_EPS = 1e-12
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -54,149 +52,12 @@ def kkt_max_violation(alpha: np.ndarray, y: np.ndarray, K: np.ndarray,
     return float(v.max()) if v.size else 0.0
 
 
-def smo(K: np.ndarray, y: np.ndarray, C: float, tol: float = KKT_TOL,
-        max_passes: int = MAX_PASSES,
-        objective_trace: list | None = None) -> tuple[np.ndarray, float, bool, int]:
-    """Solve the binary soft-margin dual.  Returns (alpha, b, converged, passes)."""
-    n = y.size
-    alpha = np.zeros(n)
-    b = 0.0
-    # E = f(x_i) - y_i, maintained incrementally.
-    E = -y.astype(float)
-
-    def take_step(i1: int, i2: int) -> bool:
-        nonlocal b, E
-        if i1 == i2:
-            return False
-        a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = y[i1], y[i2]
-        e1, e2 = E[i1], E[i2]
-        s = y1 * y2
-        if s > 0:
-            lo, hi = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
-        else:
-            lo, hi = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
-        if hi - lo < _STEP_EPS:
-            return False
-        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
-        eta = k11 + k22 - 2.0 * k12
-        if eta > _STEP_EPS:
-            a2 = a2o + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, lo), hi)
-        else:
-            # Flat direction: the dual gain is dW(t) = slope*t - eta*t^2/2
-            # with t = a2 - a2o; compare the two box endpoints.
-            slope = y2 * (e1 - e2)
-            gain_lo = slope * (lo - a2o) - 0.5 * eta * (lo - a2o) ** 2
-            gain_hi = slope * (hi - a2o) - 0.5 * eta * (hi - a2o) ** 2
-            if gain_lo > gain_hi + _STEP_EPS:
-                a2 = lo
-            elif gain_hi > gain_lo + _STEP_EPS:
-                a2 = hi
-            else:
-                return False
-        if abs(a2 - a2o) < _STEP_EPS * (a2 + a2o + _STEP_EPS):
-            return False
-        a1 = a1o + s * (a2o - a2)
-        a1 = min(max(a1, 0.0), C)
-        d1 = y1 * (a1 - a1o)
-        d2 = y2 * (a2 - a2o)
-        b_old = b
-        b1 = b - e1 - d1 * k11 - d2 * k12
-        b2 = b - e2 - d1 * k12 - d2 * k22
-        if 0.0 < a1 < C:
-            b = b1
-        elif 0.0 < a2 < C:
-            b = b2
-        else:
-            b = 0.5 * (b1 + b2)
-        alpha[i1] = a1
-        alpha[i2] = a2
-        E += d1 * K[i1] + d2 * K[i2] + (b - b_old)
-        if objective_trace is not None:
-            objective_trace.append(dual_objective(alpha, y, K))
-        return True
-
-    def examine(i2: int) -> bool:
-        a2 = alpha[i2]
-        r2 = E[i2] * y[i2]
-        if not ((r2 < -tol and a2 < C) or (r2 > tol and a2 > 0)):
-            return False
-        nonbound = np.flatnonzero((alpha > 0) & (alpha < C))
-        if nonbound.size > 1:
-            i1 = int(nonbound[np.argmax(np.abs(E[nonbound] - E[i2]))])
-            if take_step(i1, i2):
-                return True
-        for i1 in nonbound:
-            if take_step(int(i1), i2):
-                return True
-        for i1 in range(n):
-            if take_step(i1, i2):
-                return True
-        return False
-
-    passes = 0
-    examine_all = True
-    converged = False
-    recentered = False
-    while passes < max_passes:
-        passes += 1
-        changed = 0
-        if examine_all:
-            candidates = range(n)
-        else:
-            candidates = np.flatnonzero((alpha > 0) & (alpha < C))
-        for i2 in candidates:
-            changed += examine(int(i2))
-        if examine_all:
-            if changed == 0:
-                # No loose-KKT violation at the running threshold.  The
-                # running b can drift from the value the final alphas
-                # imply, hiding real violations: recenter and re-examine,
-                # stopping only once the recentered threshold is clean or
-                # no pair step can make progress anyway.
-                b_new = _canonical_bias(alpha, y, K, C)
-                E += b_new - b
-                b = b_new
-                if kkt_max_violation(alpha, y, K, b, C) <= tol:
-                    converged = True
-                    break
-                if recentered:
-                    break   # no step can progress; stays flagged
-                recentered = True
-                continue
-            examine_all = False
-            recentered = False
-        elif changed == 0:
-            examine_all = True
-    b = _canonical_bias(alpha, y, K, C)
-    return alpha, b, converged, passes
-
-
-def _canonical_bias(alpha: np.ndarray, y: np.ndarray, K: np.ndarray, C: float) -> float:
-    """Bias recomputed from the final alphas.
-
-    The running threshold Platt's update maintains can drift outside the
-    KKT-feasible range when the solution ends with every alpha at a bound.
-    With free support vectors, b is the mean of y_i - f_i over them; with
-    none, b is the midpoint of the interval the bound constraints leave.
-    """
-    atol = 1e-9
-    f = K @ (alpha * y)
-    free = (alpha > atol) & (alpha < C - atol)
-    if free.any():
-        return float(np.mean(y[free] - f[free]))
-    bound = y - f
-    # alpha=0 wants margin >= 1; alpha=C wants margin <= 1; each gives a
-    # one-sided constraint on b whose direction depends on the label sign.
-    lower_side = ((alpha <= atol) & (y > 0)) | ((alpha > atol) & (y < 0))
-    lo = bound[lower_side].max() if lower_side.any() else -np.inf
-    hi = bound[~lower_side].min() if (~lower_side).any() else np.inf
-    if not np.isfinite(lo):
-        return float(hi) if np.isfinite(hi) else 0.0
-    if not np.isfinite(hi):
-        return float(lo)
-    return float(0.5 * (lo + hi))
+def smo(K: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float, bool, int]:
+    """Solve the binary soft-margin dual.  Returns (alpha, b, converged, iterations)."""
+    y = np.asarray(y, dtype=float)
+    alpha, rho, converged, iterations = dual.solve(
+        y[:, None] * y[None, :] * K, y, np.full(y.size, -1.0), C)
+    return alpha, -rho, converged, iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,7 +117,7 @@ def fit(spec: ModelSpec, X, y) -> PairwiseSvm:
             ysub = np.where(y[idx] == lower, 1.0, -1.0)
             alpha, b, converged, _ = smo(K[np.ix_(idx, idx)], ysub, spec.C)
             if not converged:
-                warnings.append(f"svm pair {lower}-{upper}: pass cap reached")
+                warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
             sv = alpha > 1e-12
             pairs.append(PairMachine(lower, upper, X[idx][sv],
                                      alpha[sv] * ysub[sv], b, gamma))

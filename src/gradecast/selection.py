@@ -119,18 +119,15 @@ class ThresholdSweepResult:
     winner: tuple[float, float]
 
 
-def threshold_sweep(dataset, model_spec, normalize: bool = False,
-                    jobs: int = 1) -> ThresholdSweepResult:
+def threshold_sweep(matrix: FeatureMatrix, y: np.ndarray, model_spec,
+                    normalize: bool = False, jobs: int = 1) -> ThresholdSweepResult:
     """Leave-one-out accuracy for each fixed threshold combination.
 
     The winner is the combination with the highest accuracy; exact ties go
     to the lexicographically smaller (t_perf, t_subs) pair.
     """
     from .evaluation import accuracy, loocv_matrix
-    from .features import assemble_feature_matrix
 
-    matrix = assemble_feature_matrix(dataset)
-    y = np.array([int(rec.final_grade) for rec in dataset.students])
     accuracies: dict[tuple[float, float], float] = {}
     for combo in SWEEP_THRESHOLDS:
         try:

@@ -122,6 +122,35 @@ def svm_kkt_violation(alpha, y, K, b, C):
     return worst
 
 
+def svr_kkt_violation(beta, y, K, b, C, epsilon):
+    """Largest violation of the epsilon-tube conditions of an SVR solution.
+
+    With residual r_i = y_i - (sum_j beta_j K_ij + b), a solution of the
+    epsilon-SVR dual satisfies, point by point:
+      beta_i = 0        |r_i| <= epsilon   (inside the tube)
+      0 < beta_i < C    r_i = epsilon      (on the upper edge)
+      beta_i = C        r_i >= epsilon     (above the tube)
+      -C < beta_i < 0   r_i = -epsilon     (on the lower edge)
+      beta_i = -C       r_i <= -epsilon    (below the tube)
+    """
+    n = len(y)
+    worst = 0.0
+    for i in range(n):
+        r = y[i] - (sum(beta[j] * K[i][j] for j in range(n)) + b)
+        if abs(beta[i]) <= 1e-8:
+            v = abs(r) - epsilon
+        elif beta[i] >= C - 1e-8:
+            v = epsilon - r
+        elif beta[i] > 0:
+            v = abs(r - epsilon)
+        elif beta[i] <= -C + 1e-8:
+            v = r + epsilon
+        else:
+            v = abs(r + epsilon)
+        worst = max(worst, v)
+    return worst
+
+
 # ---------------------------------------------------------- decision tree
 
 def _gini_fraction(labels):

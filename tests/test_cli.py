@@ -78,6 +78,29 @@ class TestExtract:
         assert code == 2
         assert "required" in capsys.readouterr().err
 
+    def test_repair_warnings_one_line_per_kind(self, tmp_path, capsys):
+        gb = tmp_path / "gradebook.csv"
+        gb.write_text("student_id,hw1,hw2,hw3,hw4,test1,final_grade\n"
+                      "s1,90,90,90,90,90,A\ns2,50,50,50,50,50,D\n")
+        sub = tmp_path / "submissions.csv"
+        header = "student_id,question_id,assignment_id,timestamp,attempt_number,correct\n"
+        args = ["extract", "--submissions", str(sub), "--gradebook", str(gb),
+                "--out-dir", str(tmp_path)]
+
+        sub.write_text(header + "s1,q1,1,100,1,1\ns1,q1,1,200,2,0\ns1,q1,1,300,3,0\n"
+                                "s2,q1,1,100,2,1\n")
+        assert main(args) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 2 submission rows dropped after a correct answer during ingest",
+            "warning: 1 submission rows re-numbered during ingest",
+        ]
+
+        sub.write_text(header + "s1,q1,1,100,1,1\ns2,q1,1,100,2,1\n")
+        assert main(args) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 1 submission rows re-numbered during ingest",
+        ]
+
     def test_repeat_runs_are_identical(self, cohort_dir, tmp_path):
         args = ["extract", *inputs(cohort_dir), "--out-dir", str(tmp_path)]
         assert main(args) == 0

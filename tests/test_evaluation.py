@@ -164,6 +164,13 @@ class TestBasicMetrics:
             dec = sum(d * d * h for d, h in enumerate(report.distance_histogram))
             assert report.mse == dec / report.n
 
+    def test_summarize_raises_when_an_identity_breaks(self, monkeypatch):
+        # An explicit check, not an assert, so it also holds under python -O.
+        preds = [pred(3, 3, sid="a"), pred(4, 3, sid="b")]
+        monkeypatch.setattr(evaluation, "f1_micro", lambda preds: 0.25)
+        with pytest.raises(ValueError, match="micro-F1"):
+            summarize(preds)
+
 
 class TestAveragePrecision:
     def test_perfect_separation_scores_one(self):

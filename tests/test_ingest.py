@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from gradecast.ingest import (
@@ -40,6 +42,7 @@ class TestParseSubmissions:
         events, warnings = parse_submissions(p)
         assert [e.attempt_number for e in events] == [1, 2]
         assert warnings == 1
+        assert (warnings.dropped, warnings.renumbered) == (0, 1)
 
     def test_rows_after_correct_dropped(self, tmp_path):
         p = write(tmp_path / "s.csv",
@@ -49,6 +52,18 @@ class TestParseSubmissions:
         assert len(events) == 1
         assert events[0].correct
         assert warnings == 2
+        assert (warnings.dropped, warnings.renumbered) == (2, 0)
+
+    def test_repairs_counted_by_kind(self, tmp_path):
+        # One row dropped after the correct answer on q1; the q2 attempt
+        # that starts at 2 is re-numbered.
+        p = write(tmp_path / "s.csv",
+                  SUB_HEADER + "s1,q1,1,100,1,1\ns1,q1,1,200,2,0\ns1,q2,1,300,2,0\n")
+        events, warnings = parse_submissions(p)
+        assert [(e.question_id, e.attempt_number) for e in events] == [("q1", 1), ("q2", 1)]
+        assert (warnings, warnings.dropped, warnings.renumbered) == (2, 1, 1)
+        copied = pickle.loads(pickle.dumps(warnings))
+        assert (copied, copied.dropped, copied.renumbered) == (2, 1, 1)
 
     def test_non_boolean_correct_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", SUB_HEADER + "s1,q1,1,100,1,maybe\n")

@@ -141,21 +141,21 @@ class TestPreprocessor:
 
 
 class TestSweep:
-    def test_four_entries_and_tie_goes_to_smallest(self, small_cohort):
-        result = threshold_sweep(small_cohort, ModelSpec(kind="majority"))
+    def test_four_entries_and_tie_goes_to_smallest(self, small_matrix):
+        result = threshold_sweep(*small_matrix, ModelSpec(kind="majority"))
         assert len(result.accuracies) == 4
         assert set(result.accuracies) == set(SWEEP_THRESHOLDS)
         # Majority ignores features entirely, so all four accuracies tie.
         assert len(set(result.accuracies.values())) == 1
         assert result.winner == (0.00, 0.00)
 
-    def test_model_error_is_tagged_with_thresholds(self, small_cohort, monkeypatch):
+    def test_model_error_is_tagged_with_thresholds(self, small_matrix, monkeypatch):
         def boom(spec, X, y):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr(gradecast.evaluation, "train", boom)
         with pytest.raises(SweepFailure) as err:
-            threshold_sweep(small_cohort, ModelSpec(kind="majority"))
+            threshold_sweep(*small_matrix, ModelSpec(kind="majority"))
         assert err.value.thresholds == SWEEP_THRESHOLDS[0]
 
     def test_near_constant_cohort_drops_below_2q(self):
@@ -182,7 +182,8 @@ class TestSweep:
         fm = assemble_feature_matrix(ds)
         assert fm.values.shape[1] == 2 * n_questions + 13
 
-        result = threshold_sweep(ds, ModelSpec(kind="majority"))
+        y = np.array([int(r.final_grade) for r in ds.students])
+        result = threshold_sweep(fm, y, ModelSpec(kind="majority"))
         mask = apply_variance_threshold(fm, *result.winner)
         kept = int(mask.kept.sum())
         assert kept < 2 * n_questions

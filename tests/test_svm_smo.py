@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from gradecast.models import ModelSpec, dual, train
+from gradecast.models.regression import svr_dual
 from gradecast.models.svm import (
-    KKT_TOL,
-    _canonical_bias,
     dual_objective,
     kkt_max_violation,
     rbf_kernel,
@@ -13,6 +13,7 @@ from oracles import (
     svm_bias_interval,
     svm_dual_oracle,
     svm_kkt_violation,
+    svr_kkt_violation,
 )
 
 
@@ -66,14 +67,21 @@ class TestSmoSolver:
         assert np.array_equal(a1, a2)
         assert b1 == b2 and c1 == c2
 
-    def test_objective_never_decreases(self):
+    def test_objective_never_decreases(self, monkeypatch):
+        # The objective after k iterations is the solution with the cap at k.
         rng = np.random.default_rng(11)
         for _ in range(20):
             K, y = random_problem(rng)
+            _, _, converged, iterations = smo(K, y, 1.0)
+            assert converged
             trace = []
-            smo(K, y, 1.0, objective_trace=trace)
-            diffs = np.diff(np.array(trace))
-            assert diffs.size == 0 or diffs.min() > -1e-10
+            with monkeypatch.context() as patch:
+                for cap in range(1, iterations + 1):
+                    patch.setattr(dual, "MAX_ITER", cap)
+                    alpha, _, _, _ = smo(K, y, 1.0)
+                    trace.append(dual_objective(alpha, y, K))
+            assert trace
+            assert np.diff(np.array([0.0] + trace)).min() > -1e-10
 
     def test_alpha_in_box_and_constraint_held(self):
         rng = np.random.default_rng(12)
@@ -91,7 +99,7 @@ class TestSmoSolver:
             alpha, b, converged, _ = smo(K, y, 1.0)
             if converged:
                 seen += 1
-                assert kkt_max_violation(alpha, y, K, b, 1.0) <= KKT_TOL
+                assert kkt_max_violation(alpha, y, K, b, 1.0) <= dual.TOL
         assert seen >= 35
 
     def test_two_point_problem_exact(self):
@@ -162,10 +170,48 @@ class TestCanonicalBias:
                 assert lo - 1e-7 <= b <= hi + 1e-7
         assert checked >= 5
 
-    def test_recentering_is_idempotent(self):
+    def test_rho_from_recomputed_gradient_matches_b(self):
+        # b comes from the incrementally updated gradient; rebuilding the
+        # gradient from alpha alone must give the same bias.
         rng = np.random.default_rng(22)
-        K, y = random_problem(rng)
-        alpha, _, _, _ = smo(K, y, 1.0)
-        b1 = _canonical_bias(alpha, y, K, 1.0)
-        b2 = _canonical_bias(alpha, y, K, 1.0)
-        assert b1 == b2
+        for _ in range(20):
+            K, y = random_problem(rng)
+            alpha, b, _, _ = smo(K, y, 1.0)
+            gradient = (y[:, None] * y[None, :] * K) @ alpha - 1.0
+            assert -dual.rho(alpha, y, gradient, 1.0) == pytest.approx(b, abs=1e-12)
+
+
+class TestEpsilonSvr:
+    def test_random_problems_satisfy_tube_conditions(self):
+        rng = np.random.default_rng(30)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            X = rng.normal(size=(n, int(rng.integers(1, 4))))
+            y = rng.integers(1, 6, size=n).astype(float)
+            C = float(rng.choice([0.1, 1.0, 10.0]))
+            epsilon = float(rng.choice([0.05, 0.1, 0.5]))
+            K = X @ X.T
+            beta, b, converged, _ = svr_dual(K, y, C, epsilon)
+            assert converged
+            assert np.all(np.abs(beta) <= C)
+            assert abs(beta.sum()) < 1e-9
+            assert svr_kkt_violation(beta, y, K, b, C, epsilon) <= dual.TOL
+
+
+def test_iteration_cap_keeps_best_so_far_and_warns(monkeypatch):
+    rng = np.random.default_rng(40)
+    X = rng.normal(size=(20, 3))
+    y = np.tile([1, 5], 10)
+    monkeypatch.setattr(dual, "MAX_ITER", 2)
+
+    svr = train(ModelSpec(kind="regression", regression_backend="epsilon_svr"), X, y)
+    assert svr.warnings == ("svr: iteration cap reached",)
+    beta, b, converged, iterations = svr_dual(X @ X.T, y.astype(float), 1.0, 0.1)
+    assert not converged and iterations == 2
+    assert np.array_equal(svr.weights, X.T @ beta) and svr.intercept == b
+
+    svm = train(ModelSpec(kind="svm"), X, y)
+    assert svm.warnings == ("svm pair 1-5: iteration cap reached",)
+    assert 0 < svm.pairs[0].sv_coef.size <= 4     # two pair updates so far
+    for x in X:
+        assert 1 <= svm.predict(x).grade <= 5
