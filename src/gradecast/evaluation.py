@@ -92,21 +92,25 @@ def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
     if preps is None:
         preps = prepare_fold_preprocessors(matrix, thresholds, normalize, global_prep)
 
-    def run_fold(i: int) -> LooPrediction:
+    def run_fold(i: int) -> tuple[LooPrediction, tuple[str, ...]]:
         keep = np.ones(n, dtype=bool)
         keep[i] = False
         prep = preps[i]
         fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
         model = train(fold_spec, prep.transform(values[keep]), y[keep])
-        if warning_sink is not None and model.warnings:
-            warning_sink.extend(f"fold {i}: {w}" for w in model.warnings)
         outcome = model.predict(prep.transform(values[i:i + 1])[0])
-        return LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i)
+        return LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), model.warnings
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_fold, range(n)))
-    return [run_fold(i) for i in range(n)]
+            folds = list(pool.map(run_fold, range(n)))
+    else:
+        folds = [run_fold(i) for i in range(n)]
+    # Warnings join the sink in fold order, whatever order the threads finish in.
+    if warning_sink is not None:
+        for pred, warnings in folds:
+            warning_sink.extend(f"fold {pred.fold_index}: {w}" for w in warnings)
+    return [pred for pred, _ in folds]
 
 
 def loocv(dataset: Dataset, spec: ModelSpec,

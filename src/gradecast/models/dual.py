@@ -31,28 +31,40 @@ def solve(Q: np.ndarray, s: np.ndarray, p: np.ndarray,
     a = np.zeros(s.size)
     G = np.array(p, dtype=float)    # gradient Q a + p
     QD = np.diag(Q)
+    neg_s = -s
+    signs = s.tolist()
+    up, low = _up_low(a, s, C)      # kept current below, two entries a step
     iterations = 0
     while True:
-        up, low = _up_low(a, s, C)
-        v = -s * G
+        v = neg_s * G
         v_up = np.where(up, v, -np.inf)
         v_low = np.where(low, v, np.inf)
-        i = int(np.argmax(v_up))
+        i = int(v_up.argmax())
         converged = bool(v_up[i] - v_low.min() < TOL)
         if converged or iterations == MAX_ITER:
             break
         gap = v_up[i] - v_low   # positive exactly where (i, t) is a violating pair
-        curv = np.maximum(QD[i] + QD - 2.0 * s[i] * s * Q[i], _TAU)
-        j = int(np.argmin(np.where(gap > 0, -gap * gap / curv, np.inf)))
+        # j maximizes the second-order gain gap^2 / curv over violating pairs.
+        curv = QD[i] + QD
+        curv -= (2.0 * signs[i]) * s * Q[i]
+        np.maximum(curv, _TAU, out=curv)
+        gain = gap * gap
+        gain /= curv
+        j = int(np.where(gap > 0, gain, -np.inf).argmax())
         # Move a_i by s_i t and a_j by -s_j t, which keeps s'a fixed; clip t
-        # to the box and land exactly on the bound that stops it.
-        room_i = C - a[i] if s[i] > 0 else a[i]
-        room_j = a[j] if s[j] > 0 else C - a[j]
-        t = min(gap[j] / curv[j], room_i, room_j)
-        ai = (C if s[i] > 0 else 0.0) if t == room_i else a[i] + s[i] * t
-        aj = (0.0 if s[j] > 0 else C) if t == room_j else a[j] - s[j] * t
-        G += (ai - a[i]) * Q[i] + (aj - a[j]) * Q[j]
-        a[i], a[j] = ai, aj
+        # to the box and land exactly on the bound that stops it.  Scalars
+        # are Python floats: the same IEEE arithmetic as numpy scalars, cheaper.
+        si, sj, ai, aj = signs[i], signs[j], float(a[i]), float(a[j])
+        room_i = C - ai if si > 0 else ai
+        room_j = aj if sj > 0 else C - aj
+        t = min(float(gap[j] / curv[j]), room_i, room_j)
+        ai_new = (C if si > 0 else 0.0) if t == room_i else ai + si * t
+        aj_new = (0.0 if sj > 0 else C) if t == room_j else aj - sj * t
+        G += (ai_new - ai) * Q[i] + (aj_new - aj) * Q[j]
+        a[i], a[j] = ai_new, aj_new
+        for k, sk, ak in ((i, si, ai_new), (j, sj, aj_new)):
+            grow, shrink = ak < C, ak > 0
+            up[k], low[k] = (grow, shrink) if sk > 0 else (shrink, grow)
         iterations += 1
     return a, rho(a, s, G, C), converged, iterations
 

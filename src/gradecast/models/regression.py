@@ -2,11 +2,16 @@
 
 Two interchangeable backends:
 
-* least_squares (default): minimum-norm linear least squares with an
-  unpenalized intercept, computed by conjugate gradient on the ridge-damped
-  normal equations of the centered system (damping 1e-6; required because
-  the feature count can exceed the row count, leaving the plain normal
-  equations singular).
+* least_squares (default): linear least squares with an unpenalized
+  intercept, fitted as ridge regression on the centered data with damping
+  RIDGE_DAMPING = 1e-6 (the feature count can exceed the row count, which
+  leaves the plain normal equations singular).  One direct solve in the
+  smaller space: the n-by-n dual w = Xc'(Xc Xc' + damping I)^-1 yc when
+  there are no more rows than features, the d-by-d primal otherwise; both
+  give the same estimator.  The weights match an SVD solution to rounding,
+  except where the centered rows (dual) or columns (primal) are exactly
+  dependent: there the system's condition is about |Xc|^2 / damping and
+  about 1e-7 of relative accuracy remains.
 * epsilon_svr: linear epsilon-insensitive support vector regression.  Its
   dual over the 2n variables (alpha; alpha*) goes to the shared solver in
   ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y);
@@ -29,7 +34,6 @@ from .base import (N_GRADES, ModelSpec, PredictionOutcome, check_dim,
                    validate_training_data)
 
 RIDGE_DAMPING = 1e-6
-_CG_REL_TOL = 1e-10
 
 
 def round_half_away_from_zero(value: float) -> int:
@@ -37,34 +41,20 @@ def round_half_away_from_zero(value: float) -> int:
     return int(math.floor(value + 0.5))
 
 
-def _cg_normal_equations(Xc: np.ndarray, yc: np.ndarray, damping: float) -> np.ndarray:
-    """Jacobi-preconditioned CG on (Xc'Xc + damping*I) w = Xc'yc, matrix-free."""
-    d = Xc.shape[1]
-    rhs = Xc.T @ yc
-    norm_rhs = float(np.linalg.norm(rhs))
-    w = np.zeros(d)
-    if norm_rhs == 0.0:
-        return w
-    diag = np.sum(Xc * Xc, axis=0) + damping
-    r = rhs.copy()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(max(2 * d, 200)):
-        ap = Xc.T @ (Xc @ p) + damping * p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            break
-        step = rz / pap
-        w += step * p
-        r -= step * ap
-        if np.linalg.norm(r) <= _CG_REL_TOL * norm_rhs:
-            break
-        z = r / diag
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    return w
+def _ridge_weights(Xc: np.ndarray, yc: np.ndarray, damping: float) -> np.ndarray:
+    """Solve (Xc'Xc + damping*I) w = Xc'yc directly, in the smaller space.
+
+    With no more rows than columns the n-by-n dual form
+    w = Xc' (Xc Xc' + damping*I)^-1 yc gives the same estimator.
+    """
+    n, d = Xc.shape
+    if n <= d:
+        gram = Xc @ Xc.T
+        gram[np.diag_indices(n)] += damping
+        return Xc.T @ np.linalg.solve(gram, yc)
+    gram = Xc.T @ Xc
+    gram[np.diag_indices(d)] += damping
+    return np.linalg.solve(gram, Xc.T @ yc)
 
 
 def svr_dual(K: np.ndarray, y: np.ndarray, C: float,
@@ -107,7 +97,7 @@ def fit(spec: ModelSpec, X, y) -> RegressionModel:
     if spec.regression_backend == "least_squares":
         xmean = X.mean(axis=0)
         ymean = float(yf.mean())
-        w = _cg_normal_equations(X - xmean, yf - ymean, RIDGE_DAMPING)
+        w = _ridge_weights(X - xmean, yf - ymean, RIDGE_DAMPING)
         return RegressionModel(w, ymean - float(xmean @ w), X.shape[1],
                                "least_squares")
     beta, b, converged, _ = svr_dual(X @ X.T, yf, spec.C, spec.epsilon)

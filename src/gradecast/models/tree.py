@@ -60,14 +60,19 @@ def _best_split(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
     n, d = X.shape
     order = np.argsort(X, axis=0, kind="stable")
     sorted_vals = np.take_along_axis(X, order, axis=0)
-    y_sorted = y[order]
-    onehot = y_sorted[..., None] == np.arange(1, N_GRADES + 1)
-    left_counts = np.cumsum(onehot, axis=0)[:-1].astype(float)      # (n-1, d, 5)
-    right_counts = counts.astype(float)[None, None, :] - left_counts
+    y_sorted = y[order[:-1]]
+    # Exact integer sums of squared class counts on each side of every cut.
+    left_sq = np.zeros((n - 1, d), dtype=np.int64)
+    right_sq = np.zeros((n - 1, d), dtype=np.int64)
+    left = np.empty((n - 1, d), dtype=np.int64)
+    for grade in np.flatnonzero(counts) + 1:
+        np.cumsum(y_sorted == grade, axis=0, out=left)   # the grade's count left of the cut
+        left_sq += left * left
+        left -= counts[grade - 1]                        # minus its count right of the cut
+        right_sq += left * left
     n_left = np.arange(1, n, dtype=float)[:, None]
     n_right = n - n_left
-    metric = ((left_counts ** 2).sum(axis=-1) / n_left
-              + (right_counts ** 2).sum(axis=-1) / n_right)
+    metric = left_sq / n_left + right_sq / n_right
     metric[sorted_vals[1:] <= sorted_vals[:-1]] = -np.inf
     best = metric.max() if metric.size else -np.inf
     parent = float((counts.astype(float) ** 2).sum() / n)

@@ -41,9 +41,13 @@ class Preprocessor:
     ranges: np.ndarray | None
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        out = np.asarray(values, dtype=float)[:, self.kept]
+        values = np.asarray(values, dtype=float)
         if self.mins is None:
-            return out.copy()
+            # One C-ordered copy: boolean column indexing returns a Fortran-
+            # ordered array, and the memory order decides how BLAS sums the
+            # models' Gram and kernel products, down to the last bit.
+            return values.compress(self.kept, axis=1)
+        out = values[:, self.kept]
         scaled = np.zeros_like(out)
         moving = self.ranges > 0
         scaled[:, moving] = (out[:, moving] - self.mins[moving]) / self.ranges[moving]

@@ -151,6 +151,51 @@ def svr_kkt_violation(beta, y, K, b, C, epsilon):
     return worst
 
 
+def dual_solve_reference(Q, s, p, C, tol, max_iter, tau):
+    """The dual solver as first written: both working-set masks rebuilt from
+    scratch on every iteration.  Returns (a, rho, converged, iterations).
+
+    The package solver must reproduce this bit for bit; it differs only in
+    how it keeps the masks current.
+    """
+    def up_low(a):
+        pos = s > 0
+        return np.where(pos, a < C, a > 0), np.where(pos, a > 0, a < C)
+
+    a = np.zeros(s.size)
+    G = np.array(p, dtype=float)
+    QD = np.diag(Q)
+    iterations = 0
+    while True:
+        up, low = up_low(a)
+        v = -s * G
+        v_up = np.where(up, v, -np.inf)
+        v_low = np.where(low, v, np.inf)
+        i = int(np.argmax(v_up))
+        converged = bool(v_up[i] - v_low.min() < tol)
+        if converged or iterations == max_iter:
+            break
+        gap = v_up[i] - v_low
+        curv = np.maximum(QD[i] + QD - 2.0 * s[i] * s * Q[i], tau)
+        j = int(np.argmin(np.where(gap > 0, -gap * gap / curv, np.inf)))
+        room_i = C - a[i] if s[i] > 0 else a[i]
+        room_j = a[j] if s[j] > 0 else C - a[j]
+        t = min(gap[j] / curv[j], room_i, room_j)
+        ai = (C if s[i] > 0 else 0.0) if t == room_i else a[i] + s[i] * t
+        aj = (0.0 if s[j] > 0 else C) if t == room_j else a[j] - s[j] * t
+        G += (ai - a[i]) * Q[i] + (aj - a[j]) * Q[j]
+        a[i], a[j] = ai, aj
+        iterations += 1
+    sG = s * G
+    free = (a > 0) & (a < C)
+    if free.any():
+        rho = float(sG[free].mean())
+    else:
+        up, low = up_low(a)
+        rho = 0.5 * float(sG[up].min() + sG[low].max())
+    return a, rho, converged, iterations
+
+
 # ---------------------------------------------------------- decision tree
 
 def _gini_fraction(labels):
@@ -162,6 +207,38 @@ def _gini_fraction(labels):
         p = Fraction(labels.count(g), n)
         total += p * p
     return 1 - total
+
+
+def _best_gini_split(rows, labels, gain_eps):
+    """Exhaustive exact-arithmetic search for the best Gini split.
+
+    Returns (feature, threshold) with threshold an exact midpoint of two
+    consecutive distinct values, or None unless the weighted impurity drops
+    by more than gain_eps.  Exact ties go to the lower feature, then the
+    lower threshold.
+    """
+    n = len(rows)
+    best = None   # (impurity, feature, threshold)
+    for feat in range(len(rows[0])):
+        values = sorted({row[feat] for row in rows})
+        for v1, v2 in zip(values, values[1:]):
+            threshold = (v1 + v2) / 2
+            left = [labels[i] for i in range(n) if rows[i][feat] <= threshold]
+            right = [labels[i] for i in range(n) if rows[i][feat] > threshold]
+            imp = (Fraction(len(left), n) * _gini_fraction(left)
+                   + Fraction(len(right), n) * _gini_fraction(right))
+            if best is None or (imp, feat, threshold) < best:
+                best = (imp, feat, threshold)
+    if best is None or _gini_fraction(labels) - best[0] <= gain_eps:
+        return None
+    return best[1], best[2]
+
+
+def gini_split_oracle(train_x, train_y, gain_eps=Fraction(1, 10**9)):
+    """Best single split of the rows as (feature, float threshold), or None."""
+    rows = [[Fraction(v) for v in row] for row in train_x]
+    split = _best_gini_split(rows, list(train_y), gain_eps)
+    return None if split is None else (split[0], float(split[1]))
 
 
 def tree_oracle_predict(train_x, train_y, x, gain_eps=Fraction(1, 10**9)):
@@ -179,31 +256,16 @@ def tree_oracle_predict(train_x, train_y, x, gain_eps=Fraction(1, 10**9)):
         ys = [labels[i] for i in indices]
         if len(set(ys)) == 1:
             return ("leaf", ys[0])
-        parent = _gini_fraction(ys)
-        n = len(indices)
-        best = None   # (impurity, feature, threshold, left, right)
-        n_features = len(rows[0])
-        for feat in range(n_features):
-            values = sorted({rows[i][feat] for i in indices})
-            for v1, v2 in zip(values, values[1:]):
-                threshold = (v1 + v2) / 2
-                if threshold >= v2:
-                    threshold = v1
-                left = [i for i in indices if rows[i][feat] <= threshold]
-                right = [i for i in indices if rows[i][feat] > threshold]
-                if not left or not right:
-                    continue
-                imp = (Fraction(len(left), n) * _gini_fraction([labels[i] for i in left])
-                       + Fraction(len(right), n) * _gini_fraction([labels[i] for i in right]))
-                key = (imp, feat, threshold)
-                if best is None or key < (best[0], best[1], best[2]):
-                    best = (imp, feat, threshold, left, right)
-        if best is None or parent - best[0] <= gain_eps:
+        split = _best_gini_split([rows[i] for i in indices], ys, gain_eps)
+        if split is None:
             counts = {g: ys.count(g) for g in set(ys)}
             top = max(counts.values())
             grade = min(g for g, c in counts.items() if c == top)
             return ("leaf", grade)
-        return ("split", best[1], best[2], build(best[3]), build(best[4]))
+        feat, threshold = split
+        left = [i for i in indices if rows[i][feat] <= threshold]
+        right = [i for i in indices if rows[i][feat] > threshold]
+        return ("split", feat, threshold, build(left), build(right))
 
     node = build(list(range(len(rows))))
     point = tuple(Fraction(v).limit_denominator(10**12) for v in x)
@@ -211,6 +273,26 @@ def tree_oracle_predict(train_x, train_y, x, gain_eps=Fraction(1, 10**9)):
         _, feat, threshold, left, right = node
         node = left if point[feat] <= threshold else right
     return node[1]
+
+
+# ------------------------------------------------------------ regression
+
+def ridge_oracle(X, y, damping):
+    """Ridge fit with an unpenalized intercept, by SVD of the centered X.
+
+    Minimizes |Xc w - yc|^2 + damping |w|^2; with Xc = U diag(sv) V' the
+    weights are V diag(sv / (sv^2 + damping)) U' yc.  Returns (w, b).
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xmean = X.mean(axis=0)
+    ymean = y.mean()
+    U, sv, Vt = np.linalg.svd(X - xmean, full_matrices=False)
+    # Singular values at rounding level belong to exactly dependent columns
+    # or rows; their exact value is 0, and so is their share of w.
+    sv = np.where(sv > sv.max(initial=0.0) * max(X.shape) * np.finfo(float).eps, sv, 0.0)
+    w = Vt.T @ ((sv / (sv * sv + damping)) * (U.T @ (y - ymean)))
+    return w, float(ymean - xmean @ w)
 
 
 # ------------------------------------------------------------------- KNN

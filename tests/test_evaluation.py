@@ -19,7 +19,7 @@ from gradecast.evaluation import (
     write_predictions_csv,
 )
 from gradecast.features import FeatureMatrix
-from gradecast.models import ModelSpec, PredictionOutcome
+from gradecast.models import ModelSpec, PredictionOutcome, dual
 from oracles import auroc_oracle, average_precision_oracle
 
 
@@ -125,6 +125,19 @@ class TestLoocvHarness:
         loocv_matrix(matrix, np.array([1, 2, 3]), ModelSpec(kind="majority"),
                      warning_sink=sink)
         assert sink == [f"fold {i}: synthetic warning" for i in range(3)]
+
+    def test_warning_order_does_not_depend_on_threads(self, small_matrix, monkeypatch):
+        monkeypatch.setattr(dual, "MAX_ITER", 1)     # every SVM pair hits the cap
+        matrix, y = small_matrix
+        sinks = {}
+        for jobs in (1, 4):
+            sinks[jobs] = []
+            loocv_matrix(matrix, y, ModelSpec(kind="svm"), jobs=jobs,
+                         warning_sink=sinks[jobs])
+        assert len(sinks[1]) >= y.size
+        folds = [int(line.split(":")[0].split()[1]) for line in sinks[1]]
+        assert folds == sorted(folds)
+        assert sinks[4] == sinks[1]
 
 
 class TestBasicMetrics:

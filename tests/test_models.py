@@ -6,9 +6,11 @@ from gradecast.models import (
     ModelSpec,
     train,
 )
-from gradecast.models.regression import RegressionModel, round_half_away_from_zero
-from gradecast.models.tree import gini
-from oracles import knn_oracle_predict, nb_oracle_predict, tree_oracle_predict
+from gradecast.models.regression import (RIDGE_DAMPING, RegressionModel,
+                                         round_half_away_from_zero)
+from gradecast.models.tree import _best_split, gini
+from oracles import (gini_split_oracle, knn_oracle_predict, nb_oracle_predict,
+                     ridge_oracle, tree_oracle_predict)
 
 
 def grades(*letters):
@@ -257,8 +259,84 @@ class TestDecisionTree:
             expected = tree_oracle_predict(X.tolist(), y.tolist(), x.tolist())
             assert model.predict(x).grade == expected
 
+    @staticmethod
+    def split_of(X, y):
+        counts = np.bincount(y, minlength=6)[1:]
+        split = _best_split(X, y, counts)
+        return None if split is None else split[:2]
+
+    def test_best_split_matches_brute_force_oracle(self):
+        # Few distinct values and labels make equal-gain candidates common.
+        rng = np.random.default_rng(52)
+        splits = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 9))
+            d = int(rng.integers(1, 5))
+            X = rng.integers(0, 3, size=(n, d)).astype(float)
+            y = rng.integers(1, 4, size=n)
+            if np.all(y == y[0]):
+                continue     # a pure node is a leaf before any split search
+            expected = gini_split_oracle(X.tolist(), y.tolist())
+            assert self.split_of(X, y) == expected
+            if expected is not None:
+                splits += 1
+                duplicate = np.concatenate([X, X], axis=1)   # every split tied
+                assert self.split_of(duplicate, y) == expected
+        assert splits >= 300
+
+    def test_equal_gain_prefers_lower_threshold(self):
+        # Cutting off either end row isolates the lone F equally well.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        assert self.split_of(X, grades("F", "D", "D", "F")) == (0, 0.5)
+
+    def test_equal_gain_prefers_lower_feature_before_lower_threshold(self):
+        # Both columns isolate the F perfectly; column 0 needs the higher cut.
+        X = np.array([[3.0, 0.0], [1.0, 1.0], [2.0, 2.0], [0.0, 3.0]])
+        assert self.split_of(X, grades("F", "D", "D", "D")) == (0, 2.5)
+
 
 class TestRegression:
+    @staticmethod
+    def least_squares_vs_oracle(X, y):
+        model = train(ModelSpec(kind="regression"), X, y)
+        w, b = ridge_oracle(X, y, RIDGE_DAMPING)
+        return model, w, b
+
+    @pytest.mark.parametrize("n, d", [(12, 40), (39, 400), (30, 40), (40, 7), (80, 20)])
+    def test_least_squares_matches_ridge_oracle(self, n, d):
+        # Centered X of full rank min(n - 1, d): the solved system is well
+        # conditioned apart from the centering direction, which drops out.
+        rng = np.random.default_rng(n * 1000 + d)
+        for _ in range(5):
+            X = rng.integers(0, 6, size=(n, d)).astype(float)
+            X[:, -1] = 2.0                        # a constant column
+            if n <= d:
+                X[:, 0] = X[:, 1]                 # a repeated column
+            y = rng.integers(1, 6, size=n)
+            model, w, b = self.least_squares_vs_oracle(X, y)
+            np.testing.assert_allclose(model.weights, w, rtol=1e-8,
+                                       atol=1e-8 * np.abs(w).max())
+            assert model.intercept == pytest.approx(b, rel=1e-8)
+
+    @pytest.mark.parametrize("n, d", [(39, 400), (40, 7)])
+    def test_least_squares_with_repeated_rows_or_columns(self, n, d):
+        # Exactly repeated rows (n-by-n solve) or columns (d-by-d solve) leave
+        # the damped system with condition |Xc|^2 / damping, and the direct
+        # solve keeps about 1e-7 of relative accuracy.
+        rng = np.random.default_rng(n * 1000 + d + 1)
+        for _ in range(5):
+            X = rng.integers(0, 6, size=(n, d)).astype(float)
+            if n <= d:
+                X[-1] = X[0]
+            else:
+                X[:, 0] = X[:, 1]
+            y = rng.integers(1, 6, size=n)
+            model, w, b = self.least_squares_vs_oracle(X, y)
+            np.testing.assert_allclose(model.weights, w, rtol=1e-6,
+                                       atol=1e-6 * np.abs(w).max())
+            np.testing.assert_allclose(X @ model.weights + model.intercept,
+                                       X @ w + b, rtol=1e-6)
+
     def test_exact_fit_when_overdetermined(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         y = np.array([1, 2, 3, 4, 5])

@@ -6,6 +6,7 @@ from gradecast.features import assemble_feature_matrix
 from gradecast.models import ModelSpec
 from gradecast.selection import (
     SWEEP_THRESHOLDS,
+    Preprocessor,
     SweepFailure,
     apply_mask,
     apply_variance_threshold,
@@ -138,6 +139,14 @@ class TestPreprocessor:
         train = np.array([[0.0, 3.0], [1.0, 9.0]])
         prep = fit_preprocessor(train, ("perf", "score"), 0.0, 0.0, False)
         assert np.array_equal(prep.transform(train), train)
+
+    def test_masked_copy_is_c_ordered(self):
+        # The memory order decides the last bits of the models' BLAS products.
+        values = np.arange(12.0).reshape(3, 4)
+        prep = Preprocessor(np.array([True, False, True, True]), None, None)
+        out = prep.transform(values)
+        assert out.flags.c_contiguous and not np.shares_memory(out, values)
+        assert np.array_equal(out, values[:, [0, 2, 3]])
 
 
 class TestSweep:

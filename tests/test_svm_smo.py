@@ -10,6 +10,7 @@ from gradecast.models.svm import (
     smo,
 )
 from oracles import (
+    dual_solve_reference,
     svm_bias_interval,
     svm_dual_oracle,
     svm_kkt_violation,
@@ -196,6 +197,59 @@ class TestEpsilonSvr:
             assert np.all(np.abs(beta) <= C)
             assert abs(beta.sum()) < 1e-9
             assert svr_kkt_violation(beta, y, K, b, C, epsilon) <= dual.TOL
+
+
+class TestSolverMatchesReference:
+    """dual.solve keeps its working-set masks incrementally; every bit of its
+    output must equal the reference loop that rebuilds them each step."""
+
+    @staticmethod
+    def svm_pair_problem(rng):
+        K, y = random_problem(rng, n_max=14, d_max=4)
+        return y[:, None] * y[None, :] * K, y, np.full(y.size, -1.0)
+
+    @staticmethod
+    def svr_problem(rng):
+        n = int(rng.integers(2, 10))
+        X = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
+        y = rng.integers(1, 6, size=n).astype(float)
+        K = X @ X.T
+        epsilon = float(rng.choice([0.05, 0.1, 0.5]))
+        return (np.block([[K, -K], [-K, K]]), np.repeat([1.0, -1.0], n),
+                np.concatenate([epsilon - y, epsilon + y]))
+
+    def check(self, Q, s, p, C, max_iter=None):
+        max_iter = dual.MAX_ITER if max_iter is None else max_iter
+        got = dual.solve(Q, s, p, C)
+        want = dual_solve_reference(Q, s, p, C, dual.TOL, max_iter, dual._TAU)
+        assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
+        return got
+
+    def test_bit_identical_on_random_problems(self):
+        rng = np.random.default_rng(60)
+        at_zero = at_c = 0
+        for k in range(240):
+            build = self.svm_pair_problem if k % 2 else self.svr_problem
+            Q, s, p = build(rng)
+            C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
+            a, _, converged, _ = self.check(Q, s, p, C)
+            assert converged
+            at_zero += bool(np.any(a == 0.0))
+            at_c += bool(np.any(a == C))
+        assert at_zero >= 100 and at_c >= 50
+
+    def test_bit_identical_when_capped(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        capped = 0
+        for k in range(60):
+            build = self.svm_pair_problem if k % 2 else self.svr_problem
+            Q, s, p = build(rng)
+            cap = int(rng.integers(1, 6))
+            monkeypatch.setattr(dual, "MAX_ITER", cap)
+            _, _, converged, _ = self.check(Q, s, p, 1.0, max_iter=cap)
+            capped += not converged
+        assert capped >= 30
 
 
 def test_iteration_cap_keeps_best_so_far_and_warns(monkeypatch):
