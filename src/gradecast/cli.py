@@ -114,7 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit selection/normalization once on all rows "
                             "instead of per fold")
     hyper.add_argument("--jobs", type=int, default=_UNSET,
-                       help="fold-level worker threads (default 1)")
+                       help="worker threads for the folds of the models fitted "
+                            "fold by fold; the SVM and SVR fit all folds in one "
+                            "batched solve (default 1)")
 
     p_eval = sub.add_parser("evaluate", parents=[common, inputs, hyper],
                             help="leave-one-out evaluation -> report.md + predictions")

@@ -7,6 +7,9 @@ prediction, so nothing about the held-out student leaks into fold
 preparation.  ``global_prep=True`` switches to the fit-once alternative for
 comparison.  Folds are independent and deterministic: each derives its own
 seed from (master seed, fold index), so thread count cannot change results.
+The SVM and the SVR fit every fold through one batched dual solve on the
+calling thread (``models.fit_folds``); the other models fit fold by fold,
+on a thread pool when jobs > 1.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ import numpy as np
 
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
-from .models import ModelSpec, PredictionOutcome, train
+from .models import (ModelSpec, PredictionOutcome, fit_folds, solves_in_batch,
+                     train)
 from .rng import mix_seed
 from .selection import Preprocessor, fit_preprocessor
 
@@ -78,6 +82,21 @@ def prepare_fold_preprocessors(matrix: FeatureMatrix,
     return preps
 
 
+class _TrainingSets:
+    """Fold i's transformed training rows and labels, built on each access."""
+
+    def __init__(self, values: np.ndarray, y: np.ndarray, preps: list[Preprocessor]):
+        self.values, self.y, self.preps = values, y, preps
+
+    def __len__(self) -> int:
+        return len(self.preps)
+
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        keep = np.ones(len(self.y), dtype=bool)
+        keep[i] = False
+        return self.preps[i].transform(self.values[keep]), self.y[keep]
+
+
 def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
                  thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
                  normalize: bool = False, global_prep: bool = False,
@@ -92,20 +111,26 @@ def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
     if preps is None:
         preps = prepare_fold_preprocessors(matrix, thresholds, normalize, global_prep)
 
-    def run_fold(i: int) -> tuple[LooPrediction, tuple[str, ...]]:
-        keep = np.ones(n, dtype=bool)
-        keep[i] = False
-        prep = preps[i]
-        fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
-        model = train(fold_spec, prep.transform(values[keep]), y[keep])
-        outcome = model.predict(prep.transform(values[i:i + 1])[0])
+    training = _TrainingSets(values, y, preps)
+
+    def held_out(i: int, model) -> tuple[LooPrediction, tuple[str, ...]]:
+        outcome = model.predict(preps[i].transform(values[i:i + 1])[0])
         return LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), model.warnings
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(run_fold, range(n)))
+    if solves_in_batch(spec):
+        # One batched fit over every fold; each model predicts as soon as it
+        # is built, so only one fold's model is alive at a time.
+        folds = [held_out(i, model) for i, model in enumerate(fit_folds(spec, training))]
     else:
-        folds = [run_fold(i) for i in range(n)]
+        def run_fold(i: int) -> tuple[LooPrediction, tuple[str, ...]]:
+            fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
+            return held_out(i, train(fold_spec, *training[i]))
+
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                folds = list(pool.map(run_fold, range(n)))
+        else:
+            folds = [run_fold(i) for i in range(n)]
     # Warnings join the sink in fold order, whatever order the threads finish in.
     if warning_sink is not None:
         for pred, warnings in folds:

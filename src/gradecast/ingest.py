@@ -166,14 +166,28 @@ class Dataset:
         return self._events_by_student.get(student_id, ())
 
 
-def _data_lines(path) -> Iterable[tuple[int, str]]:
-    # Leading '#' lines are run-config headers written by the CLI; blank
-    # lines are tolerated.  Line numbers refer to the physical file.
-    with open(path, newline="", encoding="utf-8") as fh:
+def _data_rows(path) -> Iterable[tuple[int, list[str]]]:
+    """(line number, fields) of every data line, parsed by one CSV reader.
+
+    Leading '#' lines are run-config headers written by the CLI; blank
+    lines are tolerated.  Line numbers refer to the physical file.  A row
+    is one line: a quoted field left open at the end of its line makes the
+    row malformed.
+    """
+    lines_of_row: list[int] = []    # the reader reads no further than the row it returns
+
+    def data_lines():
         for line_no, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            yield line_no, line
+            if not line.startswith("#") and line.strip():
+                lines_of_row.append(line_no)
+                yield line
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        for fields in csv.reader(data_lines()):
+            if len(lines_of_row) > 1:
+                raise MalformedRow(lines_of_row[0],
+                                   "quoted field runs past the end of its line")
+            yield lines_of_row.pop(), fields
 
 
 def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
@@ -187,8 +201,7 @@ def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
     """
     raw: list[SubmissionEvent] = []
     saw_header = False
-    for line_no, line in _data_lines(path):
-        fields = next(csv.reader([line]))
+    for line_no, fields in _data_rows(path):
         if not saw_header:
             if tuple(fields) != SUBMISSIONS_HEADER:
                 raise MalformedRow(line_no, f"bad header {fields!r}")
@@ -243,8 +256,7 @@ def parse_gradebook(path) -> tuple[StudentRecord, ...]:
     """Parse gradebook.csv into records sorted by student_id."""
     records: dict[str, StudentRecord] = {}
     saw_header = False
-    for line_no, line in _data_lines(path):
-        fields = next(csv.reader([line]))
+    for line_no, fields in _data_rows(path):
         if not saw_header:
             if tuple(fields) != GRADEBOOK_HEADER:
                 raise MalformedRow(line_no, f"bad header {fields!r}")

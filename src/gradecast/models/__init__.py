@@ -7,13 +7,15 @@ grade.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 from . import baselines, bayes, dual, neighbors, regression, svm, tree
 from .base import (KINDS, N_GRADES, REGRESSION_BACKENDS, DimensionMismatch,
                    ModelSpec, PredictionOutcome, argmax_lower_grade)
 
+# Models fitted one training set at a time.
 _FITTERS = {
-    "svm": svm.fit,
-    "regression": regression.fit,
+    "regression": regression.fit_least_squares,
     "tree": tree.fit,
     "nb": bayes.fit,
     "knn": neighbors.fit,
@@ -22,13 +24,35 @@ _FITTERS = {
 }
 
 
+def solves_in_batch(spec: ModelSpec) -> bool:
+    """True for the kernel models, whose folds share lock-step dual solves."""
+    return spec.kind == "svm" or (spec.kind == "regression"
+                                  and spec.regression_backend == "epsilon_svr")
+
+
+def fit_folds(spec: ModelSpec, folds) -> Iterator:
+    """Fit the model named by ``spec.kind`` on each training set (X, y) of
+    ``folds``, yielding the fitted models in order.
+
+    The SVM and the epsilon-SVR solve the duals of all folds in lock-step
+    batches and read each fold twice (see ``dual.solve_folds``); the other
+    models fit fold by fold.
+    """
+    if spec.kind == "svm":
+        return svm.fit_folds(spec, folds)
+    if solves_in_batch(spec):
+        return regression.fit_svr_folds(spec, folds)
+    return (_FITTERS[spec.kind](spec, X, y) for X, y in folds)
+
+
 def train(spec: ModelSpec, X, y):
     """Fit the model named by ``spec.kind`` on grade-labeled rows."""
-    return _FITTERS[spec.kind](spec, X, y)
+    return next(fit_folds(spec, [(X, y)]))
 
 
 __all__ = [
     "KINDS", "N_GRADES", "REGRESSION_BACKENDS", "DimensionMismatch",
-    "ModelSpec", "PredictionOutcome", "argmax_lower_grade", "train",
+    "ModelSpec", "PredictionOutcome", "argmax_lower_grade", "fit_folds",
+    "solves_in_batch", "train",
     "baselines", "bayes", "dual", "neighbors", "regression", "svm", "tree",
 ]

@@ -4,69 +4,165 @@ Both models reduce to the LIBSVM dual
 
     min 1/2 a'Qa + p'a   subject to   s'a = 0,  0 <= a <= C,
 
-with signs s_i = +-1 and a signed kernel matrix Q_ij = s_i s_j K_ij.  Each
-iteration moves one pair of variables: i is the maximal violator in the
-"up" set and j the "low"-set index with the largest second-order gain
-(Fan, Chen & Lin, "Working set selection using second order information",
-JMLR 2005; Chang & Lin, "LIBSVM: a library for support vector machines",
-ACM TIST 2011).  The solver stops once the maximal violation m(a) - M(a)
-drops below TOL, or after MAX_ITER pair updates, in which case the
-best-so-far point is returned with converged=False.
+with signs s_i = +-1 and a signed kernel matrix Q_ij = s_i s_j K[r_i, r_j]
+over rows r of a kernel matrix K.  Each iteration moves one pair of
+variables: i is the maximal violator in the "up" set and j the "low"-set
+index with the largest second-order gain (Fan, Chen & Lin, "Working set
+selection using second order information", JMLR 2005; Chang & Lin,
+"LIBSVM: a library for support vector machines", ACM TIST 2011).  A
+problem stops once its maximal violation m(a) - M(a) drops below TOL, or
+after MAX_ITER pair updates, in which case the best-so-far point is
+returned with converged=False.
+
+``solve`` advances a whole batch of independent problems in lock-step:
+every step is the same elementwise arithmetic over a padded (problem,
+variable) array, so each problem's result is bit-identical to solving it
+alone, whatever else is in the batch.  ``solve_folds`` feeds it the
+problems of many training folds, a memory-bounded block at a time.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 TOL = 1e-3
 MAX_ITER = 100_000
 _TAU = 1e-12    # curvature floor for pairs along which Q is flat
+BLOCK_BYTES = 8 << 20     # kernel bytes of the folds solved in one batch
 
 
-def solve(Q: np.ndarray, s: np.ndarray, p: np.ndarray,
-          C: float) -> tuple[np.ndarray, float, bool, int]:
-    """Minimize the dual from a = 0.  Returns (a, rho, converged, iterations).
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """One dual over the rows ``rows`` of its kernel matrix."""
 
-    The fitted decision function is sum_i a_i s_i K(x_i, x) - rho.
+    rows: np.ndarray    # kernel row of each variable
+    s: np.ndarray       # +-1 per variable
+    p: np.ndarray       # linear term per variable
+    C: float
+
+
+Solution = tuple[np.ndarray, float, bool, int]    # (a, rho, converged, iterations)
+
+
+def solve(kernels: Sequence[np.ndarray],
+          problems: Sequence[Sequence[Problem]]) -> list[list[Solution]]:
+    """Minimize every dual from a = 0; ``problems[k]`` are the duals on ``kernels[k]``.
+
+    Returns the same nesting of (a, rho, converged, iterations); the fitted
+    decision function of a problem is sum_i a_i s_i K(x_{r_i}, x) - rho.
     """
-    a = np.zeros(s.size)
-    G = np.array(p, dtype=float)    # gradient Q a + p
-    QD = np.diag(Q)
+    flat_problems = [(k, prob) for k, probs in enumerate(problems) for prob in probs]
+    sizes = np.array([prob.s.size for _, prob in flat_problems], dtype=np.intp)
+    B, N = sizes.size, int(sizes.max(initial=0))
+    # Q rows are gathered from one flat copy of the kernels: Q_ij is
+    # s_i s_j K_flat[rowbase_i + col_j].  Padding has s = 0, so it is in
+    # neither working set and its Q entries are zero.
+    flat = np.concatenate([np.asarray(K, dtype=float).ravel() for K in kernels]
+                          or [np.zeros(1)])
+    offsets = np.cumsum([0] + [np.shape(K)[0] ** 2 for K in kernels])
+    s = np.zeros((B, N))
+    G = np.zeros((B, N))     # gradient Q a + p
+    col = np.zeros((B, N), dtype=np.intp)
+    rowbase = np.zeros((B, N), dtype=np.intp)
+    C = np.empty(B)
+    for b, (k, prob) in enumerate(flat_problems):
+        n, m = prob.s.size, np.shape(kernels[k])[0]
+        s[b, :n], G[b, :n], col[b, :n] = prob.s, prob.p, prob.rows
+        rowbase[b] = offsets[k] + col[b] * m
+        C[b] = prob.C
+    QD = flat[rowbase + col]    # s_i^2 K_ii = K_ii
+    a = np.zeros((B, N))
     neg_s = -s
-    signs = s.tolist()
-    up, low = _up_low(a, s, C)      # kept current below, two entries a step
+    up, low = _up_low(a, s, C[:, None])
+    ids = np.arange(B)          # the running problems, in row order
+    r = np.arange(B)
+    results: list[Solution | None] = [None] * B
+    max_iter = MAX_ITER
     iterations = 0
-    while True:
+    while ids.size:
         v = neg_s * G
         v_up = np.where(up, v, -np.inf)
         v_low = np.where(low, v, np.inf)
-        i = int(v_up.argmax())
-        converged = bool(v_up[i] - v_low.min() < TOL)
-        if converged or iterations == MAX_ITER:
-            break
-        gap = v_up[i] - v_low   # positive exactly where (i, t) is a violating pair
+        i = v_up.argmax(axis=1)
+        v_max = v_up[r, i]
+        converged = v_max - v_low.min(axis=1) < TOL
+        done = converged | (iterations == max_iter)
+        if done.any():
+            for b in np.flatnonzero(done):
+                prob = flat_problems[ids[b]][1]
+                n = prob.s.size
+                a_b = a[b, :n].copy()
+                results[ids[b]] = (a_b, rho(a_b, prob.s, G[b, :n], prob.C),
+                                   bool(converged[b]), iterations)
+            run = ~done
+            ids = ids[run]
+            if not ids.size:
+                break
+            width = int(sizes[ids].max())
+            a, G, s, neg_s, up, low, QD, col, rowbase = (
+                x[run, :width] for x in (a, G, s, neg_s, up, low, QD, col, rowbase))
+            C, i, v_max, v_low = C[run], i[run], v_max[run], v_low[run, :width]
+            r = np.arange(ids.size)
+        gap = v_max[:, None] - v_low   # positive exactly where (i, t) is a violating pair
+        si = s[r, i]
+        Qi = si[:, None] * s * flat[rowbase[r, i][:, None] + col]
         # j maximizes the second-order gain gap^2 / curv over violating pairs.
-        curv = QD[i] + QD
-        curv -= (2.0 * signs[i]) * s * Q[i]
+        curv = QD[r, i][:, None] + QD
+        curv -= (2.0 * si)[:, None] * s * Qi
         np.maximum(curv, _TAU, out=curv)
         gain = gap * gap
         gain /= curv
-        j = int(np.where(gap > 0, gain, -np.inf).argmax())
+        j = np.where(gap > 0, gain, -np.inf).argmax(axis=1)
         # Move a_i by s_i t and a_j by -s_j t, which keeps s'a fixed; clip t
-        # to the box and land exactly on the bound that stops it.  Scalars
-        # are Python floats: the same IEEE arithmetic as numpy scalars, cheaper.
-        si, sj, ai, aj = signs[i], signs[j], float(a[i]), float(a[j])
-        room_i = C - ai if si > 0 else ai
-        room_j = aj if sj > 0 else C - aj
-        t = min(float(gap[j] / curv[j]), room_i, room_j)
-        ai_new = (C if si > 0 else 0.0) if t == room_i else ai + si * t
-        aj_new = (0.0 if sj > 0 else C) if t == room_j else aj - sj * t
-        G += (ai_new - ai) * Q[i] + (aj_new - aj) * Q[j]
-        a[i], a[j] = ai_new, aj_new
+        # to the box and land exactly on the bound that stops it.
+        sj, ai, aj = s[r, j], a[r, i], a[r, j]
+        room_i = np.where(si > 0, C - ai, ai)
+        room_j = np.where(sj > 0, aj, C - aj)
+        t = np.minimum(np.minimum(gap[r, j] / curv[r, j], room_i), room_j)
+        ai_new = np.where(t == room_i, np.where(si > 0, C, 0.0), ai + si * t)
+        aj_new = np.where(t == room_j, np.where(sj > 0, 0.0, C), aj - sj * t)
+        Qj = sj[:, None] * s * flat[rowbase[r, j][:, None] + col]
+        G += (ai_new - ai)[:, None] * Qi + (aj_new - aj)[:, None] * Qj
+        a[r, i], a[r, j] = ai_new, aj_new
         for k, sk, ak in ((i, si, ai_new), (j, sj, aj_new)):
             grow, shrink = ak < C, ak > 0
-            up[k], low[k] = (grow, shrink) if sk > 0 else (shrink, grow)
+            up[r, k] = np.where(sk > 0, grow, shrink)
+            low[r, k] = np.where(sk > 0, shrink, grow)
         iterations += 1
-    return a, rho(a, s, G, C), converged, iterations
+    out, start = [], 0
+    for probs in problems:
+        out.append(results[start:start + len(probs)])
+        start += len(probs)
+    return out
+
+
+def solve_folds(folds: Sequence, plan: Callable) -> Iterator[tuple]:
+    """Solve the duals of every fold in lock-step batches.  Yields, per fold in
+    order, (X, notes, solutions).
+
+    ``folds[f]`` is a training set (X, y); ``plan(X, y)`` returns
+    (K, problems on K, notes), with K None when there is nothing to solve.
+    Folds are planned until their kernels fill BLOCK_BYTES, that block is
+    solved in one batch, and each of its folds is read again to build its
+    model; so a sequence that builds its folds on access keeps one fold
+    matrix, not the block's, in memory.
+    """
+    start = 0
+    while start < len(folds):
+        kernels, problems, notes, size = [], [], [], 0
+        while start + len(notes) < len(folds) and size < BLOCK_BYTES:
+            K, probs, note = plan(*folds[start + len(notes)])
+            kernels.append(np.zeros((0, 0)) if K is None else K)
+            problems.append(probs)
+            notes.append(note)
+            size += kernels[-1].nbytes
+        solutions = solve(kernels, problems)
+        del kernels     # freed before the block's models are built
+        for f, (note, sols) in enumerate(zip(notes, solutions)):
+            yield np.asarray(folds[start + f][0], dtype=float), note, sols
+        start += len(notes)
 
 
 def rho(a: np.ndarray, s: np.ndarray, G: np.ndarray, C: float) -> float:
@@ -85,7 +181,11 @@ def rho(a: np.ndarray, s: np.ndarray, G: np.ndarray, C: float) -> float:
     return 0.5 * float(sG[up].min() + sG[low].max())
 
 
-def _up_low(a: np.ndarray, s: np.ndarray, C: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the variables that can grow along s ("up") and shrink ("low")."""
-    pos = s > 0
-    return np.where(pos, a < C, a > 0), np.where(pos, a > 0, a < C)
+def _up_low(a: np.ndarray, s: np.ndarray, C) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the variables that can grow along s ("up") and shrink ("low").
+
+    A padding variable (s = 0) is in neither.
+    """
+    pos, neg = s > 0, s < 0
+    grow, shrink = a < C, a > 0
+    return pos & grow | neg & shrink, pos & shrink | neg & grow

@@ -14,8 +14,9 @@ Two interchangeable backends:
   about 1e-7 of relative accuracy remains.
 * epsilon_svr: linear epsilon-insensitive support vector regression.  Its
   dual over the 2n variables (alpha; alpha*) goes to the shared solver in
-  ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y);
-  the weights are X' beta with beta = alpha - alpha*.  A fit that reaches
+  ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y),
+  the duals of every training fold in lock-step batches; the weights are
+  X' beta with beta = alpha - alpha*.  A fit that reaches
   the solver's iteration cap keeps its best-so-far beta and carries a
   warning.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -59,16 +61,21 @@ def _ridge_weights(Xc: np.ndarray, yc: np.ndarray, damping: float) -> np.ndarray
 
 def svr_dual(K: np.ndarray, y: np.ndarray, C: float,
              epsilon: float) -> tuple[np.ndarray, float, bool, int]:
-    """Solve the epsilon-SVR dual.  Returns (beta, b, converged, iterations).
+    """Solve one epsilon-SVR dual.  Returns (beta, b, converged, iterations).
 
     The estimate is sum_i beta_i K(x_i, x) + b, with |beta_i| <= C and
     sum(beta) = 0.
     """
+    [[(a, rho, converged, iterations)]] = dual.solve([K], [[_svr_problem(y, C, epsilon)]])
     n = y.size
-    a, rho, converged, iterations = dual.solve(
-        np.block([[K, -K], [-K, K]]), np.repeat([1.0, -1.0], n),
-        np.concatenate([epsilon - y, epsilon + y]), C)
     return a[:n] - a[n:], -rho, converged, iterations
+
+
+def _svr_problem(y: np.ndarray, C: float, epsilon: float) -> dual.Problem:
+    """The doubled dual over (alpha; alpha*): both halves index the rows of K."""
+    n = y.size
+    return dual.Problem(np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
+                        np.concatenate([epsilon - y, epsilon + y]), C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +98,29 @@ class RegressionModel:
         return PredictionOutcome(grade, scores)
 
 
-def fit(spec: ModelSpec, X, y) -> RegressionModel:
+def fit_least_squares(spec: ModelSpec, X, y) -> RegressionModel:
     X, y = validate_training_data(X, y)
     yf = y.astype(float)
-    if spec.regression_backend == "least_squares":
-        xmean = X.mean(axis=0)
-        ymean = float(yf.mean())
-        w = _ridge_weights(X - xmean, yf - ymean, RIDGE_DAMPING)
-        return RegressionModel(w, ymean - float(xmean @ w), X.shape[1],
-                               "least_squares")
-    beta, b, converged, _ = svr_dual(X @ X.T, yf, spec.C, spec.epsilon)
-    warnings = () if converged else ("svr: iteration cap reached",)
-    return RegressionModel(X.T @ beta, b, X.shape[1], "epsilon_svr", warnings)
+    xmean = X.mean(axis=0)
+    ymean = float(yf.mean())
+    w = _ridge_weights(X - xmean, yf - ymean, RIDGE_DAMPING)
+    return RegressionModel(w, ymean - float(xmean @ w), X.shape[1], "least_squares")
+
+
+def _svr_plan(spec: ModelSpec, X, y):
+    X, y = validate_training_data(X, y)
+    return X @ X.T, [_svr_problem(y.astype(float), spec.C, spec.epsilon)], None
+
+
+def fit_svr_folds(spec: ModelSpec, folds) -> Iterator[RegressionModel]:
+    """Fit one epsilon-SVR per training set (X, y) in ``folds``, yielded in order.
+
+    The duals of all folds are solved together in lock-step batches
+    (``dual.solve_folds``, which reads each fold twice).
+    """
+    for X, _, [(a, rho, converged, _)] in dual.solve_folds(
+            folds, lambda X, y: _svr_plan(spec, X, y)):
+        n = X.shape[0]
+        warnings = () if converged else ("svr: iteration cap reached",)
+        yield RegressionModel(X.T @ (a[:n] - a[n:]), -rho, X.shape[1],
+                              "epsilon_svr", warnings)

@@ -1,10 +1,11 @@
 """RBF-kernel support vector classifier, one-vs-one over grade pairs.
 
-One soft-margin binary machine per unordered grade pair.  Each pair's dual
-is handed to the shared solver in ``dual`` (two-variable updates chosen by
-maximal violating pair and second-order gain, stopping tolerance 1e-3);
-a pair that reaches the solver's iteration cap keeps its best-so-far alphas
-and the fitted model carries a warning.  Multiclass prediction is by
+One soft-margin binary machine per unordered grade pair.  The pair duals
+of every training fold go to the shared solver in ``dual`` together, in
+lock-step batches (two-variable updates chosen by maximal violating pair and
+second-order gain, stopping tolerance 1e-3); a pair that reaches the
+solver's iteration cap keeps its best-so-far alphas and the fitted model
+carries a warning.  Multiclass prediction is by
 pairwise voting; the sum of |decision value| over won pairs, weighted at
 1e-6, breaks vote ties deterministically, and any remaining exact tie goes
 to the lower grade.
@@ -12,6 +13,7 @@ to the lower grade.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -53,11 +55,15 @@ def kkt_max_violation(alpha: np.ndarray, y: np.ndarray, K: np.ndarray,
 
 
 def smo(K: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float, bool, int]:
-    """Solve the binary soft-margin dual.  Returns (alpha, b, converged, iterations)."""
+    """Solve one binary soft-margin dual.  Returns (alpha, b, converged, iterations)."""
     y = np.asarray(y, dtype=float)
-    alpha, rho, converged, iterations = dual.solve(
-        y[:, None] * y[None, :] * K, y, np.full(y.size, -1.0), C)
+    [[(alpha, rho, converged, iterations)]] = dual.solve(
+        [K], [[_pair_problem(np.arange(y.size), y, C)]])
     return alpha, -rho, converged, iterations
+
+
+def _pair_problem(rows: np.ndarray, y: np.ndarray, C: float) -> dual.Problem:
+    return dual.Problem(rows, y, np.full(y.size, -1.0), C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,24 +107,37 @@ class PairwiseSvm:
         return PredictionOutcome(argmax_lower_grade(scores), scores)
 
 
-def fit(spec: ModelSpec, X, y) -> PairwiseSvm:
+def _plan(spec: ModelSpec, X, y):
+    """The kernel and pair duals of one training set, for ``dual.solve_folds``."""
     X, y = validate_training_data(X, y)
-    gamma = 1.0 / X.shape[1]
     classes = tuple(sorted(int(g) for g in np.unique(y)))
-    if len(classes) == 1:
-        return PairwiseSvm(classes, (), X.shape[1], gamma)
-    K = rbf_kernel(X, X, gamma)
-    pairs: list[PairMachine] = []
-    warnings: list[str] = []
+    pairs = []
     for a_pos in range(len(classes)):
         for b_pos in range(a_pos + 1, len(classes)):
             lower, upper = classes[a_pos], classes[b_pos]
             idx = np.flatnonzero((y == lower) | (y == upper))
-            ysub = np.where(y[idx] == lower, 1.0, -1.0)
-            alpha, b, converged, _ = smo(K[np.ix_(idx, idx)], ysub, spec.C)
+            pairs.append((lower, upper, idx, np.where(y[idx] == lower, 1.0, -1.0)))
+    gamma = 1.0 / X.shape[1]
+    K = rbf_kernel(X, X, gamma) if pairs else None
+    problems = [_pair_problem(idx, ysub, spec.C) for _, _, idx, ysub in pairs]
+    return K, problems, (classes, pairs)
+
+
+def fit_folds(spec: ModelSpec, folds) -> Iterator[PairwiseSvm]:
+    """Fit one machine per training set (X, y) in ``folds``, yielded in order.
+
+    The pair duals of all folds are solved together in lock-step batches
+    (``dual.solve_folds``, which reads each fold twice).
+    """
+    for X, (classes, pairs), solutions in dual.solve_folds(
+            folds, lambda X, y: _plan(spec, X, y)):
+        gamma = 1.0 / X.shape[1]
+        machines: list[PairMachine] = []
+        warnings: list[str] = []
+        for (lower, upper, idx, ysub), (alpha, rho, converged, _) in zip(pairs, solutions):
             if not converged:
                 warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
             sv = alpha > 1e-12
-            pairs.append(PairMachine(lower, upper, X[idx][sv],
-                                     alpha[sv] * ysub[sv], b, gamma))
-    return PairwiseSvm(classes, tuple(pairs), X.shape[1], gamma, tuple(warnings))
+            machines.append(PairMachine(lower, upper, X[idx][sv],
+                                        alpha[sv] * ysub[sv], -rho, gamma))
+        yield PairwiseSvm(classes, tuple(machines), X.shape[1], gamma, tuple(warnings))

@@ -47,11 +47,15 @@ class Preprocessor:
             # ordered array, and the memory order decides how BLAS sums the
             # models' Gram and kernel products, down to the last bit.
             return values.compress(self.kept, axis=1)
-        out = values[:, self.kept]
-        scaled = np.zeros_like(out)
-        moving = self.ranges > 0
-        scaled[:, moving] = (out[:, moving] - self.mins[moving]) / self.ranges[moving]
-        return scaled
+        # Scaled column by column in the transpose: its .T is the Fortran-
+        # ordered array that boolean column indexing gave, for the same
+        # reason.  Columns constant on the training rows map to 0.
+        cols = values.T.compress(self.kept, axis=0)
+        cols -= self.mins[:, None]
+        scaled = np.zeros(cols.shape)
+        np.divide(cols, self.ranges[:, None], out=scaled,
+                  where=(self.ranges > 0)[:, None])
+        return scaled.T
 
 
 def column_variance(values: np.ndarray, column: int) -> float:

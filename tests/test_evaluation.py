@@ -19,7 +19,8 @@ from gradecast.evaluation import (
     write_predictions_csv,
 )
 from gradecast.features import FeatureMatrix
-from gradecast.models import ModelSpec, PredictionOutcome, dual
+from gradecast.cli import main as cli_main
+from gradecast.models import ModelSpec, PredictionOutcome, dual, fit_folds, train
 from oracles import auroc_oracle, average_precision_oracle
 
 
@@ -138,6 +139,89 @@ class TestLoocvHarness:
         folds = [int(line.split(":")[0].split()[1]) for line in sinks[1]]
         assert folds == sorted(folds)
         assert sinks[4] == sinks[1]
+
+
+KERNEL_SPECS = (ModelSpec(kind="svm"),
+                ModelSpec(kind="regression", regression_backend="epsilon_svr"))
+
+
+def fold_training_sets(values, y, normalize):
+    """Every fold's transformed training set, and its preprocessor."""
+    matrix = toy_matrix(values)
+    preps = prepare_fold_preprocessors(matrix, (0.0, 0.0), normalize)
+    sets = []
+    for i, prep in enumerate(preps):
+        keep = np.arange(y.size) != i
+        sets.append((prep.transform(values[keep]), y[keep]))
+    return sets, preps
+
+
+def probe_output(model, x):
+    """Every bit a fitted kernel model shows on one input."""
+    outcome = model.predict(x)
+    if hasattr(model, "pairs"):
+        raw = [pair.decision(x) for pair in model.pairs]
+    else:
+        raw = [model.numeric_estimate(x)]
+    return outcome.grade, outcome.class_scores.tolist(), raw
+
+
+class TestBatchedFoldEngine:
+    """The SVM and SVR fit every fold in lock-step batches of dual solves."""
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.regression_backend
+                             if s.kind == "regression" else s.kind)
+    def test_held_out_row_does_not_reach_its_fold_model(self, small_matrix, spec):
+        # Mutating row i changes the other folds' problems in the batch,
+        # never fold i's: batching must not couple problems.
+        matrix, y = small_matrix
+        rng = np.random.default_rng(88)
+        values = matrix.values[:, :80]
+        probe = rng.uniform(0, 5, size=values.shape[1])
+        for i in (0, 13, 39):
+            mutated = values.copy()
+            mutated[i] = mutated[i] * rng.uniform(0.5, 2.0) + rng.normal(
+                scale=3.0, size=values.shape[1])
+            outputs = []
+            for source in (values, mutated):
+                sets, preps = fold_training_sets(source, y, normalize=False)
+                models = list(fit_folds(spec, sets))
+                outputs.append([probe_output(m, p.transform(probe[None, :])[0])
+                                for m, p in zip(models, preps)])
+            assert outputs[0][i] == outputs[1][i]
+            assert sum(a != b for a, b in zip(*outputs)) > y.size // 2
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_each_fold_equals_a_standalone_train(self, small_matrix, normalize):
+        matrix, y = small_matrix
+        values = matrix.values[:, :80]
+        sets, preps = fold_training_sets(values, y, normalize)
+        for spec in KERNEL_SPECS:
+            preds = loocv_matrix(toy_matrix(values), y, spec,
+                                 thresholds=(0.0, 0.0), normalize=normalize)
+            for i, ((X, y_fold), prep) in enumerate(zip(sets, preps)):
+                alone = train(spec, X, y_fold).predict(
+                    prep.transform(values[i:i + 1])[0])
+                assert preds[i].outcome.grade == alone.grade
+                assert np.array_equal(preds[i].outcome.class_scores, alone.class_scores)
+
+    @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
+    def test_artifacts_do_not_depend_on_jobs(self, tmp_path, extra):
+        assert cli_main(["synth", "--students", "20", "--questions", "12",
+                         "--grade-counts", "2,2,4,5,7", "--seed", "5",
+                         "--out-dir", str(tmp_path / "data")]) == 0
+        artifacts = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli_main(["evaluate", "--submissions", str(tmp_path / "data" / "submissions.csv"),
+                             "--gradebook", str(tmp_path / "data" / "gradebook.csv"),
+                             "--model", "svm,svr", "--jobs", str(jobs), *extra,
+                             "--out-dir", str(out)]) == 0
+            artifacts.append({f.name: f.read_bytes().split(b"\n", 1)[1]
+                              for f in sorted(out.iterdir())})
+        assert sorted(artifacts[0]) == ["predictions_svm.csv", "predictions_svr.csv",
+                                        "report.md"]
+        assert artifacts[0] == artifacts[1]
 
 
 class TestBasicMetrics:

@@ -109,6 +109,33 @@ class TestParseSubmissions:
             parse_submissions(p)
         assert err.value.line_no == 3
 
+    def test_crlf_file_reports_physical_line_after_header_and_blanks(self, tmp_path):
+        lines = ["# run-config: {\"seed\": 1}", "", SUB_HEADER.strip(), "",
+                 "s1,q1,1,100,1,0", "  ", "s1,q1,1,200,2,1", "", "s2,q1,1,50,1,2"]
+        p = tmp_path / "s.csv"
+        p.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+        with pytest.raises(MalformedRow) as err:
+            parse_submissions(p)
+        assert err.value.line_no == 9
+        p.write_bytes("\r\n".join(lines[:-1]).encode() + b"\r\n")
+        events, repairs = parse_submissions(p)
+        assert [e.timestamp for e in events] == [100, 200] and repairs == 0
+
+        gradebook = ["# run-config: {}", GB_HEADER.strip(), "", "s1,90,85,70,100,88,A",
+                     "", "s2,ninety,85,70,100,88,A"]
+        g = tmp_path / "g.csv"
+        g.write_bytes("\r\n".join(gradebook).encode() + b"\r\n")
+        with pytest.raises(MalformedRow) as err:
+            parse_gradebook(g)
+        assert err.value.line_no == 6
+
+    def test_quoted_field_may_not_span_lines(self, tmp_path):
+        p = write(tmp_path / "s.csv",
+                  SUB_HEADER + "\n" + 's1,"q1\n,1,100,1,0\ns1,q2,1,100,1,0\n')
+        with pytest.raises(MalformedRow) as err:
+            parse_submissions(p)
+        assert err.value.line_no == 3
+
 
 class TestParseGradebook:
     def test_direct_parse(self, tmp_path):

@@ -148,6 +148,24 @@ class TestPreprocessor:
         assert out.flags.c_contiguous and not np.shares_memory(out, values)
         assert np.array_equal(out, values[:, [0, 2, 3]])
 
+    def test_normalized_output_matches_masked_formula_in_fortran_order(self):
+        # Reference: the boolean-indexing formula, whose Fortran-ordered
+        # result the kernel models' last bits depend on.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n, d = int(rng.integers(2, 30)), int(rng.integers(1, 40))
+            train = rng.integers(0, 4, size=(n, d)) * rng.uniform(0.5, 3.0, size=d)
+            train[:, rng.random(d) < 0.3] = rng.normal()    # constant columns
+            prep = fit_preprocessor(train, ("perf",) * d, -1.0, 0.0, True)
+            for values in (train, rng.normal(size=(1, d)) * 5, rng.normal(size=(7, d))):
+                out = values[:, prep.kept]
+                want = np.zeros_like(out)
+                moving = prep.ranges > 0
+                want[:, moving] = (out[:, moving] - prep.mins[moving]) / prep.ranges[moving]
+                got = prep.transform(values)
+                assert np.array_equal(got, want)
+                assert got.flags.f_contiguous and not np.shares_memory(got, values)
+
 
 class TestSweep:
     def test_four_entries_and_tie_goes_to_smallest(self, small_matrix):

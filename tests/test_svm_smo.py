@@ -200,56 +200,106 @@ class TestEpsilonSvr:
 
 
 class TestSolverMatchesReference:
-    """dual.solve keeps its working-set masks incrementally; every bit of its
-    output must equal the reference loop that rebuilds them each step."""
+    """dual.solve advances a padded batch of problems in lock-step; every bit
+    of each problem's output must equal the reference loop, which solves it
+    alone and rebuilds its working-set masks each step."""
 
     @staticmethod
     def svm_pair_problem(rng):
+        # A pair's dual uses a subset of its fold kernel's rows, as in svm.fit_folds.
         K, y = random_problem(rng, n_max=14, d_max=4)
-        return y[:, None] * y[None, :] * K, y, np.full(y.size, -1.0)
+        rows = np.sort(rng.choice(y.size, size=int(rng.integers(2, y.size + 1)),
+                                  replace=False))
+        s = y[rows]
+        if np.all(s == s[0]):
+            s[0] = -s[0]
+        C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
+        return K, dual.Problem(rows, s, np.full(rows.size, -1.0), C)
 
     @staticmethod
     def svr_problem(rng):
-        n = int(rng.integers(2, 10))
+        n = int(rng.integers(1, 10))
         X = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
         y = rng.integers(1, 6, size=n).astype(float)
-        K = X @ X.T
         epsilon = float(rng.choice([0.05, 0.1, 0.5]))
-        return (np.block([[K, -K], [-K, K]]), np.repeat([1.0, -1.0], n),
-                np.concatenate([epsilon - y, epsilon + y]))
+        C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
+        return X @ X.T, dual.Problem(np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
+                                     np.concatenate([epsilon - y, epsilon + y]), C)
 
-    def check(self, Q, s, p, C, max_iter=None):
-        max_iter = dual.MAX_ITER if max_iter is None else max_iter
-        got = dual.solve(Q, s, p, C)
-        want = dual_solve_reference(Q, s, p, C, dual.TOL, max_iter, dual._TAU)
+    def mixed(self, rng, count):
+        return [(self.svm_pair_problem if k % 2 else self.svr_problem)(rng)
+                for k in range(count)]
+
+    @staticmethod
+    def solve(problems):
+        """One batch, one kernel per problem."""
+        return [sols[0] for sols in dual.solve([K for K, _ in problems],
+                                               [[prob] for _, prob in problems])]
+
+    @staticmethod
+    def reference(K, prob, max_iter):
+        Q = prob.s[:, None] * prob.s[None, :] * K[np.ix_(prob.rows, prob.rows)]
+        return dual_solve_reference(Q, prob.s, prob.p, prob.C, dual.TOL, max_iter,
+                                    dual._TAU)
+
+    @staticmethod
+    def assert_same(got, want):
         assert np.array_equal(got[0], want[0])
         assert got[1:] == want[1:]
-        return got
 
     def test_bit_identical_on_random_problems(self):
         rng = np.random.default_rng(60)
-        at_zero = at_c = 0
-        for k in range(240):
-            build = self.svm_pair_problem if k % 2 else self.svr_problem
-            Q, s, p = build(rng)
-            C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
-            a, _, converged, _ = self.check(Q, s, p, C)
+        problems = self.mixed(rng, 240)
+        results = self.solve(problems)
+        at_zero = at_c = size_two = 0
+        for (K, prob), got in zip(problems, results):
+            self.assert_same(got, self.reference(K, prob, dual.MAX_ITER))
+            a, _, converged, _ = got
             assert converged
             at_zero += bool(np.any(a == 0.0))
-            at_c += bool(np.any(a == C))
-        assert at_zero >= 100 and at_c >= 50
+            at_c += bool(np.any(a == prob.C))
+            size_two += prob.s.size == 2
+        assert at_zero >= 100 and at_c >= 50 and size_two >= 10
+        assert len({got[3] for got in results}) > 20    # problems stop on their own
 
     def test_bit_identical_when_capped(self, monkeypatch):
         rng = np.random.default_rng(61)
         capped = 0
-        for k in range(60):
-            build = self.svm_pair_problem if k % 2 else self.svr_problem
-            Q, s, p = build(rng)
+        for _ in range(6):
+            problems = self.mixed(rng, 10)
             cap = int(rng.integers(1, 6))
             monkeypatch.setattr(dual, "MAX_ITER", cap)
-            _, _, converged, _ = self.check(Q, s, p, 1.0, max_iter=cap)
-            capped += not converged
+            for (K, prob), got in zip(problems, self.solve(problems)):
+                self.assert_same(got, self.reference(K, prob, cap))
+                capped += not got[2]
         assert capped >= 30
+
+    def test_result_does_not_depend_on_batch_order_or_company(self):
+        rng = np.random.default_rng(62)
+        problems = self.mixed(rng, 40)
+        alone = [self.solve([problem])[0] for problem in problems]
+        together = self.solve(problems)
+        order = rng.permutation(len(problems))
+        permuted = self.solve([problems[k] for k in order])
+        for k in range(len(problems)):
+            self.assert_same(together[k], alone[k])
+            self.assert_same(permuted[int(np.flatnonzero(order == k)[0])], alone[k])
+
+    def test_problems_sharing_a_kernel(self):
+        # The pair duals of one fold all index rows of the same kernel matrix.
+        rng = np.random.default_rng(63)
+        kernels, batch = [], []
+        for _ in range(5):
+            K, y = random_problem(rng, n_max=12)
+            pos, neg = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
+            kernels.append(K)
+            batch.append([dual.Problem(rows, y[rows], np.full(rows.size, -1.0), 1.0)
+                          for rows in (np.arange(y.size), np.concatenate([neg, pos[:1]]))])
+        solved = dual.solve(kernels, batch)
+        assert [len(sols) for sols in solved] == [2] * 5
+        for K, probs, sols in zip(kernels, batch, solved):
+            for prob, got in zip(probs, sols):
+                self.assert_same(got, self.reference(K, prob, dual.MAX_ITER))
 
 
 def test_iteration_cap_keeps_best_so_far_and_warns(monkeypatch):
