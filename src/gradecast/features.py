@@ -12,6 +12,10 @@ For Q questions that is 2Q + 13 columns.  A session is a maximal run of a
 student's submissions within one assignment where adjacent timestamps are
 at most two hours apart; response times are the gaps between adjacent
 submissions inside a session, so they never exceed two hours.
+
+Every family is computed from the dataset's columns and its one session
+index (``Dataset.sessions``); ``segment_sessions`` and ``response_times``
+read the same index.
 """
 from __future__ import annotations
 
@@ -19,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Dataset, StudentRecord, SubmissionEvent
+from .ingest import N_ASSIGNMENTS, SESSION_GAP_SECONDS, Dataset, SubmissionEvent
 
-SESSION_GAP_SECONDS = 7200       # adjacent tries more than 2 h apart start a new session
 QUICK_RESPONSE_SECONDS = 12.0    # faster than 5 submissions per minute
 
 GROUP_PERF = "perf"
@@ -61,20 +64,16 @@ class FeatureMatrix:
 def per_question_performance(dataset: Dataset) -> np.ndarray:
     """Binary matrix: 1 iff the student ever answered the question correctly."""
     out = np.zeros((len(dataset.students), dataset.n_questions))
-    rows = dataset.student_rows
-    for ev in dataset.events:
-        if ev.correct:
-            out[rows[ev.student_id], dataset.question_catalog[ev.question_id][1]] = 1.0
+    hit = dataset.log.correct
+    out[dataset.row[hit], dataset.column[hit]] = 1.0
     return out
 
 
 def submissions_per_question(dataset: Dataset) -> np.ndarray:
     """Count matrix of submissions per (student, question); 0 when untouched."""
-    out = np.zeros((len(dataset.students), dataset.n_questions))
-    rows = dataset.student_rows
-    for ev in dataset.events:
-        out[rows[ev.student_id], dataset.question_catalog[ev.question_id][1]] += 1.0
-    return out
+    n, q = len(dataset.students), dataset.n_questions
+    counts = np.bincount(dataset.row * q + dataset.column, minlength=n * q)
+    return counts.reshape(n, q).astype(float)
 
 
 def segment_sessions(dataset: Dataset, student_id: str,
@@ -82,41 +81,34 @@ def segment_sessions(dataset: Dataset, student_id: str,
     """Greedy time-ordered session segmentation for one student-assignment.
 
     A gap of exactly SESSION_GAP_SECONDS still belongs to the same session;
-    only a strictly larger gap starts a new one.
+    only a strictly larger gap starts a new one.  Only assignments
+    1..N_ASSIGNMENTS have sessions.
     """
-    if student_id not in dataset.student_rows:
-        raise KeyError(student_id)
-    events = [ev for ev in dataset.events_for(student_id)
-              if ev.assignment_id == assignment_id]
-    events.sort(key=lambda e: (e.timestamp, e.question_id, e.attempt_number))
-    sessions: list[Session] = []
-    current: list[SubmissionEvent] = []
-    for ev in events:
-        if current and ev.timestamp - current[-1].timestamp > SESSION_GAP_SECONDS:
-            sessions.append(Session(student_id, assignment_id, tuple(current)))
-            current = []
-        current.append(ev)
-    if current:
-        sessions.append(Session(student_id, assignment_id, tuple(current)))
-    return sessions
+    row = dataset.student_rows[student_id]
+    if not 1 <= assignment_id <= N_ASSIGNMENTS:
+        return []
+    index = dataset.sessions
+    key = row * N_ASSIGNMENTS + assignment_id - 1
+    lo, hi = np.searchsorted(index.key, [key, key + 1])
+    events = dataset.events
+    bounds = index.bounds[lo:hi + 1].tolist()
+    return [Session(student_id, assignment_id,
+                    tuple(events[i] for i in index.order[start:stop].tolist()))
+            for start, stop in zip(bounds, bounds[1:])]
 
 
 def sessions_per_assignment(dataset: Dataset) -> np.ndarray:
-    out = np.zeros((len(dataset.students), 4))
-    for i, rec in enumerate(dataset.students):
-        for assignment in range(1, 5):
-            out[i, assignment - 1] = len(segment_sessions(dataset, rec.student_id, assignment))
-    return out
+    n = len(dataset.students)
+    counts = np.bincount(dataset.sessions.key, minlength=n * N_ASSIGNMENTS)
+    return counts.reshape(n, N_ASSIGNMENTS).astype(float)
 
 
 def response_times(dataset: Dataset, student_id: str) -> list[int]:
     """Within-session gaps between the student's adjacent submissions."""
-    gaps: list[int] = []
-    for assignment in range(1, 5):
-        for session in segment_sessions(dataset, student_id, assignment):
-            ts = [ev.timestamp for ev in session.events]
-            gaps.extend(b - a for a, b in zip(ts, ts[1:]))
-    return gaps
+    row = dataset.student_rows[student_id]
+    index = dataset.sessions
+    lo, hi = np.searchsorted(index.gap_row, [row, row + 1])
+    return index.gaps[lo:hi].tolist()
 
 
 def response_time_features(dataset: Dataset) -> np.ndarray:
@@ -125,24 +117,26 @@ def response_time_features(dataset: Dataset) -> np.ndarray:
     "Long" is measured against mean + 2 standard deviations of all response
     times in the dataset (population statistics, strict >); "quick" is a
     response under 12 seconds (strict <).  Fractions are per student and 0
-    for students with no response times.
+    for students with no response times.  The pooled times are taken in
+    (student row, assignment, time) order, which fixes the bits of the mean.
     """
-    per_student = [response_times(dataset, rec.student_id) for rec in dataset.students]
-    out = np.zeros((len(dataset.students), 4))
-    pooled = [t for gaps in per_student for t in gaps]
-    if not pooled:
+    n = len(dataset.students)
+    index = dataset.sessions
+    out = np.zeros((n, 4))
+    if not index.gaps.size:
         return out
-    arr = np.asarray(pooled, dtype=float)
+    arr = index.gaps.astype(float)
     mu = float(arr.mean())
     sigma = float(np.sqrt(np.mean((arr - mu) ** 2)))
     long_cut = mu + 2.0 * sigma
-    for i, gaps in enumerate(per_student):
-        if not gaps:
-            continue
-        g = np.asarray(gaps, dtype=float)
-        long_n = int(np.sum(g > long_cut))
-        quick_n = int(np.sum(g < QUICK_RESPONSE_SECONDS))
-        out[i] = (long_n, quick_n, long_n / g.size, quick_n / g.size)
+    size = np.bincount(index.gap_row, minlength=n)
+    long_n = np.bincount(index.gap_row[arr > long_cut], minlength=n)
+    quick_n = np.bincount(index.gap_row[arr < QUICK_RESPONSE_SECONDS], minlength=n)
+    out[:, 0] = long_n
+    out[:, 1] = quick_n
+    has = size > 0
+    out[has, 2] = long_n[has] / size[has]
+    out[has, 3] = quick_n[has] / size[has]
     return out
 
 

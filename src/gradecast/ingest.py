@@ -2,8 +2,11 @@
 
 Turns the two course export files (``submissions.csv`` and ``gradebook.csv``)
 into one immutable in-memory dataset shared by feature extraction and
-evaluation.  Input rows may arrive in any order; parsing canonicalizes the
-ordering, so the same set of rows always produces the same dataset.
+evaluation.  The submission log is held as columns (``EventLog``), from the
+parse to the feature matrix; ``SubmissionEvent`` objects are built only when
+a caller asks for them.  Input rows may arrive in any order; parsing
+canonicalizes the ordering, so the same set of rows always produces the
+same dataset.
 
 Repairs are preferred over rejection where the log is merely untidy:
 attempt numbers are re-issued densely in timestamp order, and submissions
@@ -14,17 +17,20 @@ fields, duplicate students, out-of-range scores) raise instead.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 SUBMISSIONS_HEADER = ("student_id", "question_id", "assignment_id",
                       "timestamp", "attempt_number", "correct")
 GRADEBOOK_HEADER = ("student_id", "hw1", "hw2", "hw3", "hw4", "test1", "final_grade")
 HW_FIELDS = ("hw1", "hw2", "hw3", "hw4")
 N_ASSIGNMENTS = 4
+SESSION_GAP_SECONDS = 7200       # adjacent tries more than 2 h apart start a new session
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 
 
 class Grade(IntEnum):
@@ -126,6 +132,64 @@ class RepairCount(int):
         return self.dropped, self.renumbered
 
 
+def _codes(ids: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ids in Python ``str`` order, and each id's index into them."""
+    distinct = tuple(sorted(set(ids)))
+    rank = {sid: i for i, sid in enumerate(distinct)}
+    return distinct, np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """A submission log as columns, one entry per event.
+
+    ``student`` and ``question`` index ``student_ids`` and ``question_ids``,
+    which hold the distinct ids in Python ``str`` order (so ordering by code
+    is ordering by id); every listed id occurs in the log.  ``assignment``,
+    ``timestamp`` and ``attempt`` are int64 and ``correct`` is bool.
+    """
+
+    student_ids: tuple[str, ...]
+    question_ids: tuple[str, ...]
+    student: np.ndarray
+    question: np.ndarray
+    assignment: np.ndarray
+    timestamp: np.ndarray
+    attempt: np.ndarray
+    correct: np.ndarray
+
+    @classmethod
+    def from_columns(cls, student_ids: list[str], question_ids: list[str],
+                     assignment, timestamp, attempt, correct) -> "EventLog":
+        """Code the id columns and pack the rest; every value must fit in int64."""
+        sids, student = _codes(student_ids)
+        qids, question = _codes(question_ids)
+        return cls(sids, qids, student, question,
+                   np.array(assignment, dtype=np.int64), np.array(timestamp, dtype=np.int64),
+                   np.array(attempt, dtype=np.int64), np.array(correct, dtype=bool))
+
+    @classmethod
+    def from_events(cls, events: Sequence[SubmissionEvent]) -> "EventLog":
+        return cls.from_columns([ev.student_id for ev in events],
+                                [ev.question_id for ev in events],
+                                [ev.assignment_id for ev in events],
+                                [ev.timestamp for ev in events],
+                                [ev.attempt_number for ev in events],
+                                [bool(ev.correct) for ev in events])
+
+    def __len__(self) -> int:
+        return len(self.student)
+
+    @cached_property
+    def events(self) -> tuple[SubmissionEvent, ...]:
+        """The log as event objects, built on first use."""
+        return tuple(map(SubmissionEvent,
+                         [self.student_ids[c] for c in self.student.tolist()],
+                         [self.question_ids[c] for c in self.question.tolist()],
+                         self.assignment.tolist(), self.timestamp.tolist(),
+                         self.attempt.tolist(), self.correct.tolist()))
+
+
 @dataclass(frozen=True)
 class StudentRecord:
     student_id: str
@@ -135,21 +199,51 @@ class StudentRecord:
 
 
 @dataclass(frozen=True)
+class SessionIndex:
+    """Every student's submissions cut into sessions, in one set of arrays.
+
+    A session is a maximal run of one student's submissions to one
+    assignment (1..N_ASSIGNMENTS) whose adjacent timestamps are at most
+    SESSION_GAP_SECONDS apart.  ``order`` lists the events of those
+    assignments sorted by (student row, assignment, timestamp, question_id,
+    attempt_number), stream order breaking ties; session k is
+    ``order[bounds[k]:bounds[k + 1]]`` and ``key[k]`` is its
+    ``row * N_ASSIGNMENTS + assignment - 1``, which never decreases.
+    ``gaps`` are the within-session gaps between adjacent events in that
+    same order, and ``gap_row`` the student row of each.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    key: np.ndarray
+    gaps: np.ndarray
+    gap_row: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Joined view of a submission log and a gradebook.
 
-    ``question_catalog`` maps question_id to (assignment_id, ordinal); the
-    ordinal is the question's contiguous 0-based column index, issued by
-    first appearance in the canonically ordered event stream.
+    ``log`` keeps the events in the order they were given; ``row`` and
+    ``column`` hold each event's student row (index into ``students``) and
+    question ordinal.  ``question_catalog`` maps question_id to
+    (assignment_id, ordinal); the ordinal is the question's contiguous
+    0-based column index, issued by first appearance in the event stream.
     """
 
-    events: tuple[SubmissionEvent, ...]
+    log: EventLog
     students: tuple[StudentRecord, ...]
     question_catalog: dict[str, tuple[int, int]]
+    row: np.ndarray
+    column: np.ndarray
 
     @property
     def n_questions(self) -> int:
         return len(self.question_catalog)
+
+    @property
+    def events(self) -> tuple[SubmissionEvent, ...]:
+        return self.log.events
 
     @cached_property
     def student_rows(self) -> dict[str, int]:
@@ -164,6 +258,25 @@ class Dataset:
 
     def events_for(self, student_id: str) -> tuple[SubmissionEvent, ...]:
         return self._events_by_student.get(student_id, ())
+
+    @cached_property
+    def sessions(self) -> SessionIndex:
+        """The session index, built on first use; every session view reads it."""
+        log = self.log
+        graded = np.flatnonzero((log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS))
+        order = graded[np.lexsort(tuple(col[graded] for col in (
+            log.attempt, log.question, log.timestamp, log.assignment, self.row)))]
+        row = self.row[order]
+        key = row * N_ASSIGNMENTS + log.assignment[order] - 1
+        # Timestamps of one key are sorted, so their uint64 difference is
+        # exact even where the int64 one would overflow.
+        gap = np.diff(log.timestamp[order].view(np.uint64))
+        within = (key[1:] == key[:-1]) & (gap <= SESSION_GAP_SECONDS)
+        start = np.ones(order.size, dtype=bool)
+        start[1:] = ~within
+        starts = np.flatnonzero(start)
+        return SessionIndex(order, np.append(starts, order.size), key[starts],
+                            gap[within].astype(np.int64), row[1:][within])
 
 
 def _data_rows(path) -> Iterable[tuple[int, list[str]]]:
@@ -190,16 +303,24 @@ def _data_rows(path) -> Iterable[tuple[int, list[str]]]:
             yield lines_of_row.pop(), fields
 
 
-def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
-    """Parse submissions.csv into canonically ordered events.
+def parse_submissions(path) -> tuple[EventLog, RepairCount]:
+    """Parse submissions.csv into a canonically ordered event log.
 
-    Returns (events, repairs).  Events come back sorted by
-    (student_id, question_id, timestamp).  Within each (student, question)
-    group, attempts recorded after a correct answer are dropped and attempt
-    numbers are re-issued densely in timestamp order; each dropped or
-    renumbered row counts once in ``repairs``.
+    Returns (log, repairs).  Events come back sorted by (student_id,
+    question_id, timestamp, attempt_number, correct, assignment_id), so any
+    order of the same rows gives the same log.  Within each (student,
+    question) group, attempts recorded after a correct answer are dropped
+    and attempt numbers are re-issued densely in timestamp order; each
+    dropped or renumbered row counts once in ``repairs``.  The integer
+    fields are held as int64: a timestamp or attempt number outside that
+    range makes its row malformed.
     """
-    raw: list[SubmissionEvent] = []
+    sids: list[str] = []
+    qids: list[str] = []
+    assignments: list[int] = []
+    timestamps: list[int] = []
+    attempts: list[int] = []
+    corrects: list[bool] = []
     saw_header = False
     for line_no, fields in _data_rows(path):
         if not saw_header:
@@ -222,34 +343,40 @@ def parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
                 line_no, f"assignment_id {assignment} outside 1..{N_ASSIGNMENTS}")
         if correct_s not in ("0", "1"):
             raise MalformedRow(line_no, f"correct must be 0 or 1, got {correct_s!r}")
-        raw.append(SubmissionEvent(sid, qid, assignment, timestamp, attempt, correct_s == "1"))
-    if not raw:
+        if not (_INT64_MIN <= timestamp <= _INT64_MAX and _INT64_MIN <= attempt <= _INT64_MAX):
+            raise MalformedRow(line_no, "integer field outside the int64 range")
+        sids.append(sid)
+        qids.append(qid)
+        assignments.append(assignment)
+        timestamps.append(timestamp)
+        attempts.append(attempt)
+        corrects.append(correct_s == "1")
+    if not sids:
         raise EmptyLog(str(path))
+    return _repaired(EventLog.from_columns(sids, qids, assignments, timestamps,
+                                           attempts, corrects))
 
-    # Content-only sort key, so a shuffled file parses to the same result.
-    raw.sort(key=lambda e: (e.student_id, e.question_id, e.timestamp,
-                            e.attempt_number, e.correct))
-    events: list[SubmissionEvent] = []
-    dropped = renumbered = 0
-    i = 0
-    while i < len(raw):
-        j = i
-        key = (raw[i].student_id, raw[i].question_id)
-        while j < len(raw) and (raw[j].student_id, raw[j].question_id) == key:
-            j += 1
-        group = raw[i:j]
-        for pos, ev in enumerate(group):
-            if ev.correct and pos + 1 < len(group):
-                dropped += len(group) - pos - 1
-                group = group[:pos + 1]
-                break
-        for pos, ev in enumerate(group, start=1):
-            if ev.attempt_number != pos:
-                ev = replace(ev, attempt_number=pos)
-                renumbered += 1
-            events.append(ev)
-        i = j
-    return tuple(events), RepairCount(dropped, renumbered)
+
+def _repaired(log: EventLog) -> tuple[EventLog, RepairCount]:
+    """The log in canonical order, with the after-correct and attempt repairs."""
+    order = np.lexsort((log.assignment, log.correct, log.attempt, log.timestamp,
+                        log.question, log.student))
+    student, question, assignment, timestamp, attempt, correct = (
+        col[order] for col in (log.student, log.question, log.assignment,
+                               log.timestamp, log.attempt, log.correct))
+    first = np.ones(order.size, dtype=bool)      # first row of its (student, question) group
+    first[1:] = (student[1:] != student[:-1]) | (question[1:] != question[:-1])
+    group = np.cumsum(first) - 1
+    correct_before = np.cumsum(correct) - correct
+    keep = correct_before == correct_before[first][group]
+    dropped = order.size - int(np.count_nonzero(keep))
+    # A group's first row is always kept, so group numbers stay dense.
+    group = group[keep]
+    position = np.arange(group.size) - np.flatnonzero(first[keep])[group] + 1
+    renumbered = int(np.count_nonzero(attempt[keep] != position))
+    canonical = EventLog(log.student_ids, log.question_ids, student[keep], question[keep],
+                         assignment[keep], timestamp[keep], position, correct[keep])
+    return canonical, RepairCount(dropped, renumbered)
 
 
 def parse_gradebook(path) -> tuple[StudentRecord, ...]:
@@ -287,38 +414,47 @@ def parse_gradebook(path) -> tuple[StudentRecord, ...]:
     return tuple(records[sid] for sid in sorted(records))
 
 
-def build_dataset(events: Sequence[SubmissionEvent],
+def build_dataset(events: EventLog | Sequence[SubmissionEvent],
                   students: Sequence[StudentRecord]) -> Dataset:
     """Join events and records; every event must belong to a known student.
 
-    Students with no submissions are kept: their activity features are
-    legitimately all zero.  Question ordinals follow first appearance in
-    the (already canonically ordered) event stream.
+    ``events`` is an EventLog or a sequence of SubmissionEvents, taken in
+    the order given.  Students with no submissions are kept: their activity
+    features are legitimately all zero.  Question ordinals follow first
+    appearance in the event stream.  An error names the first offending
+    event in stream order.
     """
-    if not events or not students:
+    log = events if isinstance(events, EventLog) else EventLog.from_events(events)
+    if not len(log) or not students:
         raise EmptyLog("build_dataset input")
-    seen: set[str] = set()
-    for rec in students:
-        if rec.student_id in seen:
+    rows: dict[str, int] = {}
+    for i, rec in enumerate(students):
+        if rec.student_id in rows:
             raise DuplicateStudent(rec.student_id)
-        seen.add(rec.student_id)
-    catalog: dict[str, tuple[int, int]] = {}
-    for ev in events:
-        if ev.student_id not in seen:
-            raise OrphanEvent(ev.student_id)
-        known = catalog.get(ev.question_id)
-        if known is None:
-            catalog[ev.question_id] = (ev.assignment_id, len(catalog))
-        elif known[0] != ev.assignment_id:
-            raise InconsistentAssignment(ev.question_id)
-    return Dataset(tuple(events), tuple(students), catalog)
+        rows[rec.student_id] = i
+    row = np.array([rows.get(sid, -1) for sid in log.student_ids], dtype=np.intp)[log.student]
+    _, first = np.unique(log.question, return_index=True)    # every code occurs
+    first_assignment = log.assignment[first]
+    orphan = row < 0
+    offending = np.flatnonzero(orphan | (log.assignment != first_assignment[log.question]))
+    if offending.size:
+        i = offending[0]
+        if orphan[i]:
+            raise OrphanEvent(log.student_ids[log.student[i]])
+        raise InconsistentAssignment(log.question_ids[log.question[i]])
+    by_appearance = np.argsort(first)
+    ordinal = np.empty_like(by_appearance)
+    ordinal[by_appearance] = np.arange(by_appearance.size)
+    catalog = {log.question_ids[code]: (assignment, i) for i, (code, assignment) in
+               enumerate(zip(by_appearance.tolist(), first_assignment[by_appearance].tolist()))}
+    return Dataset(log, tuple(students), catalog, row, ordinal[log.question])
 
 
 def load_dataset(submissions_path, gradebook_path) -> tuple[Dataset, RepairCount]:
     """Parse both files and join them.  Returns (dataset, repairs)."""
-    events, repairs = parse_submissions(submissions_path)
+    log, repairs = parse_submissions(submissions_path)
     students = parse_gradebook(gradebook_path)
-    return build_dataset(events, students), repairs
+    return build_dataset(log, students), repairs
 
 
 def write_submissions(events: Iterable[SubmissionEvent], path,

@@ -9,9 +9,26 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
+
+from gradecast.features import QUICK_RESPONSE_SECONDS, SESSION_GAP_SECONDS, Session
+from gradecast.ingest import (
+    N_ASSIGNMENTS,
+    SUBMISSIONS_HEADER,
+    DuplicateStudent,
+    EmptyLog,
+    InconsistentAssignment,
+    MalformedRow,
+    OrphanEvent,
+    RepairCount,
+    StudentRecord,
+    SubmissionEvent,
+    _data_rows,
+)
 
 
 # ---------------------------------------------------------------- SVM dual
@@ -397,3 +414,196 @@ def average_precision_oracle(scores, labels, n_positive):
             hits += 1
             total += hits / rank
     return total / n_positive
+
+
+# ----------------------------------------------------- ingest and features
+#
+# The row-object implementation of parse_submissions, build_dataset and the
+# feature families that the columnar code replaced, kept as the reference the
+# fuzz tests compare against.  Its sort key leaves out assignment_id, so rows
+# that differ only in assignment come out in file order.
+
+@dataclass(frozen=True)
+class ReferenceDataset:
+    events: tuple[SubmissionEvent, ...]
+    students: tuple[StudentRecord, ...]
+    question_catalog: dict[str, tuple[int, int]]
+
+    @property
+    def n_questions(self) -> int:
+        return len(self.question_catalog)
+
+    @cached_property
+    def student_rows(self) -> dict[str, int]:
+        return {rec.student_id: i for i, rec in enumerate(self.students)}
+
+    @cached_property
+    def _events_by_student(self) -> dict[str, tuple[SubmissionEvent, ...]]:
+        grouped: dict[str, list[SubmissionEvent]] = {}
+        for ev in self.events:
+            grouped.setdefault(ev.student_id, []).append(ev)
+        return {sid: tuple(evs) for sid, evs in grouped.items()}
+
+    def events_for(self, student_id: str) -> tuple[SubmissionEvent, ...]:
+        return self._events_by_student.get(student_id, ())
+
+
+def reference_parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
+    raw: list[SubmissionEvent] = []
+    saw_header = False
+    for line_no, fields in _data_rows(path):
+        if not saw_header:
+            if tuple(fields) != SUBMISSIONS_HEADER:
+                raise MalformedRow(line_no, f"bad header {fields!r}")
+            saw_header = True
+            continue
+        if len(fields) != len(SUBMISSIONS_HEADER):
+            raise MalformedRow(
+                line_no, f"expected {len(SUBMISSIONS_HEADER)} fields, got {len(fields)}")
+        sid, qid, assignment_s, ts_s, attempt_s, correct_s = fields
+        try:
+            assignment = int(assignment_s)
+            timestamp = int(ts_s)
+            attempt = int(attempt_s)
+        except ValueError:
+            raise MalformedRow(line_no, "non-integer numeric field") from None
+        if not 1 <= assignment <= N_ASSIGNMENTS:
+            raise MalformedRow(
+                line_no, f"assignment_id {assignment} outside 1..{N_ASSIGNMENTS}")
+        if correct_s not in ("0", "1"):
+            raise MalformedRow(line_no, f"correct must be 0 or 1, got {correct_s!r}")
+        raw.append(SubmissionEvent(sid, qid, assignment, timestamp, attempt, correct_s == "1"))
+    if not raw:
+        raise EmptyLog(str(path))
+
+    raw.sort(key=lambda e: (e.student_id, e.question_id, e.timestamp,
+                            e.attempt_number, e.correct))
+    events: list[SubmissionEvent] = []
+    dropped = renumbered = 0
+    i = 0
+    while i < len(raw):
+        j = i
+        key = (raw[i].student_id, raw[i].question_id)
+        while j < len(raw) and (raw[j].student_id, raw[j].question_id) == key:
+            j += 1
+        group = raw[i:j]
+        for pos, ev in enumerate(group):
+            if ev.correct and pos + 1 < len(group):
+                dropped += len(group) - pos - 1
+                group = group[:pos + 1]
+                break
+        for pos, ev in enumerate(group, start=1):
+            if ev.attempt_number != pos:
+                ev = replace(ev, attempt_number=pos)
+                renumbered += 1
+            events.append(ev)
+        i = j
+    return tuple(events), RepairCount(dropped, renumbered)
+
+
+def reference_build_dataset(events, students) -> ReferenceDataset:
+    if not events or not students:
+        raise EmptyLog("build_dataset input")
+    seen: set[str] = set()
+    for rec in students:
+        if rec.student_id in seen:
+            raise DuplicateStudent(rec.student_id)
+        seen.add(rec.student_id)
+    catalog: dict[str, tuple[int, int]] = {}
+    for ev in events:
+        if ev.student_id not in seen:
+            raise OrphanEvent(ev.student_id)
+        known = catalog.get(ev.question_id)
+        if known is None:
+            catalog[ev.question_id] = (ev.assignment_id, len(catalog))
+        elif known[0] != ev.assignment_id:
+            raise InconsistentAssignment(ev.question_id)
+    return ReferenceDataset(tuple(events), tuple(students), catalog)
+
+
+def reference_per_question_performance(dataset) -> np.ndarray:
+    out = np.zeros((len(dataset.students), dataset.n_questions))
+    rows = dataset.student_rows
+    for ev in dataset.events:
+        if ev.correct:
+            out[rows[ev.student_id], dataset.question_catalog[ev.question_id][1]] = 1.0
+    return out
+
+
+def reference_submissions_per_question(dataset) -> np.ndarray:
+    out = np.zeros((len(dataset.students), dataset.n_questions))
+    rows = dataset.student_rows
+    for ev in dataset.events:
+        out[rows[ev.student_id], dataset.question_catalog[ev.question_id][1]] += 1.0
+    return out
+
+
+def reference_segment_sessions(dataset, student_id: str, assignment_id: int) -> list[Session]:
+    if student_id not in dataset.student_rows:
+        raise KeyError(student_id)
+    events = [ev for ev in dataset.events_for(student_id)
+              if ev.assignment_id == assignment_id]
+    events.sort(key=lambda e: (e.timestamp, e.question_id, e.attempt_number))
+    sessions: list[Session] = []
+    current: list[SubmissionEvent] = []
+    for ev in events:
+        if current and ev.timestamp - current[-1].timestamp > SESSION_GAP_SECONDS:
+            sessions.append(Session(student_id, assignment_id, tuple(current)))
+            current = []
+        current.append(ev)
+    if current:
+        sessions.append(Session(student_id, assignment_id, tuple(current)))
+    return sessions
+
+
+def reference_sessions_per_assignment(dataset) -> np.ndarray:
+    out = np.zeros((len(dataset.students), 4))
+    for i, rec in enumerate(dataset.students):
+        for assignment in range(1, 5):
+            out[i, assignment - 1] = len(
+                reference_segment_sessions(dataset, rec.student_id, assignment))
+    return out
+
+
+def reference_response_times(dataset, student_id: str) -> list[int]:
+    gaps: list[int] = []
+    for assignment in range(1, 5):
+        for session in reference_segment_sessions(dataset, student_id, assignment):
+            ts = [ev.timestamp for ev in session.events]
+            gaps.extend(b - a for a, b in zip(ts, ts[1:]))
+    return gaps
+
+
+def reference_response_time_features(dataset) -> np.ndarray:
+    per_student = [reference_response_times(dataset, rec.student_id)
+                   for rec in dataset.students]
+    out = np.zeros((len(dataset.students), 4))
+    pooled = [t for gaps in per_student for t in gaps]
+    if not pooled:
+        return out
+    arr = np.asarray(pooled, dtype=float)
+    mu = float(arr.mean())
+    sigma = float(np.sqrt(np.mean((arr - mu) ** 2)))
+    long_cut = mu + 2.0 * sigma
+    for i, gaps in enumerate(per_student):
+        if not gaps:
+            continue
+        g = np.asarray(gaps, dtype=float)
+        long_n = int(np.sum(g > long_cut))
+        quick_n = int(np.sum(g < QUICK_RESPONSE_SECONDS))
+        out[i] = (long_n, quick_n, long_n / g.size, quick_n / g.size)
+    return out
+
+
+def reference_score_features(dataset) -> np.ndarray:
+    return np.array([[*rec.hw_scores, rec.test_score] for rec in dataset.students],
+                    dtype=float)
+
+
+def reference_feature_values(dataset) -> np.ndarray:
+    """The five families side by side, the layout of assemble_feature_matrix."""
+    return np.hstack([reference_per_question_performance(dataset),
+                      reference_submissions_per_question(dataset),
+                      reference_response_time_features(dataset),
+                      reference_sessions_per_assignment(dataset),
+                      reference_score_features(dataset)])

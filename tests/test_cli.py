@@ -4,6 +4,7 @@ import pytest
 
 import gradecast.evaluation as evaluation
 from gradecast.cli import main
+from gradecast.ingest import SubmissionEvent, load_dataset
 from gradecast.models import train as real_train
 
 COHORT_ARGS = ["--students", "20", "--questions", "16",
@@ -182,6 +183,25 @@ class TestEvaluate:
         header = (tmp_path / "report.md").read_text().splitlines()[0]
         assert '"jobs"' not in header
         assert '"command": "evaluate"' in header
+
+
+class TestColumnarPath:
+    def test_extract_and_evaluate_build_no_event_objects(self, cohort_dir, tmp_path,
+                                                         monkeypatch):
+        built = []
+        init = SubmissionEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubmissionEvent, "__init__", counting_init)
+        assert main(["extract", *inputs(cohort_dir), "--out-dir", str(tmp_path)]) == 0
+        assert main(["evaluate", *inputs(cohort_dir), "--model", "all",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert built == []
+        dataset, _ = load_dataset(cohort_dir / "submissions.csv", cohort_dir / "gradebook.csv")
+        assert len(dataset.events) == len(built) > 0     # the count sees lazy events
 
 
 class TestConfigFile:

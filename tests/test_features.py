@@ -19,7 +19,7 @@ from gradecast.features import (
     submissions_per_question,
     write_features_csv,
 )
-from gradecast.ingest import build_dataset
+from gradecast.ingest import SessionIndex, build_dataset
 from helpers import dataset_from, event, record
 
 
@@ -85,10 +85,34 @@ class TestSessions:
         ds = dataset_from(events_at([0, 60, 10860, 10870]), [record()])
         assert sessions_per_assignment(ds).tolist() == [[2, 0, 0, 0]]
 
+    def test_int64_extremes_split_without_overflow(self):
+        top = 2**63 - 1
+        ds = dataset_from(events_at([-top - 1, top - 1, top]), [record()])
+        assert [len(s.events) for s in segment_sessions(ds, "s1", 1)] == [1, 2]
+        assert response_times(ds, "s1") == [1]
+
     def test_unknown_student_raises(self):
         ds = dataset_from(events_at([0]), [record()])
         with pytest.raises(KeyError):
             segment_sessions(ds, "nobody", 1)
+
+
+class TestSessionIndex:
+    def test_session_views_read_the_cached_index(self, small_cohort):
+        ds = build_dataset(small_cohort.log, small_cohort.students)
+        assert ds.sessions is ds.sessions
+        assert sessions_per_assignment(ds).any() and response_time_features(ds).any()
+        sid = ds.students[0].student_id
+        assert segment_sessions(ds, sid, 1) and response_times(ds, sid)
+        # An index with no sessions: every view must now see none.
+        none = np.zeros(0, dtype=np.int64)
+        ds.__dict__["sessions"] = SessionIndex(none, np.zeros(1, dtype=np.int64), none, none, none)
+        for rec in ds.students:
+            assert response_times(ds, rec.student_id) == []
+            for a in range(1, 5):
+                assert segment_sessions(ds, rec.student_id, a) == []
+        assert not sessions_per_assignment(ds).any()
+        assert not response_time_features(ds).any()
 
 
 class TestResponseTimes:

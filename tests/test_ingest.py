@@ -32,14 +32,16 @@ def write(path, text):
 class TestParseSubmissions:
     def test_single_valid_row(self, tmp_path):
         p = write(tmp_path / "s.csv", SUB_HEADER + "s1,q1,1,100,1,0\n")
-        events, warnings = parse_submissions(p)
+        log, warnings = parse_submissions(p)
+        events = log.events
         assert events == (SubmissionEvent("s1", "q1", 1, 100, 1, False),)
         assert warnings == 0
 
     def test_attempt_gap_renumbered_with_warning(self, tmp_path):
         p = write(tmp_path / "s.csv",
                   SUB_HEADER + "s1,q1,1,100,1,0\ns1,q1,1,200,3,1\n")
-        events, warnings = parse_submissions(p)
+        log, warnings = parse_submissions(p)
+        events = log.events
         assert [e.attempt_number for e in events] == [1, 2]
         assert warnings == 1
         assert (warnings.dropped, warnings.renumbered) == (0, 1)
@@ -48,7 +50,8 @@ class TestParseSubmissions:
         p = write(tmp_path / "s.csv",
                   SUB_HEADER
                   + "s1,q1,1,100,1,1\ns1,q1,1,200,2,0\ns1,q1,1,300,3,0\n")
-        events, warnings = parse_submissions(p)
+        log, warnings = parse_submissions(p)
+        events = log.events
         assert len(events) == 1
         assert events[0].correct
         assert warnings == 2
@@ -59,7 +62,8 @@ class TestParseSubmissions:
         # that starts at 2 is re-numbered.
         p = write(tmp_path / "s.csv",
                   SUB_HEADER + "s1,q1,1,100,1,1\ns1,q1,1,200,2,0\ns1,q2,1,300,2,0\n")
-        events, warnings = parse_submissions(p)
+        log, warnings = parse_submissions(p)
+        events = log.events
         assert [(e.question_id, e.attempt_number) for e in events] == [("q1", 1), ("q2", 1)]
         assert (warnings, warnings.dropped, warnings.renumbered) == (2, 1, 1)
         copied = pickle.loads(pickle.dumps(warnings))
@@ -94,12 +98,36 @@ class TestParseSubmissions:
         rows = ["s2,q1,1,50,1,1\n", "s1,q2,1,10,1,0\n", "s1,q1,1,30,1,1\n"]
         a = write(tmp_path / "a.csv", SUB_HEADER + "".join(rows))
         b = write(tmp_path / "b.csv", SUB_HEADER + "".join(reversed(rows)))
-        assert parse_submissions(a) == parse_submissions(b)
+        (log_a, repairs_a), (log_b, repairs_b) = parse_submissions(a), parse_submissions(b)
+        assert log_a.events == log_b.events
+        assert ((repairs_a.dropped, repairs_a.renumbered)
+                == (repairs_b.dropped, repairs_b.renumbered))
+
+    def test_rows_differing_only_in_assignment_parse_the_same_in_either_order(self, tmp_path):
+        rows = ["s1,q1,1,100,1,1\n", "s1,q1,2,100,1,1\n"]
+        a = write(tmp_path / "a.csv", SUB_HEADER + "".join(rows))
+        b = write(tmp_path / "b.csv", SUB_HEADER + "".join(reversed(rows)))
+        (log_a, repairs_a), (log_b, repairs_b) = parse_submissions(a), parse_submissions(b)
+        assert log_a.events == log_b.events == (SubmissionEvent("s1", "q1", 1, 100, 1, True),)
+        assert (repairs_a.dropped, repairs_b.dropped) == (1, 1)
+
+    def test_integer_outside_int64_is_malformed_at_its_line(self, tmp_path):
+        top = 2**63 - 1
+        p = write(tmp_path / "s.csv", SUB_HEADER + f"s1,q1,1,{top},1,0\ns1,q2,1,{-top - 1},1,0\n")
+        log, _ = parse_submissions(p)
+        assert sorted(log.timestamp.tolist()) == [-top - 1, top]
+        for row in (f"s1,q1,1,{top + 1},1,0", f"s1,q1,1,0,{-top - 2},0",
+                    f"s1,q1,{2**64},0,1,0"):
+            p = write(tmp_path / "s.csv", SUB_HEADER + "s1,q1,1,5,1,0\n" + row + "\n")
+            with pytest.raises(MalformedRow) as err:
+                parse_submissions(p)
+            assert err.value.line_no == 3
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         p = write(tmp_path / "s.csv",
                   "# run-config: {}\n\n" + SUB_HEADER + "\ns1,q1,1,100,1,0\n")
-        events, warnings = parse_submissions(p)
+        log, warnings = parse_submissions(p)
+        events = log.events
         assert len(events) == 1 and warnings == 0
 
     def test_error_reports_physical_line_number(self, tmp_path):
@@ -118,7 +146,8 @@ class TestParseSubmissions:
             parse_submissions(p)
         assert err.value.line_no == 9
         p.write_bytes("\r\n".join(lines[:-1]).encode() + b"\r\n")
-        events, repairs = parse_submissions(p)
+        log, repairs = parse_submissions(p)
+        events = log.events
         assert [e.timestamp for e in events] == [100, 200] and repairs == 0
 
         gradebook = ["# run-config: {}", GB_HEADER.strip(), "", "s1,90,85,70,100,88,A",
@@ -187,6 +216,16 @@ class TestBuildDataset:
             dataset_from([event(timestamp=0, assignment=1),
                           event(timestamp=9, assignment=2, attempt=2)],
                          [record()])
+
+    def test_first_offending_event_in_stream_order_is_named(self):
+        clash = [event(question="q1", assignment=1), event(question="q1", assignment=2)]
+        with pytest.raises(OrphanEvent):     # orphan and clash at once: the orphan
+            dataset_from([clash[0], event(student="ghost", question="q1", assignment=2)],
+                         [record()])
+        with pytest.raises(InconsistentAssignment):
+            dataset_from([*clash, event(student="ghost")], [record()])
+        with pytest.raises(OrphanEvent):
+            dataset_from([event(student="ghost"), *clash], [record()])
 
     def test_zero_submission_students_kept(self):
         ds = dataset_from([event(student="s1")],
