@@ -8,8 +8,11 @@ preparation.  ``global_prep=True`` switches to the fit-once alternative for
 comparison.  Folds are independent and deterministic: each derives its own
 seed from (master seed, fold index), so thread count cannot change results.
 The SVM and the SVR fit every fold through one batched dual solve on the
-calling thread (``models.fit_folds``); the other models fit fold by fold,
-on a thread pool when jobs > 1.
+calling thread (``models.fit_folds``).  The tree's folds are grouped by
+their fitted transform: each group transforms and codes all rows once, and
+fold i grows its tree from that group's rows other than i (``tree.Grower``),
+on the calling thread too.  The other models fit fold by fold, on a thread
+pool when jobs > 1.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ import numpy as np
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
 from .models import (ModelSpec, PredictionOutcome, fit_folds, solves_in_batch,
-                     train)
+                     train, tree)
 from .rng import mix_seed
 from .selection import Preprocessor, fit_preprocessor
 
@@ -97,6 +100,14 @@ class _TrainingSets:
         return self.preps[i].transform(self.values[keep]), self.y[keep]
 
 
+def _folds_by_transform(preps: list[Preprocessor]) -> list[list[int]]:
+    """Fold indices grouped by equal fitted preprocessor, in fold order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, prep in enumerate(preps):
+        groups.setdefault(prep.key(), []).append(i)
+    return list(groups.values())
+
+
 def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
                  thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
                  normalize: bool = False, global_prep: bool = False,
@@ -113,18 +124,30 @@ def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
 
     training = _TrainingSets(values, y, preps)
 
-    def held_out(i: int, model) -> tuple[LooPrediction, tuple[str, ...]]:
-        outcome = model.predict(preps[i].transform(values[i:i + 1])[0])
-        return LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), model.warnings
+    def held_out(i: int, model, x: np.ndarray) -> tuple[LooPrediction, tuple[str, ...]]:
+        return LooPrediction(matrix.row_ids[i], int(y[i]), model.predict(x), i), model.warnings
+
+    def row(i: int) -> np.ndarray:
+        return preps[i].transform(values[i:i + 1])[0]
 
     if solves_in_batch(spec):
         # One batched fit over every fold; each model predicts as soon as it
         # is built, so only one fold's model is alive at a time.
-        folds = [held_out(i, model) for i, model in enumerate(fit_folds(spec, training))]
+        folds = [held_out(i, model, row(i))
+                 for i, model in enumerate(fit_folds(spec, training))]
+    elif spec.kind == "tree":
+        # On the calling thread: the tree's small per-node numpy calls hold
+        # the interpreter lock, and a thread pool only slowed them down.
+        folds = [None] * n
+        for members in _folds_by_transform(preps):   # one group's codes at a time
+            X = preps[members[0]].transform(values)
+            grower = tree.Grower(X, y)
+            for i in members:
+                folds[i] = held_out(i, grower.tree(without=i), X[i])
     else:
         def run_fold(i: int) -> tuple[LooPrediction, tuple[str, ...]]:
             fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
-            return held_out(i, train(fold_spec, *training[i]))
+            return held_out(i, train(fold_spec, *training[i]), row(i))
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:

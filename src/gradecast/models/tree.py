@@ -1,11 +1,28 @@
 """CART-style decision tree classifier on the Gini criterion.
 
-Candidate thresholds are midpoints between consecutive distinct sorted
-values of each feature.  The best split maximizes the Gini impurity
-decrease; exact ties are broken by lower feature index, then lower
-threshold.  Nodes grow until pure or until no split strictly reduces
-weighted impurity; there is no pruning or depth limit.  Leaf class scores
-are the training class proportions at the leaf.
+Split search runs on integer histograms.  A ``Grower`` codes one matrix
+once: each column's distinct sorted values become consecutive integer codes,
+numbered column after column, so one flat code names a (column, value).  A
+node's histogram counts its rows per (grade, code).  Within-column cumulative
+sums of it give the class counts left of every cut.  A cut may fall only
+after a code present at the node, with some of the node's rows to its right;
+its threshold is the midpoint of the two adjacent values present at the
+node.  The best split maximizes the Gini impurity decrease, scored from
+exact integer counts; exact ties are broken by lower feature index, then
+lower threshold.  Of the two children, the smaller counts its rows into a
+fresh histogram and the larger takes its parent's minus its sibling's, as in
+LightGBM (Ke et al., NeurIPS 2017).  The counts are exact integers, so the
+tree equals the one a per-node sort of the rows would give.
+
+``fit`` grows one tree on all rows of a matrix.  Leave-one-out folds that
+share a transform share one grower: fold i grows on every row but i, from the
+full histogram minus row i's counts.  A code that only row i holds counts
+zero at every node of that tree, so no cut uses it, and nothing in fold i's
+tree depends on row i.
+
+Nodes grow until pure or until no split strictly reduces weighted impurity;
+there is no pruning or depth limit.  Leaf class scores are the training
+class proportions at the leaf.
 """
 from __future__ import annotations
 
@@ -20,16 +37,6 @@ from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
 # rejected; genuine gains on integer class counts are orders of magnitude
 # larger, so only float noise on algebraically zero gains is absorbed.
 GAIN_EPS = 1e-9
-
-
-def gini(labels) -> float:
-    """Gini impurity of a label multiset."""
-    arr = np.asarray(labels)
-    if arr.size == 0:
-        return 0.0
-    counts = np.bincount(arr)
-    p = counts[counts > 0] / arr.size
-    return float(1.0 - np.sum(p * p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,57 +58,6 @@ def _leaf(counts: np.ndarray, n: int) -> _Leaf:
     return _Leaf(argmax_lower_grade(scores), scores)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, counts: np.ndarray):
-    """Best (feature, threshold, left_mask) or None when no split gains.
-
-    Maximizing sum(left_counts^2)/n_left + sum(right_counts^2)/n_right is
-    equivalent to maximizing the Gini decrease at fixed parent counts.
-    """
-    n, d = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    sorted_vals = np.take_along_axis(X, order, axis=0)
-    y_sorted = y[order[:-1]]
-    # Exact integer sums of squared class counts on each side of every cut.
-    left_sq = np.zeros((n - 1, d), dtype=np.int64)
-    right_sq = np.zeros((n - 1, d), dtype=np.int64)
-    left = np.empty((n - 1, d), dtype=np.int64)
-    for grade in np.flatnonzero(counts) + 1:
-        np.cumsum(y_sorted == grade, axis=0, out=left)   # the grade's count left of the cut
-        left_sq += left * left
-        left -= counts[grade - 1]                        # minus its count right of the cut
-        right_sq += left * left
-    n_left = np.arange(1, n, dtype=float)[:, None]
-    n_right = n - n_left
-    metric = left_sq / n_left + right_sq / n_right
-    metric[sorted_vals[1:] <= sorted_vals[:-1]] = -np.inf
-    best = metric.max() if metric.size else -np.inf
-    parent = float((counts.astype(float) ** 2).sum() / n)
-    if not np.isfinite(best) or best <= parent + GAIN_EPS:
-        return None
-    rows, cols = np.nonzero(metric == best)
-    pick = np.lexsort((rows, cols))[0]     # lowest feature, then lowest threshold
-    r, c = int(rows[pick]), int(cols[pick])
-    v1, v2 = sorted_vals[r, c], sorted_vals[r + 1, c]
-    threshold = 0.5 * (v1 + v2)
-    if threshold >= v2:
-        threshold = v1   # midpoint rounded up between adjacent floats
-    return c, float(threshold), X[:, c] <= threshold
-
-
-def _build(X: np.ndarray, y: np.ndarray):
-    counts = np.bincount(y, minlength=N_GRADES + 1)[1:]
-    n = y.size
-    if counts.max() == n:
-        return _leaf(counts, n)
-    split = _best_split(X, y, counts)
-    if split is None:
-        return _leaf(counts, n)
-    feature, threshold, left_mask = split
-    return _Split(feature, threshold,
-                  _build(X[left_mask], y[left_mask]),
-                  _build(X[~left_mask], y[~left_mask]))
-
-
 @dataclass(frozen=True, eq=False)
 class DecisionTree:
     root: object
@@ -116,6 +72,101 @@ class DecisionTree:
         return PredictionOutcome(node.grade, node.scores.copy())
 
 
+class Grower:
+    """Decision trees on the rows of one matrix, or on all its rows but one.
+
+    Holds the value codes of ``X`` and the histogram of all its rows, which
+    growing only reads.  Every row must pass the training-data checks, a
+    left-out one too.
+    """
+
+    def __init__(self, X, y):
+        X, y = validate_training_data(X, y)
+        self.X, self.y = X, y
+        n, d = X.shape
+        order = np.argsort(X, axis=0, kind="stable")
+        sorted_vals = np.take_along_axis(X, order, axis=0)
+        first = np.ones((n, d), dtype=bool)               # first of a run of equal values
+        first[1:] = sorted_vals[1:] != sorted_vals[:-1]
+        codes = np.cumsum(first, axis=0, dtype=np.intp)   # 1 + code within the column
+        sizes = codes[-1].copy()                          # distinct values per column
+        codes += np.cumsum(sizes) - sizes - 1             # flat code, in sorted order
+        self.values = sorted_vals.T[first.T]              # the value of each code
+        self.column = np.repeat(np.arange(d), sizes)      # the column of each code
+        self.n_codes = self.values.size
+        self.bins = np.empty((n, d), dtype=np.intp)
+        np.put_along_axis(self.bins, order, codes, axis=0)
+        # Flat histogram bin of every entry: its grade's row, then its code.
+        self.bins += ((y - 1) * self.n_codes)[:, None]
+        self.full = self.histogram(np.arange(n))
+
+    def histogram(self, rows: np.ndarray) -> np.ndarray:
+        """Counts of ``rows`` per (grade - 1, code)."""
+        return np.bincount(self.bins[rows].ravel(), minlength=N_GRADES * self.n_codes
+                           ).reshape(N_GRADES, self.n_codes)
+
+    def tree(self, without: int | None = None) -> DecisionTree:
+        """The tree grown on every row, or on every row but ``without``."""
+        rows = np.arange(self.y.size)
+        hist = self.full.copy()
+        if without is not None:
+            rows = np.delete(rows, without)
+            hist.reshape(-1)[self.bins[without]] -= 1
+        return DecisionTree(self._grow(rows, hist), self.X.shape[1])
+
+    def best_split(self, hist: np.ndarray, counts: np.ndarray, n: int):
+        """Best (feature, threshold) of a node, or None when no split gains.
+
+        ``hist`` and ``counts`` are the node's histogram and class counts and
+        ``n`` its row count.  Maximizing sum(left_counts^2)/n_left +
+        sum(right_counts^2)/n_right is equivalent to maximizing the Gini
+        decrease at fixed parent counts.
+        """
+        grades = np.flatnonzero(counts)
+        at_node = np.flatnonzero(hist.any(axis=0))      # codes present, ascending
+        # Every row holds one code per column, so a grade's count in the
+        # columns before a code's own is that column's index times the count.
+        left = np.cumsum(hist.take(at_node, axis=1)[grades], axis=1)
+        left -= self.column[at_node] * counts[grades][:, None]
+        n_left = left.sum(axis=0)
+        cuts = np.flatnonzero(n_left < n)               # not its column's last value
+        if cuts.size == 0:
+            return None
+        left, n_left = left.take(cuts, axis=1), n_left[cuts]
+        right = counts[grades][:, None] - left
+        # Exact integer sums of squared class counts on each side of every cut.
+        metric = (np.einsum("gk,gk->k", left, left) / n_left
+                  + np.einsum("gk,gk->k", right, right) / (n - n_left))
+        pick = int(np.argmax(metric))                   # lowest feature, then lowest threshold
+        parent = float((counts.astype(float) ** 2).sum() / n)
+        if metric[pick] <= parent + GAIN_EPS:
+            return None
+        cut, after = at_node[cuts[pick]], at_node[cuts[pick] + 1]
+        v1, v2 = self.values[cut], self.values[after]
+        threshold = 0.5 * (v1 + v2)
+        if threshold >= v2:
+            threshold = v1   # midpoint rounded up between adjacent floats
+        return int(self.column[cut]), float(threshold)
+
+    def _grow(self, rows: np.ndarray, hist: np.ndarray):
+        """The subtree on ``rows``, whose histogram ``hist`` it consumes."""
+        counts = np.bincount(self.y[rows], minlength=N_GRADES + 1)[1:]
+        n = rows.size
+        if counts.max() == n:
+            return _leaf(counts, n)
+        split = self.best_split(hist, counts, n)
+        if split is None:
+            return _leaf(counts, n)
+        feature, threshold = split
+        goes_left = self.X[rows, feature] <= threshold
+        left, right = rows[goes_left], rows[~goes_left]
+        small = left if left.size <= right.size else right
+        small_hist = self.histogram(small)
+        hist -= small_hist                         # now the larger child's
+        left_hist, right_hist = (small_hist, hist) if small is left else (hist, small_hist)
+        return _Split(feature, threshold, self._grow(left, left_hist),
+                      self._grow(right, right_hist))
+
+
 def fit(spec: ModelSpec, X, y) -> DecisionTree:
-    X, y = validate_training_data(X, y)
-    return DecisionTree(_build(X, y), X.shape[1])
+    return Grower(X, y).tree()

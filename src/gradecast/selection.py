@@ -9,7 +9,7 @@ values; normalization (optional) comes after masking.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,12 @@ class Preprocessor:
     kept: np.ndarray
     mins: np.ndarray | None
     ranges: np.ndarray | None
+
+    def key(self) -> tuple:
+        """Equal for preprocessors with equal fitted statistics, which
+        transform every row alike."""
+        return tuple(None if value is None else np.asarray(value).tobytes()
+                     for value in (getattr(self, f.name) for f in fields(self)))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=float)

@@ -215,6 +215,16 @@ def dual_solve_reference(Q, s, p, C, tol, max_iter, tau):
 
 # ---------------------------------------------------------- decision tree
 
+def gini(labels) -> float:
+    """Gini impurity of a label multiset."""
+    arr = np.asarray(labels)
+    if arr.size == 0:
+        return 0.0
+    counts = np.bincount(arr)
+    p = counts[counts > 0] / arr.size
+    return float(1.0 - np.sum(p * p))
+
+
 def _gini_fraction(labels):
     n = len(labels)
     if n == 0:

@@ -2,10 +2,9 @@ import json
 
 import pytest
 
-import gradecast.evaluation as evaluation
 from gradecast.cli import main
 from gradecast.ingest import SubmissionEvent, load_dataset
-from gradecast.models import train as real_train
+from gradecast.models import tree
 
 COHORT_ARGS = ["--students", "20", "--questions", "16",
                "--grade-counts", "2,2,4,5,7", "--seed", "11"]
@@ -147,12 +146,10 @@ class TestEvaluate:
 
     def test_model_failure_writes_partial_report(self, cohort_dir, tmp_path,
                                                  monkeypatch, capsys):
-        def broken_train(spec, X, y):
-            if spec.kind == "tree":
-                raise RuntimeError("boom")
-            return real_train(spec, X, y)
+        def broken_tree(grower, without=None):
+            raise RuntimeError("boom")
 
-        monkeypatch.setattr(evaluation, "train", broken_train)
+        monkeypatch.setattr(tree.Grower, "tree", broken_tree)
         code = main(["evaluate", *inputs(cohort_dir), "--model", "tree,majority",
                      "--out-dir", str(tmp_path)])
         assert code == 3

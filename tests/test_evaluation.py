@@ -3,6 +3,7 @@ import pytest
 
 import gradecast.evaluation as evaluation
 from gradecast.evaluation import (
+    DEFAULT_THRESHOLDS,
     DISPLAY_NAMES,
     LooPrediction,
     MODEL_ORDER,
@@ -20,7 +21,7 @@ from gradecast.evaluation import (
 )
 from gradecast.features import FeatureMatrix
 from gradecast.cli import main as cli_main
-from gradecast.models import ModelSpec, PredictionOutcome, dual, fit_folds, train
+from gradecast.models import ModelSpec, PredictionOutcome, dual, fit_folds, train, tree
 from oracles import auroc_oracle, average_precision_oracle
 
 
@@ -215,13 +216,76 @@ class TestBatchedFoldEngine:
             out = tmp_path / f"jobs{jobs}"
             assert cli_main(["evaluate", "--submissions", str(tmp_path / "data" / "submissions.csv"),
                              "--gradebook", str(tmp_path / "data" / "gradebook.csv"),
-                             "--model", "svm,svr", "--jobs", str(jobs), *extra,
+                             "--model", "svm,svr,tree", "--jobs", str(jobs), *extra,
                              "--out-dir", str(out)]) == 0
             artifacts.append({f.name: f.read_bytes().split(b"\n", 1)[1]
                               for f in sorted(out.iterdir())})
         assert sorted(artifacts[0]) == ["predictions_svm.csv", "predictions_svr.csv",
-                                        "report.md"]
+                                        "predictions_tree.csv", "report.md"]
         assert artifacts[0] == artifacts[1]
+
+
+def tree_nodes(node):
+    """Every bit a fitted tree holds, in preorder."""
+    if hasattr(node, "threshold"):
+        return [(node.feature, node.threshold), *tree_nodes(node.left), *tree_nodes(node.right)]
+    return [(node.grade, node.scores.tobytes())]
+
+
+def loo_trees(monkeypatch, matrix, y, normalize):
+    """The nodes of every fold's tree on the tree's leave-one-out path, and
+    the fold predictions."""
+    trees = {}
+    grow = tree.Grower.tree
+
+    def recording(grower, without=None):
+        trees[without] = model = grow(grower, without)
+        return model
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tree.Grower, "tree", recording)
+        preds = loocv_matrix(matrix, y, ModelSpec(kind="tree"), normalize=normalize)
+    return [tree_nodes(trees[i].root) for i in range(y.size)], preds
+
+
+class TestTreeFoldGroups:
+    """Tree folds with equal transforms grow from one grower over all rows."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_held_out_row_does_not_reach_its_fold_tree(self, small_matrix, normalize,
+                                                        monkeypatch):
+        # Row i is coded with the rest of its group, but fold i's tree must
+        # not change when it does; the other folds train on row i.
+        matrix, y = small_matrix
+        rng = np.random.default_rng(89)
+        for i in (0, 13, 39):
+            values = matrix.values.copy()
+            values[i] = values[i] * rng.uniform(0.5, 2.0) + rng.normal(
+                scale=3.0, size=values.shape[1])
+            mutated = FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, values)
+            before, after = (loo_trees(monkeypatch, m, y, normalize)[0]
+                             for m in (matrix, mutated))
+            assert before[i] == after[i]
+            assert sum(a != b for a, b in zip(before, after)) > y.size // 2
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_each_fold_tree_equals_a_standalone_train(self, small_matrix, normalize,
+                                                      monkeypatch):
+        matrix, y = small_matrix
+        values = matrix.values.copy()
+        values[:, -1] = y            # a column the trees split on
+        values[7, -1] = 9.0          # a value only row 7 holds
+        matrix = FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, values)
+        trees, preds = loo_trees(monkeypatch, matrix, y, normalize)
+        preps = prepare_fold_preprocessors(matrix, DEFAULT_THRESHOLDS, normalize)
+        assert len({p.key() for p in preps}) > 1
+        for i, prep in enumerate(preps):
+            keep = np.arange(y.size) != i
+            alone = train(ModelSpec(kind="tree"), prep.transform(values[keep]), y[keep])
+            assert trees[i] == tree_nodes(alone.root)
+            outcome = alone.predict(prep.transform(values[i:i + 1])[0])
+            assert preds[i].outcome.grade == outcome.grade
+            assert np.array_equal(preds[i].outcome.class_scores, outcome.class_scores)
 
 
 class TestBasicMetrics:

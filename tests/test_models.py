@@ -8,9 +8,9 @@ from gradecast.models import (
 )
 from gradecast.models.regression import (RIDGE_DAMPING, RegressionModel,
                                          round_half_away_from_zero)
-from gradecast.models.tree import _best_split, gini
-from oracles import (gini_split_oracle, knn_oracle_predict, nb_oracle_predict,
-                     ridge_oracle, tree_oracle_predict)
+from gradecast.models.tree import Grower
+from oracles import (gini, gini_split_oracle, knn_oracle_predict,
+                     nb_oracle_predict, ridge_oracle, tree_oracle_predict)
 
 
 def grades(*letters):
@@ -260,10 +260,13 @@ class TestDecisionTree:
             assert model.predict(x).grade == expected
 
     @staticmethod
-    def split_of(X, y):
-        counts = np.bincount(y, minlength=6)[1:]
-        split = _best_split(X, y, counts)
-        return None if split is None else split[:2]
+    def split_of(X, y, rows=None):
+        """The split search on ``rows`` of X (all rows by default), with
+        value codes built from every row of X."""
+        grower = Grower(X, y)
+        rows = np.arange(y.size) if rows is None else rows
+        counts = np.bincount(y[rows], minlength=6)[1:]
+        return grower.best_split(grower.histogram(rows), counts, rows.size)
 
     def test_best_split_matches_brute_force_oracle(self):
         # Few distinct values and labels make equal-gain candidates common.
@@ -283,6 +286,41 @@ class TestDecisionTree:
                 duplicate = np.concatenate([X, X], axis=1)   # every split tied
                 assert self.split_of(duplicate, y) == expected
         assert splits >= 300
+
+    def test_split_skips_codes_absent_at_the_node(self):
+        # Codes cover every row of X, but the node holds only some of them.
+        rng = np.random.default_rng(53)
+        splits = 0
+        for _ in range(600):
+            n = int(rng.integers(3, 10))
+            d = int(rng.integers(1, 4))
+            X = rng.integers(0, 4, size=(n, d)).astype(float)
+            y = rng.integers(1, 4, size=n)
+            rows = np.flatnonzero(rng.random(n) < 0.6)
+            if rows.size < 2 or np.all(y[rows] == y[rows[0]]):
+                continue
+            expected = gini_split_oracle(X[rows].tolist(), y[rows].tolist())
+            assert self.split_of(X, y, rows) == expected
+            splits += expected is not None
+        assert splits >= 200
+
+    def test_tree_without_a_row_matches_oracle_on_the_rest(self):
+        rng = np.random.default_rng(54)
+        for _ in range(40):
+            n = int(rng.integers(3, 8))
+            d = int(rng.integers(1, 4))
+            X = rng.integers(0, 4, size=(n, d)).astype(float)
+            X[int(rng.integers(n)), int(rng.integers(d))] = 9.0   # a value one row holds
+            y = rng.integers(1, 6, size=n)
+            grower = Grower(X, y)
+            probes = rng.integers(0, 10, size=(3, d)).astype(float)
+            for i in range(n):
+                keep = np.arange(n) != i
+                model = grower.tree(without=i)
+                for x in (*probes, X[i]):
+                    expected = tree_oracle_predict(X[keep].tolist(), y[keep].tolist(),
+                                                   x.tolist())
+                    assert model.predict(x).grade == expected
 
     def test_equal_gain_prefers_lower_threshold(self):
         # Cutting off either end row isolates the lone F equally well.
