@@ -7,12 +7,15 @@ prediction, so nothing about the held-out student leaks into fold
 preparation.  ``global_prep=True`` switches to the fit-once alternative for
 comparison.  Folds are independent and deterministic: each derives its own
 seed from (master seed, fold index), so thread count cannot change results.
-The SVM and the SVR fit every fold through one batched dual solve on the
-calling thread (``models.fit_folds``).  The tree's folds are grouped by
-their fitted transform: each group transforms and codes all rows once, and
-fold i grows its tree from that group's rows other than i (``tree.Grower``),
-on the calling thread too.  The other models fit fold by fold, on a thread
-pool when jobs > 1.
+The SVM, the SVR and the tree group their folds by fitted transform, and
+each group transforms all rows once.  The SVM and the SVR build one kernel
+per group, and fit every fold through one batched dual solve on the calling
+thread, fold i's duals using the group's rows other than i
+(``models.predict_held_out``).  The tree codes each group's matrix once,
+and fold i grows its tree from that group's rows other than i
+(``tree.Grower``), on the calling thread too.  Every such fold is
+bit-identical to a model trained on its own transformed rows.  The other
+models fit fold by fold, on a thread pool when jobs > 1.
 """
 from __future__ import annotations
 
@@ -24,8 +27,8 @@ import numpy as np
 
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
-from .models import (ModelSpec, PredictionOutcome, fit_folds, solves_in_batch,
-                     train, tree)
+from .models import (ModelSpec, PredictionOutcome, predict_held_out,
+                     solves_in_batch, train, tree)
 from .rng import mix_seed
 from .selection import Preprocessor, fit_preprocessor
 
@@ -108,6 +111,26 @@ def _folds_by_transform(preps: list[Preprocessor]) -> list[list[int]]:
     return list(groups.values())
 
 
+class _FoldGroups:
+    """Folds grouped by equal fitted preprocessor.  Group g is (X, y, members):
+    X is every row transformed by the group's preprocessor, built on each
+    access, and fold i of ``members`` trains on every row of X but i."""
+
+    def __init__(self, values: np.ndarray, y: np.ndarray, preps: list[Preprocessor]):
+        self.values, self.y, self.preps = values, y, preps
+        self.members = _folds_by_transform(preps)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, g: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        members = self.members[g]
+        return self.preps[members[0]].transform(self.values), self.y, members
+
+    def __iter__(self):
+        return (self[g] for g in range(len(self)))
+
+
 def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
                  thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
                  normalize: bool = False, global_prep: bool = False,
@@ -122,32 +145,33 @@ def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
     if preps is None:
         preps = prepare_fold_preprocessors(matrix, thresholds, normalize, global_prep)
 
-    training = _TrainingSets(values, y, preps)
+    def held_out(i: int, outcome: PredictionOutcome,
+                 warnings: tuple[str, ...]) -> tuple[LooPrediction, tuple[str, ...]]:
+        return LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), warnings
 
-    def held_out(i: int, model, x: np.ndarray) -> tuple[LooPrediction, tuple[str, ...]]:
-        return LooPrediction(matrix.row_ids[i], int(y[i]), model.predict(x), i), model.warnings
-
-    def row(i: int) -> np.ndarray:
-        return preps[i].transform(values[i:i + 1])[0]
-
+    folds = [None] * n
     if solves_in_batch(spec):
-        # One batched fit over every fold; each model predicts as soon as it
-        # is built, so only one fold's model is alive at a time.
-        folds = [held_out(i, model, row(i))
-                 for i, model in enumerate(fit_folds(spec, training))]
+        # One batched solve over every fold, one kernel per group of folds.
+        groups = _FoldGroups(values, y, preps)
+        for members, outcomes in zip(groups.members, predict_held_out(spec, groups)):
+            for i, (outcome, warnings) in zip(members, outcomes):
+                folds[i] = held_out(i, outcome, warnings)
     elif spec.kind == "tree":
         # On the calling thread: the tree's small per-node numpy calls hold
         # the interpreter lock, and a thread pool only slowed them down.
-        folds = [None] * n
-        for members in _folds_by_transform(preps):   # one group's codes at a time
-            X = preps[members[0]].transform(values)
+        for X, _, members in _FoldGroups(values, y, preps):   # one group's codes at a time
             grower = tree.Grower(X, y)
             for i in members:
-                folds[i] = held_out(i, grower.tree(without=i), X[i])
+                model = grower.tree(without=i)
+                folds[i] = held_out(i, model.predict(X[i]), model.warnings)
     else:
+        training = _TrainingSets(values, y, preps)
+
         def run_fold(i: int) -> tuple[LooPrediction, tuple[str, ...]]:
             fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
-            return held_out(i, train(fold_spec, *training[i]), row(i))
+            model = train(fold_spec, *training[i])
+            x = preps[i].transform(values[i:i + 1])[0]
+            return held_out(i, model.predict(x), model.warnings)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:

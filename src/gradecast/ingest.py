@@ -20,7 +20,7 @@ import csv
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -279,7 +279,7 @@ class Dataset:
                             gap[within].astype(np.int64), row[1:][within])
 
 
-def _data_rows(path) -> Iterable[tuple[int, list[str]]]:
+def _numbered_rows(path) -> Iterator[tuple[int, list[str]]]:
     """(line number, fields) of every data line, parsed by one CSV reader.
 
     Leading '#' lines are run-config headers written by the CLI; blank
@@ -303,6 +303,41 @@ def _data_rows(path) -> Iterable[tuple[int, list[str]]]:
             yield lines_of_row.pop(), fields
 
 
+class _DataRows:
+    """The fields of every data line of a CSV file, as ``_numbered_rows``
+    gives them, without counting physical lines.
+
+    One CSV reader reads the data lines.  ``line_no`` is the physical line of
+    the row returned last; it is found only when asked for, to report a bad
+    row, by reading the file again with ``_numbered_rows``.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.reader = None
+
+    def __iter__(self) -> Iterator[list[str]]:
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            reader = self.reader = csv.reader(
+                line for line in fh if not line.startswith("#") and line.strip())
+            for count, fields in enumerate(reader, start=1):
+                if reader.line_num != count:
+                    # The row took more than one line: the numbered read
+                    # raises its MalformedRow.
+                    for _ in _numbered_rows(self.path):
+                        pass
+                yield fields
+
+    @property
+    def line_no(self) -> int:
+        # Every row so far took one line, so the reader's line count is the
+        # number of rows returned.
+        rows = _numbered_rows(self.path)
+        for _ in range(self.reader.line_num):
+            line_no, _ = next(rows)
+        return line_no
+
+
 def parse_submissions(path) -> tuple[EventLog, RepairCount]:
     """Parse submissions.csv into a canonically ordered event log.
 
@@ -322,29 +357,30 @@ def parse_submissions(path) -> tuple[EventLog, RepairCount]:
     attempts: list[int] = []
     corrects: list[bool] = []
     saw_header = False
-    for line_no, fields in _data_rows(path):
+    rows = _DataRows(path)
+    for fields in rows:
         if not saw_header:
             if tuple(fields) != SUBMISSIONS_HEADER:
-                raise MalformedRow(line_no, f"bad header {fields!r}")
+                raise MalformedRow(rows.line_no, f"bad header {fields!r}")
             saw_header = True
             continue
         if len(fields) != len(SUBMISSIONS_HEADER):
             raise MalformedRow(
-                line_no, f"expected {len(SUBMISSIONS_HEADER)} fields, got {len(fields)}")
+                rows.line_no, f"expected {len(SUBMISSIONS_HEADER)} fields, got {len(fields)}")
         sid, qid, assignment_s, ts_s, attempt_s, correct_s = fields
         try:
             assignment = int(assignment_s)
             timestamp = int(ts_s)
             attempt = int(attempt_s)
         except ValueError:
-            raise MalformedRow(line_no, "non-integer numeric field") from None
+            raise MalformedRow(rows.line_no, "non-integer numeric field") from None
         if not 1 <= assignment <= N_ASSIGNMENTS:
             raise MalformedRow(
-                line_no, f"assignment_id {assignment} outside 1..{N_ASSIGNMENTS}")
+                rows.line_no, f"assignment_id {assignment} outside 1..{N_ASSIGNMENTS}")
         if correct_s not in ("0", "1"):
-            raise MalformedRow(line_no, f"correct must be 0 or 1, got {correct_s!r}")
+            raise MalformedRow(rows.line_no, f"correct must be 0 or 1, got {correct_s!r}")
         if not (_INT64_MIN <= timestamp <= _INT64_MAX and _INT64_MIN <= attempt <= _INT64_MAX):
-            raise MalformedRow(line_no, "integer field outside the int64 range")
+            raise MalformedRow(rows.line_no, "integer field outside the int64 range")
         sids.append(sid)
         qids.append(qid)
         assignments.append(assignment)
@@ -383,22 +419,23 @@ def parse_gradebook(path) -> tuple[StudentRecord, ...]:
     """Parse gradebook.csv into records sorted by student_id."""
     records: dict[str, StudentRecord] = {}
     saw_header = False
-    for line_no, fields in _data_rows(path):
+    rows = _DataRows(path)
+    for fields in rows:
         if not saw_header:
             if tuple(fields) != GRADEBOOK_HEADER:
-                raise MalformedRow(line_no, f"bad header {fields!r}")
+                raise MalformedRow(rows.line_no, f"bad header {fields!r}")
             saw_header = True
             continue
         if len(fields) != len(GRADEBOOK_HEADER):
             raise MalformedRow(
-                line_no, f"expected {len(GRADEBOOK_HEADER)} fields, got {len(fields)}")
+                rows.line_no, f"expected {len(GRADEBOOK_HEADER)} fields, got {len(fields)}")
         sid = fields[0]
         scores: list[float] = []
         for name, text in zip((*HW_FIELDS, "test1"), fields[1:6]):
             try:
                 value = float(text)
             except ValueError:
-                raise MalformedRow(line_no, f"bad score {text!r}") from None
+                raise MalformedRow(rows.line_no, f"bad score {text!r}") from None
             if not 0.0 <= value <= 100.0:
                 raise ScoreOutOfRange(sid, name, value)
             scores.append(value)

@@ -34,15 +34,29 @@ def fit_folds(spec: ModelSpec, folds) -> Iterator:
     """Fit the model named by ``spec.kind`` on each training set (X, y) of
     ``folds``, yielding the fitted models in order.
 
-    The SVM and the epsilon-SVR solve the duals of all folds in lock-step
-    batches and read each fold twice (see ``dual.solve_folds``); the other
-    models fit fold by fold.
+    The SVM and the epsilon-SVR solve the duals of all folds together, in
+    lock-step batches (see ``dual.solve_groups``); the other models fit fold
+    by fold.
     """
     if spec.kind == "svm":
         return svm.fit_folds(spec, folds)
     if solves_in_batch(spec):
         return regression.fit_svr_folds(spec, folds)
     return (_FITTERS[spec.kind](spec, X, y) for X, y in folds)
+
+
+def predict_held_out(spec: ModelSpec, groups) -> Iterator[list]:
+    """Leave-one-out for the kernel models (``solves_in_batch``).
+
+    ``groups[g]`` is (X, y, held): fold f of group g trains on every row of X
+    but ``held[f]`` and predicts that row.  Each group builds one kernel on
+    all its rows, which its folds' duals and predictions share.  Yields, per
+    group, each fold's (PredictionOutcome, warnings); every fold is
+    bit-identical to a model trained on its own rows.
+    """
+    if spec.kind == "svm":
+        return svm.predict_held_out(spec, groups)
+    return regression.predict_svr_held_out(spec, groups)
 
 
 def train(spec: ModelSpec, X, y):
@@ -53,6 +67,6 @@ def train(spec: ModelSpec, X, y):
 __all__ = [
     "KINDS", "N_GRADES", "REGRESSION_BACKENDS", "DimensionMismatch",
     "ModelSpec", "PredictionOutcome", "argmax_lower_grade", "fit_folds",
-    "solves_in_batch", "train",
+    "predict_held_out", "solves_in_batch", "train",
     "baselines", "bayes", "dual", "neighbors", "regression", "svm", "tree",
 ]

@@ -76,6 +76,22 @@ def check_dim(x: np.ndarray, n_features: int) -> np.ndarray:
     return x
 
 
+def linear_kernel(A, B) -> np.ndarray:
+    """A @ B.T, with entry (i, j) summed from rows A[i] and B[j] alone.
+
+    A BLAS product's bits depend on where a row sits and on how many rows
+    there are.  Here both operands are made C-contiguous and ``np.einsum``
+    (which does not call BLAS unless asked to optimize) sums every entry
+    over the columns in the same order.  So the kernel of a row subset is
+    the same subset of the full kernel, bit for bit, the kernel of a matrix
+    with itself is symmetric, and a column against one row equals the
+    full kernel's column: leave-one-out folds can share one kernel.
+    """
+    A = np.ascontiguousarray(np.atleast_2d(A), dtype=float)
+    B = np.ascontiguousarray(np.atleast_2d(B), dtype=float)
+    return np.einsum("ik,jk->ij", A, B)
+
+
 def validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)

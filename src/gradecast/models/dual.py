@@ -17,20 +17,23 @@ returned with converged=False.
 ``solve`` advances a whole batch of independent problems in lock-step:
 every step is the same elementwise arithmetic over a padded (problem,
 variable) array, so each problem's result is bit-identical to solving it
-alone, whatever else is in the batch.  ``solve_folds`` feeds it the
-problems of many training folds, a memory-bounded block at a time.
+alone, whatever else is in the batch.  ``solve_groups`` feeds it the
+problems of many training folds, a memory-bounded batch at a time; the
+folds of one group share one kernel, each fold's problems using its own
+rows of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 TOL = 1e-3
 MAX_ITER = 100_000
 _TAU = 1e-12    # curvature floor for pairs along which Q is flat
-BLOCK_BYTES = 8 << 20     # kernel bytes of the folds solved in one batch
+BLOCK_BYTES = 256 << 10   # padded solver state of one batch: problems x variables x 8 B
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,31 +141,61 @@ def solve(kernels: Sequence[np.ndarray],
     return out
 
 
-def solve_folds(folds: Sequence, plan: Callable) -> Iterator[tuple]:
-    """Solve the duals of every fold in lock-step batches.  Yields, per fold in
-    order, (X, notes, solutions).
+def solve_groups(groups: Iterable, plan: Callable) -> Iterator[tuple]:
+    """Solve the duals of every fold of every group in lock-step batches.
 
-    ``folds[f]`` is a training set (X, y); ``plan(X, y)`` returns
-    (K, problems on K, notes), with K None when there is nothing to solve.
-    Folds are planned until their kernels fill BLOCK_BYTES, that block is
-    solved in one batch, and each of its folds is read again to build its
-    model; so a sequence that builds its folds on access keeps one fold
-    matrix, not the block's, in memory.
+    ``plan(group)`` returns (K, problems, note): the group's kernel K and,
+    per fold, the list of that fold's duals on K.  Yields, per group in
+    order, (note, K, solutions), with ``solutions[f]`` the solutions of fold
+    f's duals.  Folds join a batch until its padded solver state (problems
+    times the widest problem's variables, 8 bytes each) reaches BLOCK_BYTES,
+    so one group's folds may span batches.  A group's kernel and duals are
+    kept until the group is yielded, and the rest of what ``plan`` reads can
+    be freed as soon as it returns.
     """
-    start = 0
-    while start < len(folds):
-        kernels, problems, notes, size = [], [], [], 0
-        while start + len(notes) < len(folds) and size < BLOCK_BYTES:
-            K, probs, note = plan(*folds[start + len(notes)])
-            kernels.append(np.zeros((0, 0)) if K is None else K)
-            problems.append(probs)
-            notes.append(note)
-            size += kernels[-1].nbytes
-        solutions = solve(kernels, problems)
-        del kernels     # freed before the block's models are built
-        for f, (note, sols) in enumerate(zip(notes, solutions)):
-            yield np.asarray(folds[start + f][0], dtype=float), note, sols
-        start += len(notes)
+    planned: list[_Group] = []
+    batch: list[tuple[_Group, int]] = []     # (group, fold) not solved yet
+    count = width = 0
+    for group in groups:
+        K, problems, note = plan(group)
+        planned.append(_Group(note, K, problems, [None] * len(problems)))
+        for f, probs in enumerate(problems):
+            batch.append((planned[-1], f))
+            count += len(probs)
+            width = max([width, *(prob.s.size for prob in probs)])
+            if count * width * 8 >= BLOCK_BYTES:
+                _solve_batch(batch)
+                batch, count, width = [], 0, 0
+        while planned and None not in planned[0].solutions:
+            done = planned.pop(0)
+            yield done.note, done.K, done.solutions
+    if batch:
+        _solve_batch(batch)
+    for done in planned:
+        yield done.note, done.K, done.solutions
+
+
+@dataclass(eq=False)
+class _Group:
+    note: object
+    K: np.ndarray
+    problems: list[list[Problem]]           # per fold
+    solutions: list[list[Solution] | None]  # per fold, once solved
+
+
+def _solve_batch(batch: list[tuple[_Group, int]]) -> None:
+    """Solve the folds (group, fold) of ``batch`` in one call, one kernel per group."""
+    runs = [(group, [f for _, f in folds])
+            for group, folds in groupby(batch, key=lambda entry: entry[0])]
+    solved = solve([group.K for group, _ in runs],
+                   [[prob for f in folds for prob in group.problems[f]]
+                    for group, folds in runs])
+    for (group, folds), solutions in zip(runs, solved):
+        start = 0
+        for f in folds:
+            stop = start + len(group.problems[f])
+            group.solutions[f] = solutions[start:stop]
+            start = stop
 
 
 def rho(a: np.ndarray, s: np.ndarray, G: np.ndarray, C: float) -> float:

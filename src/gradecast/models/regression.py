@@ -14,11 +14,13 @@ Two interchangeable backends:
   about 1e-7 of relative accuracy remains.
 * epsilon_svr: linear epsilon-insensitive support vector regression.  Its
   dual over the 2n variables (alpha; alpha*) goes to the shared solver in
-  ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y),
-  the duals of every training fold in lock-step batches; the weights are
-  X' beta with beta = alpha - alpha*.  A fit that reaches
-  the solver's iteration cap keeps its best-so-far beta and carries a
-  warning.
+  ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y)
+  on the linear kernel X X' (``base.linear_kernel``), the duals of every
+  training fold in lock-step batches; the weights are X' beta with
+  beta = alpha - alpha*.  Leave-one-out folds that share a transform share
+  one kernel on all rows of the group's matrix, and fold i's dual uses its
+  rows other than i (``predict_svr_held_out``).  A fit that reaches the
+  solver's iteration cap keeps its best-so-far beta and carries a warning.
 
 Prediction for both: clamp the numeric estimate to [1, 5], round half away
 from zero; class_scores[g] = -|estimate - g|.
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import dual
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, check_dim,
-                   validate_training_data)
+                   linear_kernel, validate_training_data)
 
 RIDGE_DAMPING = 1e-6
 
@@ -59,23 +61,12 @@ def _ridge_weights(Xc: np.ndarray, yc: np.ndarray, damping: float) -> np.ndarray
     return np.linalg.solve(gram, Xc.T @ yc)
 
 
-def svr_dual(K: np.ndarray, y: np.ndarray, C: float,
-             epsilon: float) -> tuple[np.ndarray, float, bool, int]:
-    """Solve one epsilon-SVR dual.  Returns (beta, b, converged, iterations).
-
-    The estimate is sum_i beta_i K(x_i, x) + b, with |beta_i| <= C and
-    sum(beta) = 0.
-    """
-    [[(a, rho, converged, iterations)]] = dual.solve([K], [[_svr_problem(y, C, epsilon)]])
-    n = y.size
-    return a[:n] - a[n:], -rho, converged, iterations
-
-
-def _svr_problem(y: np.ndarray, C: float, epsilon: float) -> dual.Problem:
-    """The doubled dual over (alpha; alpha*): both halves index the rows of K."""
-    n = y.size
-    return dual.Problem(np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
-                        np.concatenate([epsilon - y, epsilon + y]), C)
+def _svr_problem(rows: np.ndarray, y: np.ndarray, C: float, epsilon: float) -> dual.Problem:
+    """The doubled dual over (alpha; alpha*) of the rows ``rows`` of y: both
+    halves index those rows of the kernel."""
+    t = y[rows]
+    return dual.Problem(np.tile(rows, 2), np.repeat([1.0, -1.0], rows.size),
+                        np.concatenate([epsilon - t, epsilon + t]), C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,20 +98,53 @@ def fit_least_squares(spec: ModelSpec, X, y) -> RegressionModel:
     return RegressionModel(w, ymean - float(xmean @ w), X.shape[1], "least_squares")
 
 
-def _svr_plan(spec: ModelSpec, X, y):
+def _svr_plan(spec: ModelSpec, X, y, held):
+    """The linear kernel of one matrix and the dual of each fold on it, for
+    ``dual.solve_groups``: fold f trains on every row but ``held[f]``, or on
+    every row when that is None."""
     X, y = validate_training_data(X, y)
-    return X @ X.T, [_svr_problem(y.astype(float), spec.C, spec.epsilon)], None
+    rows, yf = np.arange(y.size), y.astype(float)
+    problems = [[_svr_problem(rows if r is None else np.delete(rows, r), yf,
+                              spec.C, spec.epsilon)] for r in held]
+    return linear_kernel(X, X), problems, held
+
+
+def _svr_fits(spec: ModelSpec, groups) -> Iterator[list]:
+    """Per group (X, y, held) of ``groups``, each fold's (held row, beta,
+    intercept, warnings); the fold's weights are X' beta over its rows."""
+    for held, _, solutions in dual.solve_groups(groups, lambda g: _svr_plan(spec, *g)):
+        fits = []
+        for r, [(a, rho, converged, _)] in zip(held, solutions):
+            n = a.size // 2
+            warnings = () if converged else ("svr: iteration cap reached",)
+            fits.append((r, a[:n] - a[n:], -rho, warnings))
+        yield fits
 
 
 def fit_svr_folds(spec: ModelSpec, folds) -> Iterator[RegressionModel]:
-    """Fit one epsilon-SVR per training set (X, y) in ``folds``, yielded in order.
+    """Fit one epsilon-SVR per training set (X, y) of the sequence ``folds``,
+    yielded in order; the duals of all folds are solved together."""
+    groups = [(X, y, [None]) for X, y in folds]
+    for (X, _, _), [(_, beta, b, warnings)] in zip(groups, _svr_fits(spec, groups)):
+        X = np.asarray(X, dtype=float)
+        yield RegressionModel(X.T @ beta, b, X.shape[1], "epsilon_svr", warnings)
 
-    The duals of all folds are solved together in lock-step batches
-    (``dual.solve_folds``, which reads each fold twice).
+
+def predict_svr_held_out(spec: ModelSpec, groups) -> Iterator[list]:
+    """Leave-one-out over groups of folds that share one matrix.
+
+    ``groups[g]`` is (X, y, held): fold f of group g trains on every row of X
+    but ``held[f]`` and predicts that row.  Yields, per group, each fold's
+    (PredictionOutcome, warnings).  A group builds one kernel for its solves;
+    its matrix is read once more, after them, for the fold weights.
     """
-    for X, _, [(a, rho, converged, _)] in dual.solve_folds(
-            folds, lambda X, y: _svr_plan(spec, X, y)):
-        n = X.shape[0]
-        warnings = () if converged else ("svr: iteration cap reached",)
-        yield RegressionModel(X.T @ (a[:n] - a[n:]), -rho, X.shape[1],
-                              "epsilon_svr", warnings)
+    for g, fits in enumerate(_svr_fits(spec, groups)):
+        X = np.asarray(groups[g][0], dtype=float)
+        out = []
+        for r, beta, b, warnings in fits:
+            # np.delete keeps the matrix's memory order, so the weights are
+            # bit-identical to those of the fold's own training matrix.
+            model = RegressionModel(np.delete(X, r, axis=0).T @ beta, b, X.shape[1],
+                                    "epsilon_svr", warnings)
+            out.append((model.predict(np.ascontiguousarray(X[r])), warnings))
+        yield out

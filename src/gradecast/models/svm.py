@@ -1,14 +1,22 @@
 """RBF-kernel support vector classifier, one-vs-one over grade pairs.
 
-One soft-margin binary machine per unordered grade pair.  The pair duals
-of every training fold go to the shared solver in ``dual`` together, in
-lock-step batches (two-variable updates chosen by maximal violating pair and
-second-order gain, stopping tolerance 1e-3); a pair that reaches the
-solver's iteration cap keeps its best-so-far alphas and the fitted model
-carries a warning.  Multiclass prediction is by
-pairwise voting; the sum of |decision value| over won pairs, weighted at
+One soft-margin binary machine per unordered grade pair.  The pair duals go
+to the shared solver in ``dual`` in lock-step batches (two-variable updates
+chosen by maximal violating pair and second-order gain, stopping tolerance
+1e-3); a pair that reaches the solver's iteration cap keeps its best-so-far
+alphas and the fitted model carries a warning.  A pair machine keeps its
+support vectors as row indices into its model's training matrix: a
+prediction computes one kernel row against the training rows, and every
+pair reads its support vectors' entries from it.  Multiclass prediction is
+by pairwise voting; the sum of |decision value| over won pairs, weighted at
 1e-6, breaks vote ties deterministically, and any remaining exact tie goes
 to the lower grade.
+
+Leave-one-out folds that share a transform share one kernel
+(``predict_held_out``): it is built once on all rows of the group's matrix,
+fold i's pair duals use its rows other than i, and fold i votes on column i
+of the same kernel.  ``rbf_kernel`` computes each entry from its two rows
+alone, so every fold is bit-identical to a machine trained on its own rows.
 """
 from __future__ import annotations
 
@@ -19,17 +27,22 @@ import numpy as np
 
 from . import dual
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
-                   check_dim, validate_training_data)
+                   check_dim, linear_kernel, validate_training_data)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
-    """K(u, v) = exp(-gamma * ||u - v||^2), computed blockwise."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    a2 = np.sum(A * A, axis=1)[:, None]
-    b2 = np.sum(B * B, axis=1)[None, :]
-    d2 = np.maximum(a2 + b2 - 2.0 * (A @ B.T), 0.0)
-    if A is B:
+    """K(u, v) = exp(-gamma * ||u - v||^2).
+
+    Entry (i, j) depends on rows A[i] and B[j] alone, as in ``linear_kernel``;
+    the squared norms are summed the same way.
+    """
+    same = A is B
+    A = np.ascontiguousarray(np.atleast_2d(A), dtype=float)
+    B = A if same else np.ascontiguousarray(np.atleast_2d(B), dtype=float)
+    a2 = np.einsum("ik,ik->i", A, A)
+    b2 = a2 if same else np.einsum("ik,ik->i", B, B)
+    d2 = np.maximum(a2[:, None] + b2[None, :] - 2.0 * linear_kernel(A, B), 0.0)
+    if same:
         np.fill_diagonal(d2, 0.0)
     return np.exp(-gamma * d2)
 
@@ -70,74 +83,109 @@ def _pair_problem(rows: np.ndarray, y: np.ndarray, C: float) -> dual.Problem:
 class PairMachine:
     lower: int          # grade voted on positive decision values
     upper: int
-    sv_x: np.ndarray
+    sv: np.ndarray      # support vectors, as rows of the model's training matrix
     sv_coef: np.ndarray  # alpha_i * y_i at the support vectors
     b: float
-    gamma: float
 
-    def decision(self, x: np.ndarray) -> float:
-        if self.sv_x.shape[0] == 0:
+    def decision(self, k: np.ndarray) -> float:
+        """Decision value of the input whose kernel values against the
+        training rows are ``k``."""
+        if self.sv.size == 0:
             return self.b
-        k = rbf_kernel(self.sv_x, x[None, :], self.gamma)[:, 0]
-        return float(self.sv_coef @ k + self.b)
+        return float(self.sv_coef @ k[self.sv] + self.b)
+
+
+def _vote(classes: tuple[int, ...], pairs, k: np.ndarray) -> PredictionOutcome:
+    """Pairwise vote on the input whose kernel values against the training
+    rows are ``k``."""
+    scores = np.zeros(N_GRADES)
+    if len(classes) == 1:
+        scores[classes[0] - 1] = 1.0
+        return PredictionOutcome(classes[0], scores)
+    votes = np.zeros(N_GRADES)
+    margin = np.zeros(N_GRADES)
+    for pair in pairs:
+        f = pair.decision(k)
+        winner = pair.lower if f >= 0 else pair.upper
+        votes[winner - 1] += 1.0
+        margin[winner - 1] += abs(f)
+    scores = votes + 1e-6 * margin
+    return PredictionOutcome(argmax_lower_grade(scores), scores)
 
 
 @dataclass(frozen=True, eq=False)
 class PairwiseSvm:
     classes: tuple[int, ...]
     pairs: tuple[PairMachine, ...]
-    n_features: int
+    X: np.ndarray       # the training rows, which the support vectors index
     gamma: float
     warnings: tuple[str, ...] = ()
 
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
+
     def predict(self, x) -> PredictionOutcome:
         x = check_dim(x, self.n_features)
-        scores = np.zeros(N_GRADES)
-        if len(self.classes) == 1:
-            scores[self.classes[0] - 1] = 1.0
-            return PredictionOutcome(self.classes[0], scores)
-        votes = np.zeros(N_GRADES)
-        margin = np.zeros(N_GRADES)
-        for pair in self.pairs:
-            f = pair.decision(x)
-            winner = pair.lower if f >= 0 else pair.upper
-            votes[winner - 1] += 1.0
-            margin[winner - 1] += abs(f)
-        scores = votes + 1e-6 * margin
-        return PredictionOutcome(argmax_lower_grade(scores), scores)
+        return _vote(self.classes, self.pairs, rbf_kernel(self.X, x, self.gamma)[:, 0])
 
 
-def _plan(spec: ModelSpec, X, y):
-    """The kernel and pair duals of one training set, for ``dual.solve_folds``."""
+def _plan(spec: ModelSpec, X, y, held):
+    """The kernel of one matrix and the pair duals of each fold on it, for
+    ``dual.solve_groups``: fold f trains on every row but ``held[f]``, or on
+    every row when that is None."""
     X, y = validate_training_data(X, y)
-    classes = tuple(sorted(int(g) for g in np.unique(y)))
-    pairs = []
-    for a_pos in range(len(classes)):
-        for b_pos in range(a_pos + 1, len(classes)):
-            lower, upper = classes[a_pos], classes[b_pos]
-            idx = np.flatnonzero((y == lower) | (y == upper))
-            pairs.append((lower, upper, idx, np.where(y[idx] == lower, 1.0, -1.0)))
-    gamma = 1.0 / X.shape[1]
-    K = rbf_kernel(X, X, gamma) if pairs else None
-    problems = [_pair_problem(idx, ysub, spec.C) for _, _, idx, ysub in pairs]
-    return K, problems, (classes, pairs)
+    K = rbf_kernel(X, X, 1.0 / X.shape[1])
+    folds = []
+    for r in held:
+        rows = np.arange(y.size) if r is None else np.delete(np.arange(y.size), r)
+        labels = y[rows]
+        classes = tuple(sorted(int(g) for g in np.unique(labels)))
+        pairs = []
+        for a_pos, lower in enumerate(classes):
+            for upper in classes[a_pos + 1:]:
+                idx = np.flatnonzero((labels == lower) | (labels == upper))
+                pairs.append((lower, upper, rows[idx],
+                              np.where(labels[idx] == lower, 1.0, -1.0)))
+        folds.append((r, classes, pairs))
+    problems = [[_pair_problem(rows, s, spec.C) for _, _, rows, s in pairs]
+                for _, _, pairs in folds]
+    return K, problems, folds
+
+
+def _fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
+    """Per group (X, y, held) of ``groups``, its kernel and, per fold, (held
+    row, classes, pair machines, warnings)."""
+    for folds, K, solutions in dual.solve_groups(groups, lambda g: _plan(spec, *g)):
+        fits = []
+        for (r, classes, pairs), sols in zip(folds, solutions):
+            machines, warnings = [], []
+            for (lower, upper, rows, s), (alpha, rho, converged, _) in zip(pairs, sols):
+                if not converged:
+                    warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
+                sv = alpha > 1e-12
+                machines.append(PairMachine(lower, upper, rows[sv], alpha[sv] * s[sv], -rho))
+            fits.append((r, classes, tuple(machines), tuple(warnings)))
+        yield K, fits
 
 
 def fit_folds(spec: ModelSpec, folds) -> Iterator[PairwiseSvm]:
-    """Fit one machine per training set (X, y) in ``folds``, yielded in order.
+    """Fit one machine per training set (X, y) of the sequence ``folds``,
+    yielded in order; the pair duals of all folds are solved together."""
+    groups = [(X, y, [None]) for X, y in folds]
+    for (X, _, _), (_, [(_, classes, machines, warnings)]) in zip(groups, _fits(spec, groups)):
+        X = np.asarray(X, dtype=float)
+        yield PairwiseSvm(classes, machines, X, 1.0 / X.shape[1], warnings)
 
-    The pair duals of all folds are solved together in lock-step batches
-    (``dual.solve_folds``, which reads each fold twice).
+
+def predict_held_out(spec: ModelSpec, groups) -> Iterator[list]:
+    """Leave-one-out over groups of folds that share one matrix.
+
+    ``groups`` yields (X, y, held): fold f of a group trains on every row of
+    X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
+    (PredictionOutcome, warnings).  A group builds one kernel, and each fold
+    votes on its held-out row's column of it.
     """
-    for X, (classes, pairs), solutions in dual.solve_folds(
-            folds, lambda X, y: _plan(spec, X, y)):
-        gamma = 1.0 / X.shape[1]
-        machines: list[PairMachine] = []
-        warnings: list[str] = []
-        for (lower, upper, idx, ysub), (alpha, rho, converged, _) in zip(pairs, solutions):
-            if not converged:
-                warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
-            sv = alpha > 1e-12
-            machines.append(PairMachine(lower, upper, X[idx][sv],
-                                        alpha[sv] * ysub[sv], -rho, gamma))
-        yield PairwiseSvm(classes, tuple(machines), X.shape[1], gamma, tuple(warnings))
+    for K, fits in _fits(spec, groups):
+        yield [(_vote(classes, machines, K[:, r]), warnings)
+               for r, classes, machines, warnings in fits]

@@ -1,7 +1,10 @@
 """Small builders shared across test modules."""
 from __future__ import annotations
 
+import numpy as np
+
 from gradecast.ingest import Grade, StudentRecord, SubmissionEvent, build_dataset
+from gradecast.models import dual
 
 
 def event(student="s1", question="q1", assignment=1, timestamp=0,
@@ -17,3 +20,17 @@ def record(student="s1", hw=(100.0, 100.0, 100.0, 100.0), test=100.0, grade="A")
 
 def dataset_from(events, records):
     return build_dataset(tuple(events), tuple(records))
+
+
+def svr_dual(K, y, C, epsilon):
+    """Solve one epsilon-SVR dual on kernel K with the package solver.
+    Returns (beta, b, converged, iterations).
+
+    The estimate is sum_i beta_i K(x_i, x) + b, with |beta_i| <= C and
+    sum(beta) = 0.
+    """
+    n = y.size
+    problem = dual.Problem(np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
+                           np.concatenate([epsilon - y, epsilon + y]), C)
+    [[(a, rho, converged, iterations)]] = dual.solve([K], [[problem]])
+    return a[:n] - a[n:], -rho, converged, iterations

@@ -27,7 +27,7 @@ from gradecast.ingest import (
     RepairCount,
     StudentRecord,
     SubmissionEvent,
-    _data_rows,
+    _numbered_rows,
 )
 
 
@@ -461,7 +461,7 @@ class ReferenceDataset:
 def reference_parse_submissions(path) -> tuple[tuple[SubmissionEvent, ...], RepairCount]:
     raw: list[SubmissionEvent] = []
     saw_header = False
-    for line_no, fields in _data_rows(path):
+    for line_no, fields in _numbered_rows(path):
         if not saw_header:
             if tuple(fields) != SUBMISSIONS_HEADER:
                 raise MalformedRow(line_no, f"bad header {fields!r}")

@@ -22,6 +22,7 @@ from gradecast.evaluation import (
 from gradecast.features import FeatureMatrix
 from gradecast.cli import main as cli_main
 from gradecast.models import ModelSpec, PredictionOutcome, dual, fit_folds, train, tree
+from gradecast.models.svm import rbf_kernel
 from oracles import auroc_oracle, average_precision_oracle
 
 
@@ -146,9 +147,9 @@ KERNEL_SPECS = (ModelSpec(kind="svm"),
                 ModelSpec(kind="regression", regression_backend="epsilon_svr"))
 
 
-def fold_training_sets(values, y, normalize):
+def fold_training_sets(values, y, normalize, group="score"):
     """Every fold's transformed training set, and its preprocessor."""
-    matrix = toy_matrix(values)
+    matrix = toy_matrix(values, group)
     preps = prepare_fold_preprocessors(matrix, (0.0, 0.0), normalize)
     sets = []
     for i, prep in enumerate(preps):
@@ -161,7 +162,8 @@ def probe_output(model, x):
     """Every bit a fitted kernel model shows on one input."""
     outcome = model.predict(x)
     if hasattr(model, "pairs"):
-        raw = [pair.decision(x) for pair in model.pairs]
+        k = rbf_kernel(model.X, x, model.gamma)[:, 0]
+        raw = [pair.decision(k) for pair in model.pairs]
     else:
         raw = [model.numeric_estimate(x)]
     return outcome.grade, outcome.class_scores.tolist(), raw
@@ -194,11 +196,16 @@ class TestBatchedFoldEngine:
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     def test_each_fold_equals_a_standalone_train(self, small_matrix, normalize):
+        # The folds share kernels by transform group; selection (on "perf"
+        # columns) and a column only row 7 varies give several groups.
         matrix, y = small_matrix
-        values = matrix.values[:, :80]
-        sets, preps = fold_training_sets(values, y, normalize)
+        values = matrix.values[:, :80].copy()
+        values[:, 0] = 0.0
+        values[7, 0] = 1.0
+        sets, preps = fold_training_sets(values, y, normalize, group="perf")
+        assert len({p.key() for p in preps}) > 1
         for spec in KERNEL_SPECS:
-            preds = loocv_matrix(toy_matrix(values), y, spec,
+            preds = loocv_matrix(toy_matrix(values, "perf"), y, spec,
                                  thresholds=(0.0, 0.0), normalize=normalize)
             for i, ((X, y_fold), prep) in enumerate(zip(sets, preps)):
                 alone = train(spec, X, y_fold).predict(
@@ -223,6 +230,57 @@ class TestBatchedFoldEngine:
         assert sorted(artifacts[0]) == ["predictions_svm.csv", "predictions_svr.csv",
                                         "predictions_tree.csv", "report.md"]
         assert artifacts[0] == artifacts[1]
+
+
+def loo_fold_duals(monkeypatch, matrix, y, spec, normalize):
+    """Every bit of each fold's duals and their solutions on the kernel
+    models' leave-one-out path, by held-out row."""
+    duals = {}
+    solve_groups = dual.solve_groups
+
+    def recording(groups, plan):
+        planned = []
+
+        def planning(group):
+            K, problems, note = plan(group)
+            planned.append((group[2], problems))
+            return K, problems, note
+
+        for g, (note, K, solutions) in enumerate(solve_groups(groups, planning)):
+            for i, problems, sols in zip(*planned[g], solutions):
+                duals[i] = [(prob.rows.tolist(), prob.s.tobytes(), prob.p.tobytes(), prob.C,
+                             a.tobytes(), rho, converged, iterations)
+                            for prob, (a, rho, converged, iterations) in zip(problems, sols)]
+            yield note, K, solutions
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dual, "solve_groups", recording)
+        loocv_matrix(matrix, y, spec, normalize=normalize)
+    return [duals[i] for i in range(y.size)]
+
+
+class TestKernelFoldGroups:
+    """SVM and SVR folds with equal transforms share one kernel on all rows."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.regression_backend
+                             if s.kind == "regression" else s.kind)
+    def test_held_out_row_does_not_reach_its_fold_duals(self, small_matrix, spec,
+                                                        normalize, monkeypatch):
+        # Row i sits in its group's kernel, but fold i's duals and their
+        # solutions must not change when it does; the other folds train on it.
+        matrix, y = small_matrix
+        rng = np.random.default_rng(90)
+        for i in (0, 13, 39):
+            values = matrix.values.copy()
+            values[i] = values[i] * rng.uniform(0.5, 2.0) + rng.normal(
+                scale=3.0, size=values.shape[1])
+            mutated = FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, values)
+            before, after = (loo_fold_duals(monkeypatch, m, y, spec, normalize)
+                             for m in (matrix, mutated))
+            assert all(i not in rows for rows, *_ in before[i])
+            assert before[i] == after[i]
+            assert sum(a != b for a, b in zip(before, after)) > y.size // 2
 
 
 def tree_nodes(node):

@@ -195,6 +195,14 @@ class TestParseGradebook:
         with pytest.raises(UnknownGrade):
             parse_gradebook(p)
 
+    def test_row_spanning_lines_is_reported_before_later_rows(self, tmp_path):
+        # Rows are read without counting lines; the line is found only on an error.
+        p = write(tmp_path / "g.csv", "# run-config: {}\n" + GB_HEADER
+                  + 's1,"90\n",85,70,100,88,A\ns1,90,85,70,100,88,B\n')
+        with pytest.raises(MalformedRow) as err:
+            parse_gradebook(p)
+        assert str(err.value) == "line 3: quoted field runs past the end of its line"
+
     def test_records_sorted_by_student_id(self, tmp_path):
         p = write(tmp_path / "g.csv",
                   GB_HEADER + "s2,1,2,3,4,5,C\ns1,1,2,3,4,5,B\n")

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from gradecast.models import ModelSpec, dual, train
-from gradecast.models.regression import svr_dual
+from gradecast.models.base import linear_kernel
 from gradecast.models.svm import (
     dual_objective,
     kkt_max_violation,
     rbf_kernel,
     smo,
 )
+from helpers import svr_dual
 from oracles import (
     dual_solve_reference,
     svm_bias_interval,
@@ -57,6 +58,39 @@ class TestRbfKernel:
     def test_known_value(self):
         k = rbf_kernel(np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]]), 0.5)
         assert k[0, 0] == pytest.approx(np.exp(-1.0), rel=1e-12)
+
+
+class TestKernelsDependOnTwoRowsOnly:
+    """Entry (i, j) of a kernel depends only on rows i and j, bit for bit.
+    Leave-one-out folds share one kernel per transform group on this: a
+    fold's kernel is a submatrix of the group's, and its held-out row's
+    kernel values are a column of it.  A BLAS product breaks this."""
+
+    KERNELS = {"rbf": lambda A, B: rbf_kernel(A, B, 1.0 / np.shape(A)[-1]),
+               "linear": linear_kernel}
+
+    @staticmethod
+    def layouts(rng, X):
+        return X if rng.random() < 0.5 else np.asfortranarray(X)
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_row_subsets_transposes_and_single_rows(self, name):
+        kernel = self.KERNELS[name]
+        rng = np.random.default_rng(70)
+        for trial in range(150):
+            n = int(rng.integers(2, 45))
+            d = int(rng.integers(1, 450)) * 2 - trial % 2      # odd widths on even trials
+            X = self.layouts(rng, rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0))
+            K = kernel(X, X)
+            keep = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            sub = self.layouts(rng, X[keep])
+            assert np.array_equal(K[np.ix_(keep, keep)], kernel(sub, sub))
+            assert np.array_equal(K, K.T)
+            x = X[int(rng.integers(n))] if trial % 3 else rng.normal(size=d)
+            assert np.array_equal(kernel(sub, x), kernel(X, x)[keep])
+            i = int(rng.integers(n))
+            others = np.arange(n) != i
+            assert np.array_equal(K[others, i], kernel(X[others], X[i])[:, 0])
 
 
 class TestSmoSolver:
@@ -310,7 +344,7 @@ def test_iteration_cap_keeps_best_so_far_and_warns(monkeypatch):
 
     svr = train(ModelSpec(kind="regression", regression_backend="epsilon_svr"), X, y)
     assert svr.warnings == ("svr: iteration cap reached",)
-    beta, b, converged, iterations = svr_dual(X @ X.T, y.astype(float), 1.0, 0.1)
+    beta, b, converged, iterations = svr_dual(linear_kernel(X, X), y.astype(float), 1.0, 0.1)
     assert not converged and iterations == 2
     assert np.array_equal(svr.weights, X.T @ beta) and svr.intercept == b
 
