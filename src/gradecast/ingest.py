@@ -8,6 +8,12 @@ a caller asks for them.  Input rows may arrive in any order; parsing
 canonicalizes the ordering, so the same set of rows always produces the
 same dataset.
 
+A submission log in the form ``write_submissions`` writes is read columnar:
+numpy finds its lines and fields and converts whole columns, in blocks of
+whole lines bounded by BLOCK_BYTES.  Every other file goes through the CSV
+row reader, which defines the accepted format and every error; the two
+readers give the same log.
+
 Repairs are preferred over rejection where the log is merely untidy:
 attempt numbers are re-issued densely in timestamp order, and submissions
 recorded after a correct answer are dropped.  The number of repaired rows
@@ -31,6 +37,9 @@ HW_FIELDS = ("hw1", "hw2", "hw3", "hw4")
 N_ASSIGNMENTS = 4
 SESSION_GAP_SECONDS = 7200       # adjacent tries more than 2 h apart start a new session
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
+BLOCK_BYTES = 256 << 10          # bytes of a log converted at once by the columnar reader
+_MAX_DIGITS = 18                 # 10**18 - 1 < 2**63 - 1: such digits never overflow int64
+_HEADER_LINE = ",".join(SUBMISSIONS_HEADER).encode()
 
 
 class Grade(IntEnum):
@@ -349,6 +358,19 @@ def parse_submissions(path) -> tuple[EventLog, RepairCount]:
     dropped or renumbered row counts once in ``repairs``.  The integer
     fields are held as int64: a timestamp or attempt number outside that
     range makes its row malformed.
+
+    A file in the form ``write_submissions`` writes is read by
+    ``_columnar_log``; every other file, and every error, is the row
+    reader's (``_row_log``).  Both give the same log.
+    """
+    log = _columnar_log(path)
+    return _repaired(_row_log(path) if log is None else log)
+
+
+def _row_log(path) -> EventLog:
+    """The log of any submissions.csv, read row by row with the CSV reader.
+
+    This reader defines the accepted format and raises every parse error.
     """
     sids: list[str] = []
     qids: list[str] = []
@@ -389,14 +411,163 @@ def parse_submissions(path) -> tuple[EventLog, RepairCount]:
         corrects.append(correct_s == "1")
     if not sids:
         raise EmptyLog(str(path))
-    return _repaired(EventLog.from_columns(sids, qids, assignments, timestamps,
-                                           attempts, corrects))
+    return EventLog.from_columns(sids, qids, assignments, timestamps, attempts, corrects)
+
+
+def _columnar_log(path) -> EventLog | None:
+    """The log of a submissions.csv in the form ``write_submissions`` writes,
+    or None for any other file.
+
+    The file is read once and converted with numpy in blocks of whole lines,
+    at most BLOCK_BYTES each unless one line is longer.  The form: valid
+    UTF-8 with no CR outside a CRLF; '#' and empty lines anywhere; the
+    header, then data lines with no '"' and no NUL, of six fields whose
+    integers are 1 to _MAX_DIGITS ASCII digits after an optional '-', with
+    assignment_id in 1..N_ASSIGNMENTS and correct 0 or 1.  The row reader
+    gives such a file the same log.  No IngestError is raised here: a file
+    outside the form is the row reader's.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data.count(b"\r") != data.count(b"\r\n"):
+        return None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    start = _past_header(data)
+    if start is None:
+        return None
+    blocks = []
+    while start < len(data):
+        end = len(data)
+        if end - start > BLOCK_BYTES:
+            newline = data.rfind(b"\n", start, start + BLOCK_BYTES)
+            if newline < 0:                 # a line longer than a block is a block
+                newline = data.find(b"\n", start)
+            if newline >= 0:
+                end = newline + 1
+        columns = _block_columns(np.frombuffer(data, np.uint8, end - start, start))
+        if columns is None:
+            return None
+        if columns:
+            blocks.append(columns)
+        start = end
+    if not blocks:
+        return None
+    sid_blocks, qid_blocks, *numeric = zip(*blocks)
+    student_ids, student = _merged_codes(sid_blocks)
+    question_ids, question = _merged_codes(qid_blocks)
+    return EventLog(student_ids, question_ids, student, question,
+                    *(np.concatenate(column) for column in numeric))
+
+
+def _past_header(data: bytes) -> int | None:
+    """The offset after the header line, or None if the first data line is not the header."""
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        end = len(data) if end < 0 else end
+        line = data[start:end].removesuffix(b"\r")
+        if line and not line.startswith(b"#"):
+            return end + 1 if line == _HEADER_LINE else None
+        start = end + 1
+    return None
+
+
+def _block_columns(buf: np.ndarray) -> list | None:
+    """The columns of the data lines in ``buf``, whole lines of a file checked
+    by ``_columnar_log``: [(distinct student ids, codes), (distinct question
+    ids, codes), assignment, timestamp, attempt, correct].  An empty list if
+    it holds no data line, None if a data line is outside the form.
+    """
+    newline = np.flatnonzero(buf == ord("\n"))
+    start = np.concatenate(([0], newline + 1))
+    end = np.append(newline, buf.size)
+    # Every CR ends a CRLF, so a line's last byte is CR only where the line
+    # ends in CRLF.
+    end -= (end > start) & (buf[end - 1] == ord("\r"))
+    row = (end > start) & (buf[np.minimum(start, buf.size - 1)] != ord("#"))
+    start, end = start[row], end[row]
+    if not start.size:
+        return []
+    # The CSV reader never sees a comment line, so a '"' or NUL may sit there.
+    barred = np.flatnonzero((buf == ord('"')) | (buf == 0))
+    if np.any(np.searchsorted(barred, start) != np.searchsorted(barred, end)):
+        return None
+    comma = np.flatnonzero(buf == ord(","))
+    first = np.searchsorted(comma, start)
+    if np.any(np.searchsorted(comma, end) - first != len(SUBMISSIONS_HEADER) - 1):
+        return None
+    cut = comma[first + np.arange(len(SUBMISSIONS_HEADER) - 1)[:, None]]
+    sid, qid, assignment, timestamp, attempt, correct = zip((start, *(cut + 1)), (*cut, end))
+    assignment, timestamp, attempt = (_integers(buf, *field)
+                                      for field in (assignment, timestamp, attempt))
+    correct_start, correct_end = correct
+    correct = buf[np.minimum(correct_start, buf.size - 1)]
+    if (assignment is None or timestamp is None or attempt is None
+            or np.any((assignment < 1) | (assignment > N_ASSIGNMENTS))
+            or np.any(correct_end - correct_start != 1)
+            or np.any((correct != ord("0")) & (correct != ord("1")))):
+        return None
+    return [_id_codes(buf, *sid), _id_codes(buf, *qid),
+            assignment, timestamp, attempt, correct == ord("1")]
+
+
+def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The int64 value of each field ``buf[start:end]``, or None unless every
+    field is 1 to _MAX_DIGITS ASCII digits, after an optional '-'."""
+    negative = buf[start] == ord("-")
+    start = start + negative
+    width = end - start
+    if np.any((width < 1) | (width > _MAX_DIGITS)):
+        return None
+    widest = int(width.max())
+    at = end[:, None] - np.arange(widest, 0, -1)         # right-aligned digit positions
+    digit = np.where(at >= start[:, None], buf[np.maximum(at, 0)] - ord("0"), 0)
+    if np.any(digit > 9):             # uint8 arithmetic wraps bytes below '0' above 9
+        return None
+    value = digit.astype(np.int64) @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
+    return np.where(negative, -value, value)
+
+
+def _id_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """The distinct fields ``buf[start:end]`` as sorted bytes, and each field's index into them.
+
+    The fields are zero-padded to one width, which orders them as bytes
+    (no field holds a NUL).  UTF-8 byte order is code-point order, the
+    order of Python ``str``.
+    """
+    width = max(int((end - start).max()), 1)
+    at = start[:, None] + np.arange(width)
+    padded = np.where(at < end[:, None], buf[np.minimum(at, buf.size - 1)], 0)
+    return np.unique(padded.view(f"S{width}").ravel(), return_inverse=True)
+
+
+def _merged_codes(blocks) -> tuple[tuple[str, ...], np.ndarray]:
+    """The blocks' (distinct, codes) pairs merged, as ``_codes`` gives them for the whole column."""
+    distinct = np.unique(np.concatenate([ids for ids, _ in blocks]))
+    codes = np.concatenate([np.searchsorted(distinct, ids)[block_codes]
+                            for ids, block_codes in blocks])
+    return tuple(ids.decode("utf-8") for ids in distinct.tolist()), codes
+
+
+def _canonical_order(log: EventLog) -> np.ndarray:
+    """The stable sort of the log by (student, question, timestamp, attempt,
+    correct, assignment).
+
+    Each id pair is one key because question codes are below
+    len(question_ids), and (correct, assignment) is one because assignment
+    is in 1..N_ASSIGNMENTS, below 8.
+    """
+    return np.lexsort((log.correct * 8 + log.assignment, log.attempt, log.timestamp,
+                       log.student * len(log.question_ids) + log.question))
 
 
 def _repaired(log: EventLog) -> tuple[EventLog, RepairCount]:
     """The log in canonical order, with the after-correct and attempt repairs."""
-    order = np.lexsort((log.assignment, log.correct, log.attempt, log.timestamp,
-                        log.question, log.student))
+    order = _canonical_order(log)
     student, question, assignment, timestamp, attempt, correct = (
         col[order] for col in (log.student, log.question, log.assignment,
                                log.timestamp, log.attempt, log.correct))
@@ -520,8 +691,3 @@ def write_gradebook(students: Iterable[StudentRecord], path,
                              repr(float(rec.test_score)),
                              rec.final_grade.letter])
 
-
-def write_dataset(dataset: Dataset, submissions_path, gradebook_path,
-                  header_comment: str | None = None) -> None:
-    write_submissions(dataset.events, submissions_path, header_comment)
-    write_gradebook(dataset.students, gradebook_path, header_comment)

@@ -64,12 +64,6 @@ class Preprocessor:
         return scaled.T
 
 
-def column_variance(values: np.ndarray, column: int) -> float:
-    """Population variance of one column."""
-    col = np.asarray(values, dtype=float)[:, column]
-    return float(np.mean((col - col.mean()) ** 2))
-
-
 def variance_mask(values: np.ndarray, groups, t_perf: float, t_subs: float) -> np.ndarray:
     variances = np.var(np.asarray(values, dtype=float), axis=0)
     tags = np.asarray(groups)
@@ -85,33 +79,6 @@ def apply_variance_threshold(matrix: FeatureMatrix, t_perf: float,
                              t_subs: float) -> SelectionMask:
     kept = variance_mask(matrix.values, matrix.groups, t_perf, t_subs)
     return SelectionMask(kept=kept, thresholds=(float(t_perf), float(t_subs)))
-
-
-def apply_mask(matrix: FeatureMatrix, mask: SelectionMask) -> FeatureMatrix:
-    kept = mask.kept
-    return FeatureMatrix(
-        matrix.row_ids,
-        tuple(n for n, k in zip(matrix.names, kept) if k),
-        tuple(g for g, k in zip(matrix.groups, kept) if k),
-        matrix.values[:, kept].copy(),
-    )
-
-
-def minmax_normalize(matrix: FeatureMatrix,
-                     mask: SelectionMask | None = None) -> FeatureMatrix:
-    """Rescale every column to [0, 1]; constant columns map to 0.
-
-    If a mask is given it is applied first, so only kept columns are scaled.
-    """
-    if mask is not None:
-        matrix = apply_mask(matrix, mask)
-    values = matrix.values
-    mins = values.min(axis=0)
-    ranges = values.max(axis=0) - mins
-    scaled = np.zeros_like(values)
-    moving = ranges > 0
-    scaled[:, moving] = (values[:, moving] - mins[moving]) / ranges[moving]
-    return FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, scaled)
 
 
 def fit_preprocessor(values: np.ndarray, groups, t_perf: float, t_subs: float,

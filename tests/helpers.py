@@ -3,7 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from gradecast.ingest import Grade, StudentRecord, SubmissionEvent, build_dataset
+from gradecast.ingest import (
+    Grade,
+    StudentRecord,
+    SubmissionEvent,
+    build_dataset,
+    write_gradebook,
+    write_submissions,
+)
 from gradecast.models import dual
 
 
@@ -18,8 +25,21 @@ def record(student="s1", hw=(100.0, 100.0, 100.0, 100.0), test=100.0, grade="A")
                          Grade.from_letter(grade))
 
 
+def log_bits(log):
+    """An EventLog's ids and the dtype and bytes of each column: equal iff bit-identical."""
+    return (log.student_ids, log.question_ids,
+            *((column.dtype.str, column.tobytes()) for column in
+              (log.student, log.question, log.assignment, log.timestamp, log.attempt,
+               log.correct)))
+
+
 def dataset_from(events, records):
     return build_dataset(tuple(events), tuple(records))
+
+
+def write_dataset(dataset, submissions_path, gradebook_path, header_comment=None):
+    write_submissions(dataset.events, submissions_path, header_comment)
+    write_gradebook(dataset.students, gradebook_path, header_comment)
 
 
 def svr_dual(K, y, C, epsilon):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from gradecast.features import QUICK_RESPONSE_SECONDS, SESSION_GAP_SECONDS, Session
+from gradecast.features import QUICK_RESPONSE_SECONDS, SESSION_GAP_SECONDS, FeatureMatrix, Session
 from gradecast.ingest import (
     N_ASSIGNMENTS,
     SUBMISSIONS_HEADER,
@@ -29,6 +29,7 @@ from gradecast.ingest import (
     SubmissionEvent,
     _numbered_rows,
 )
+from gradecast.selection import SelectionMask
 
 
 # ---------------------------------------------------------------- SVM dual
@@ -394,6 +395,39 @@ def variance_oracle(values):
         mean = sum(col) / n
         out.append(sum((v - mean) ** 2 for v in col) / n)
     return out
+
+
+def column_variance(values: np.ndarray, column: int) -> float:
+    """Population variance of one column."""
+    col = np.asarray(values, dtype=float)[:, column]
+    return float(np.mean((col - col.mean()) ** 2))
+
+
+def apply_mask(matrix: FeatureMatrix, mask: SelectionMask) -> FeatureMatrix:
+    kept = mask.kept
+    return FeatureMatrix(
+        matrix.row_ids,
+        tuple(n for n, k in zip(matrix.names, kept) if k),
+        tuple(g for g, k in zip(matrix.groups, kept) if k),
+        matrix.values[:, kept].copy(),
+    )
+
+
+def minmax_normalize(matrix: FeatureMatrix,
+                     mask: SelectionMask | None = None) -> FeatureMatrix:
+    """Rescale every column to [0, 1]; constant columns map to 0.
+
+    If a mask is given it is applied first, so only kept columns are scaled.
+    """
+    if mask is not None:
+        matrix = apply_mask(matrix, mask)
+    values = matrix.values
+    mins = values.min(axis=0)
+    ranges = values.max(axis=0) - mins
+    scaled = np.zeros_like(values)
+    moving = ranges > 0
+    scaled[:, moving] = (values[:, moving] - mins[moving]) / ranges[moving]
+    return FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, scaled)
 
 
 # --------------------------------------------------------------- metrics

@@ -1,10 +1,13 @@
 import pickle
 
+import numpy as np
 import pytest
 
+from gradecast import ingest
 from gradecast.ingest import (
     DuplicateStudent,
     EmptyLog,
+    EventLog,
     Grade,
     InconsistentAssignment,
     MalformedRow,
@@ -16,9 +19,8 @@ from gradecast.ingest import (
     load_dataset,
     parse_gradebook,
     parse_submissions,
-    write_dataset,
 )
-from helpers import dataset_from, event, record
+from helpers import dataset_from, event, log_bits, record, write_dataset
 
 SUB_HEADER = "student_id,question_id,assignment_id,timestamp,attempt_number,correct\n"
 GB_HEADER = "student_id,hw1,hw2,hw3,hw4,test1,final_grade\n"
@@ -164,6 +166,68 @@ class TestParseSubmissions:
         with pytest.raises(MalformedRow) as err:
             parse_submissions(p)
         assert err.value.line_no == 3
+
+
+ROW_A, ROW_B = "s1,q1,1,100,1,0\n", "s2,q1,1,50,1,1\n"
+# Files outside the columnar reader's form: each is read by the row reader,
+# which gives a log (None) or raises (exception type, line_no).
+OUTSIDE_COLUMNAR_FORM = {
+    "quoted-id": (SUB_HEADER + '"s1",q1,1,100,1,0\n' + ROW_B, None),
+    "lone-cr-ending": (SUB_HEADER + ROW_A.replace("\n", "\r") + ROW_B, None),
+    "lone-cr-in-id": (SUB_HEADER + "s\r1,q1,1,100,1,0\n" + ROW_B, (MalformedRow, 2)),
+    "nul": (SUB_HEADER + "s\x001,q1,1,100,1,0\n" + ROW_B, None),
+    "non-utf8": ((SUB_HEADER + ROW_A).encode() + b"s\xff,q1,1,5,1,0\n",
+                 (UnicodeDecodeError, None)),
+    "bom": ("\ufeff" + SUB_HEADER + ROW_A, (MalformedRow, 1)),
+    "whitespace-line": (SUB_HEADER + ROW_A + " \t\n" + ROW_B, None),
+    "space": (SUB_HEADER + "s1,q1,1, 5,1,0\n" + ROW_B, None),
+    "plus": (SUB_HEADER + "s1,q1,1,+5,1,0\n" + ROW_B, None),
+    "underscore": (SUB_HEADER + "s1,q1,1,1_000,1,0\n" + ROW_B, None),
+    "arabic-indic-digit": (SUB_HEADER + "s1,q1,\u0663,100,1,0\n" + ROW_B, None),
+    "five-fields": (SUB_HEADER + ROW_A + "s2,q1,1,50,1\n", (MalformedRow, 3)),
+    "seven-fields": (SUB_HEADER + ROW_A + "s2,q1,1,50,1,1,1\n", (MalformedRow, 3)),
+    "correct-2": (SUB_HEADER + ROW_A + "s2,q1,1,50,1,2\n", (MalformedRow, 3)),
+    "int64-overflow": (SUB_HEADER + ROW_A + f"s2,q1,1,{2**63},1,0\n", (MalformedRow, 3)),
+    "19-digit": (SUB_HEADER + ROW_A + f"s2,q1,1,{2**63 - 1},1,0\n", None),
+    "header-only": (SUB_HEADER, (EmptyLog, None)),
+}
+
+
+def parse_outcome(read, path):
+    """A read's repaired log as bits, or its exception as (type, message, line_no)."""
+    try:
+        log, repairs = read(path)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return log_bits(log), repairs.dropped, repairs.renumbered
+
+
+class TestColumnarReader:
+    @pytest.mark.parametrize("text, expected", OUTSIDE_COLUMNAR_FORM.values(),
+                             ids=OUTSIDE_COLUMNAR_FORM.keys())
+    def test_file_outside_the_form_is_the_row_readers(self, tmp_path, text, expected):
+        p = tmp_path / "s.csv"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        assert ingest._columnar_log(p) is None
+        got = parse_outcome(parse_submissions, p)
+        assert got == parse_outcome(lambda q: ingest._repaired(ingest._row_log(q)), p)
+        if expected is None:
+            assert isinstance(got[0], tuple)
+        else:
+            assert (got[0], got[2]) == expected
+
+    def test_canonical_order_equals_the_six_key_sort(self):
+        rng = np.random.default_rng(8)
+        extremes = np.array([-2**63, -1, 0, 1, 2**63 - 1])
+        for _ in range(300):
+            n = int(rng.integers(1, 80))
+            log = EventLog(("", "s1", "s2"), ("q1", "q2", "q3", "q4"),
+                           rng.integers(0, 3, n), rng.integers(0, 4, n),
+                           rng.integers(1, 5, n), rng.choice(extremes, n),
+                           rng.integers(-1, 3, n), rng.integers(0, 2, n).astype(bool))
+            six_keys = np.lexsort((log.assignment, log.correct, log.attempt, log.timestamp,
+                                   log.question, log.student))
+            assert np.array_equal(ingest._canonical_order(log), six_keys)
 
 
 class TestParseGradebook:

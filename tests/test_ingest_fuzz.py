@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gradecast import ingest
 from gradecast.features import assemble_feature_matrix, response_times, segment_sessions
 from gradecast.ingest import (
     SUBMISSIONS_HEADER,
@@ -24,8 +26,9 @@ from gradecast.ingest import (
     parse_gradebook,
     parse_submissions,
     write_gradebook,
+    write_submissions,
 )
-from helpers import event, record
+from helpers import event, log_bits, record
 from oracles import (
     reference_build_dataset,
     reference_feature_values,
@@ -200,3 +203,57 @@ def test_build_dataset_from_events_matches_reference(events, one_home):
             assert (segment_sessions(got, sid, assignment)
                     == reference_segment_sessions(expected, sid, assignment))
 
+
+
+# Timestamps of at most 18 digits, which the columnar reader converts, and
+# 19-digit ones up to the int64 extremes, which it leaves to the row reader.
+SHORT_TIMESTAMPS = st.one_of(TIMESTAMPS, st.integers(-(10**18 - 1), 10**18 - 1),
+                             st.sampled_from((10**18 - 1, -(10**18 - 1))))
+LONG_TIMESTAMPS = st.sampled_from((-2**63, 2**63 - 1, 10**18, -10**18))
+
+
+@st.composite
+def written_logs(draw):
+    """(events, with a 19-digit timestamp?): a log as ``write_submissions`` gets it."""
+    events = draw(st.lists(st.builds(event, student=st.sampled_from(STUDENTS),
+                                     question=st.sampled_from(QUESTIONS),
+                                     assignment=st.integers(1, 4), timestamp=SHORT_TIMESTAMPS,
+                                     attempt=st.integers(-1, 4), correct=st.booleans()),
+                           min_size=1, max_size=30))
+    long = draw(st.booleans())
+    if long:
+        i = draw(st.integers(0, len(events) - 1))
+        e = events[i]
+        events[i] = event(e.student_id, e.question_id, e.assignment_id,
+                          draw(LONG_TIMESTAMPS), e.attempt_number, e.correct)
+    return events, long
+
+
+@FUZZ
+@given(written_logs(), st.sampled_from((b"\r\n", b"\n")),
+       st.lists(st.tuples(st.integers(0, 40),
+                          st.sampled_from((b"", b"# note, 1,2,3,4,5", b'# "quoted",\x00'))),
+                max_size=6),
+       st.booleans(), st.sampled_from((16, 100, 1 << 20)))
+def test_columnar_reader_matches_row_reader(log, ending, extra, final_newline, block_bytes):
+    """Written files, LF or CRLF, with '#' and empty lines anywhere, with or
+    without a final newline, in blocks of one line, of several, or one block."""
+    events, long = log
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.csv"
+        write_submissions(events, path, header_comment='run-config: {"seed": 1}')
+        lines = path.read_bytes().split(b"\r\n")[:-1]
+        for at, line in extra:
+            lines.insert(at, line)
+        path.write_bytes(ending.join(lines) + (ending if final_newline else b""))
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            columnar = ingest._columnar_log(path)
+        rows = ingest._row_log(path)
+    if long:
+        assert columnar is None
+        return
+    assert columnar is not None
+    assert log_bits(columnar) == log_bits(rows)
+    (a, repairs_a), (b, repairs_b) = ingest._repaired(columnar), ingest._repaired(rows)
+    assert log_bits(a) == log_bits(b)
+    assert (repairs_a.dropped, repairs_a.renumbered) == (repairs_b.dropped, repairs_b.renumbered)

@@ -8,17 +8,14 @@ from gradecast.selection import (
     SWEEP_THRESHOLDS,
     Preprocessor,
     SweepFailure,
-    apply_mask,
     apply_variance_threshold,
-    column_variance,
     fit_preprocessor,
-    minmax_normalize,
     threshold_sweep,
     variance_mask,
     write_mask_json,
 )
 from helpers import dataset_from, event, record
-from oracles import variance_oracle
+from oracles import apply_mask, column_variance, minmax_normalize, variance_oracle
 
 
 def matrix_of(values, groups):
