@@ -23,6 +23,7 @@ fields, duplicate students, out-of-range scores) raise instead.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -72,6 +73,14 @@ class MalformedRow(IngestError):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
         self.reason = reason
+
+
+class NotUtf8(MalformedRow):
+    """A line of an input file whose bytes are not valid UTF-8."""
+
+    def __init__(self, path, line_no: int):
+        super().__init__(line_no, f"not valid UTF-8 in {os.fspath(path)}")
+        self.path = path
 
 
 class EmptyLog(IngestError):
@@ -305,11 +314,30 @@ def _numbered_rows(path) -> Iterator[tuple[int, list[str]]]:
                 yield line
 
     with open(path, newline="", encoding="utf-8") as fh:
-        for fields in csv.reader(data_lines()):
-            if len(lines_of_row) > 1:
-                raise MalformedRow(lines_of_row[0],
-                                   "quoted field runs past the end of its line")
-            yield lines_of_row.pop(), fields
+        try:
+            for fields in csv.reader(data_lines()):
+                if len(lines_of_row) > 1:
+                    raise MalformedRow(lines_of_row[0],
+                                       "quoted field runs past the end of its line")
+                yield lines_of_row.pop(), fields
+        except UnicodeDecodeError:
+            raise NotUtf8(path, _first_undecodable_line(path)) from None
+
+
+def _first_undecodable_line(path) -> int:
+    """The first line, numbered as ``_numbered_rows`` numbers them, that is
+    not valid UTF-8.
+
+    Each byte that does not decode becomes a lone surrogate, which no valid
+    UTF-8 decodes to and which does not encode back.
+    """
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                return line_no
+    raise AssertionError(f"{path} decodes as UTF-8")
 
 
 class _DataRows:
@@ -329,13 +357,16 @@ class _DataRows:
         with open(self.path, newline="", encoding="utf-8") as fh:
             reader = self.reader = csv.reader(
                 line for line in fh if not line.startswith("#") and line.strip())
-            for count, fields in enumerate(reader, start=1):
-                if reader.line_num != count:
-                    # The row took more than one line: the numbered read
-                    # raises its MalformedRow.
-                    for _ in _numbered_rows(self.path):
-                        pass
-                yield fields
+            try:
+                for count, fields in enumerate(reader, start=1):
+                    if reader.line_num != count:
+                        # The row took more than one line: the numbered read
+                        # raises its MalformedRow.
+                        for _ in _numbered_rows(self.path):
+                            pass
+                    yield fields
+            except UnicodeDecodeError:
+                raise NotUtf8(self.path, _first_undecodable_line(self.path)) from None
 
     @property
     def line_no(self) -> int:

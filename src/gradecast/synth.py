@@ -8,10 +8,27 @@ exact target distribution.
 
 Streams are keyed per question and per student, so any one student's data
 is reproducible without generating the rest of the cohort.
+
+The order of the draws from a student's stream fixes the bytes of the
+cohort.  It is:
+
+1. ability, one standard normal;
+2. test noise, one standard normal;
+3. attempt rolls, one uniform array of (questions × the larger cap),
+   row-major; a question reads the first ``cap`` rolls of its row;
+4. per assignment, in order: the session count (``integers(1, 4)``), then
+   the start jitter (``integers(0, START_JITTER)``), then per non-empty
+   session one break (``exponential``, every session but the first) and
+   one batch of in-session gaps (``lognormal``, one fewer than the
+   session's attempts, possibly none).
+
+A batched draw of n values gives the same values, and leaves the stream in
+the same state, as n scalar draws of the same distribution, so batching
+changes no byte.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,91 +128,61 @@ def question_bank(config: CohortConfig) -> tuple[QuestionInfo, ...]:
     return tuple(bank)
 
 
-@dataclass(frozen=True, eq=False)
-class _StudentDraws:
-    ability: float
-    test_noise: float
-    attempt_rolls: np.ndarray = field(repr=False)   # (n_questions, max cap)
-
-
-def _student_draws(config: CohortConfig, student_index: int, rng) -> _StudentDraws:
-    ability = config.ability_spread * float(rng.standard_normal())
-    noise = TEST_NOISE * float(rng.standard_normal())
-    cap = max(config.max_attempts_boolean, config.max_attempts_other)
-    rolls = rng.random((config.n_questions, cap))
-    return _StudentDraws(ability, noise, rolls)
-
-
-def _attempt_outcomes(p_success: float, rolls: np.ndarray, cap: int) -> list[bool]:
-    """Correct flags for one (student, question): stop on success or cap."""
-    outcomes = []
-    for k in range(cap):
-        success = bool(rolls[k] < p_success)
-        outcomes.append(success)
-        if success:
-            break
-    return outcomes
-
-
 def generate_cohort(config: CohortConfig):
     """Return (events, records): a full synthetic course.
 
     Every student attempts every question.  Grades are assigned by ranking
     students on the 60/40 test/homework blend and cutting the ranking at
-    the configured grade counts, lowest scores first.
+    the configured grade counts, lowest scores first.  Events come out by
+    student, then question, then attempt.
     """
     bank = question_bank(config)
     student_ids = _pad_ids("s", config.n_students)
-    by_assignment: dict[int, list[int]] = {a: [] for a in range(1, config.n_assignments + 1)}
-    for q, info in enumerate(bank):
-        by_assignment[info.assignment_id].append(q)
+    difficulty = np.array([info.difficulty for info in bank])
+    caps = np.array([info.max_attempts for info in bank])
+    assignment_of = np.array([info.assignment_id for info in bank])
+    # question_bank gives each assignment one block of consecutive questions.
+    edges = np.searchsorted(assignment_of, np.arange(1, config.n_assignments + 2))
+    width = max(config.max_attempts_boolean, config.max_attempts_other)
+    allowed = np.arange(width) < caps[:, None]     # (question, try) within its cap
 
-    events: list[SubmissionEvent] = []
-    hw_scores = np.zeros((config.n_students, config.n_assignments))
-    test_scores = np.zeros(config.n_students)
-
-    for s, sid in enumerate(student_ids):
+    ability = np.empty(config.n_students)
+    noise = np.empty(config.n_students)
+    attempts = np.empty((config.n_students, config.n_questions), dtype=np.int64)
+    solved = np.empty((config.n_students, config.n_questions), dtype=bool)
+    timestamps = []
+    for s in range(config.n_students):
         rng = substream(config.seed, _STUDENT_STREAM, s)
-        draws = _student_draws(config, s, rng)
-        test_scores[s] = 100.0 * float(_logistic(draws.ability + draws.test_noise))
-
-        for a in range(1, config.n_assignments + 1):
-            question_indices = by_assignment[a]
-            attempt_plan = []   # (question index, correct flags)
-            for q in question_indices:
-                info = bank[q]
-                p = float(_logistic(draws.ability - info.difficulty))
-                flags = _attempt_outcomes(p, draws.attempt_rolls[q], info.max_attempts)
-                attempt_plan.append((q, flags))
-
-            solved = sum(1 for _, flags in attempt_plan if flags[-1])
-            hw_scores[s, a - 1] = 100.0 * solved / len(question_indices)
-
-            n_events = sum(len(flags) for _, flags in attempt_plan)
+        ability[s] = config.ability_spread * rng.standard_normal()
+        noise[s] = TEST_NOISE * rng.standard_normal()
+        rolls = rng.random((config.n_questions, width))
+        # Attempts stop at the first success or at the question's cap.
+        success = (rolls < _logistic(ability[s] - difficulty)[:, None]) & allowed
+        solved[s] = success.any(axis=1)
+        attempts[s] = np.where(solved[s], success.argmax(axis=1) + 1, caps)
+        for a, n_events in enumerate(np.add.reduceat(attempts[s], edges[:-1]).tolist()):
             n_sessions = int(rng.integers(1, 4))
             jitter = int(rng.integers(0, START_JITTER))
-            flat = [(q, k, correct)
-                    for q, flags in attempt_plan
-                    for k, correct in enumerate(flags, start=1)]
-            chunks = np.array_split(np.arange(n_events), n_sessions)
+            start = COURSE_START + a * ASSIGNMENT_SPACING + jitter
+            timestamps.append(_session_timestamps(rng, start, n_events, n_sessions))
 
-            t = COURSE_START + (a - 1) * ASSIGNMENT_SPACING + jitter
-            started = False
-            for chunk in chunks:
-                if chunk.size == 0:
-                    continue
-                if started:
-                    t += SESSION_BREAK + int(rng.exponential(SESSION_BREAK_SCALE))
-                started = True
-                for offset, idx in enumerate(chunk):
-                    if offset > 0:
-                        gap = int(np.clip(rng.lognormal(GAP_LOG_MEDIAN, GAP_LOG_SIGMA),
-                                          1, MAX_GAP))
-                        t += gap
-                    q, attempt_number, correct = flat[idx]
-                    events.append(SubmissionEvent(sid, bank[q].question_id, a,
-                                                  t, attempt_number, correct))
+    # One row per event, in (student, question, attempt) order.
+    counts = attempts.ravel()
+    question = np.repeat(np.tile(np.arange(config.n_questions), config.n_students), counts)
+    first_row = np.cumsum(counts) - counts
+    attempt_number = np.arange(counts.sum()) - np.repeat(first_row, counts) + 1
+    correct = np.repeat(solved.ravel(), counts) & (attempt_number == np.repeat(counts, counts))
+    student_col = np.repeat(np.array(student_ids, dtype=object), attempts.sum(axis=1))
+    question_col = np.array([info.question_id for info in bank], dtype=object)[question]
+    events = tuple(map(SubmissionEvent, student_col.tolist(), question_col.tolist(),
+                       assignment_of[question].tolist(),
+                       np.concatenate(timestamps).tolist(),
+                       attempt_number.tolist(), correct.tolist()))
 
+    test_scores = 100.0 * _logistic(ability + noise)
+    hw_scores = np.column_stack([
+        100.0 * solved[:, lo:hi].sum(axis=1) / (hi - lo)
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())])
     final_numeric = 0.6 * test_scores + 0.4 * hw_scores.mean(axis=1)
     grades = _assign_grades(final_numeric, config.grade_counts)
 
@@ -205,7 +192,31 @@ def generate_cohort(config: CohortConfig):
                       float(test_scores[s]),
                       Grade(grades[s]))
         for s in range(config.n_students))
-    return tuple(events), records
+    return events, records
+
+
+def _session_timestamps(rng, start: int, n_events: int, n_sessions: int) -> np.ndarray:
+    """Timestamps of one assignment's n_events attempts, from ``start`` on.
+
+    The attempts are split into n_sessions consecutive sessions as
+    ``np.array_split`` splits them (the first n_events % n_sessions one
+    longer); a session left empty draws nothing.  Each session after the
+    first opens a break after the last one; within a session, attempts are
+    one clipped log-normal gap apart.
+    """
+    size, longer = divmod(n_events, n_sessions)
+    steps = np.empty(n_events, dtype=np.int64)     # start, then seconds since the previous attempt
+    row = 0
+    for session in range(n_sessions):
+        n = size + (session < longer)
+        if n == 0:
+            break
+        steps[row] = (start if session == 0 else
+                      SESSION_BREAK + int(rng.exponential(SESSION_BREAK_SCALE)))
+        gaps = rng.lognormal(GAP_LOG_MEDIAN, GAP_LOG_SIGMA, size=n - 1)
+        steps[row + 1:row + n] = np.clip(gaps, 1, MAX_GAP)    # truncated, as int() truncates
+        row += n
+    return np.cumsum(steps)
 
 
 def _assign_grades(final_numeric: np.ndarray, counts) -> np.ndarray:

@@ -15,12 +15,14 @@ from functools import cached_property
 
 import numpy as np
 
+from gradecast import synth
 from gradecast.features import QUICK_RESPONSE_SECONDS, SESSION_GAP_SECONDS, FeatureMatrix, Session
 from gradecast.ingest import (
     N_ASSIGNMENTS,
     SUBMISSIONS_HEADER,
     DuplicateStudent,
     EmptyLog,
+    Grade,
     InconsistentAssignment,
     MalformedRow,
     OrphanEvent,
@@ -29,6 +31,7 @@ from gradecast.ingest import (
     SubmissionEvent,
     _numbered_rows,
 )
+from gradecast.rng import substream
 from gradecast.selection import SelectionMask
 
 
@@ -651,3 +654,89 @@ def reference_feature_values(dataset) -> np.ndarray:
                       reference_response_time_features(dataset),
                       reference_sessions_per_assignment(dataset),
                       reference_score_features(dataset)])
+
+
+# ------------------------------------------------------------------- synth
+#
+# The scalar generator that the per-student batched draws replaced: one
+# draw, clip and logistic per attempt, gap and (student, question).  It
+# draws from each student's stream in the same order, so its cohorts are
+# equal to generate_cohort's.
+
+def _reference_attempt_outcomes(p_success: float, rolls, cap: int) -> list[bool]:
+    """Correct flags for one (student, question): stop on success or cap."""
+    outcomes = []
+    for k in range(cap):
+        success = bool(rolls[k] < p_success)
+        outcomes.append(success)
+        if success:
+            break
+    return outcomes
+
+
+def reference_generate_cohort(config):
+    bank = synth.question_bank(config)
+    student_ids = synth._pad_ids("s", config.n_students)
+    by_assignment: dict[int, list[int]] = {a: [] for a in range(1, config.n_assignments + 1)}
+    for q, info in enumerate(bank):
+        by_assignment[info.assignment_id].append(q)
+    width = max(config.max_attempts_boolean, config.max_attempts_other)
+
+    events: list[SubmissionEvent] = []
+    hw_scores = np.zeros((config.n_students, config.n_assignments))
+    test_scores = np.zeros(config.n_students)
+
+    for s, sid in enumerate(student_ids):
+        rng = substream(config.seed, synth._STUDENT_STREAM, s)
+        ability = config.ability_spread * float(rng.standard_normal())
+        noise = synth.TEST_NOISE * float(rng.standard_normal())
+        rolls = rng.random((config.n_questions, width))
+        test_scores[s] = 100.0 * float(synth._logistic(ability + noise))
+
+        for a in range(1, config.n_assignments + 1):
+            question_indices = by_assignment[a]
+            attempt_plan = []   # (question index, correct flags)
+            for q in question_indices:
+                info = bank[q]
+                p = float(synth._logistic(ability - info.difficulty))
+                flags = _reference_attempt_outcomes(p, rolls[q], info.max_attempts)
+                attempt_plan.append((q, flags))
+
+            solved = sum(1 for _, flags in attempt_plan if flags[-1])
+            hw_scores[s, a - 1] = 100.0 * solved / len(question_indices)
+
+            n_events = sum(len(flags) for _, flags in attempt_plan)
+            n_sessions = int(rng.integers(1, 4))
+            jitter = int(rng.integers(0, synth.START_JITTER))
+            flat = [(q, k, correct)
+                    for q, flags in attempt_plan
+                    for k, correct in enumerate(flags, start=1)]
+            chunks = np.array_split(np.arange(n_events), n_sessions)
+
+            t = synth.COURSE_START + (a - 1) * synth.ASSIGNMENT_SPACING + jitter
+            started = False
+            for chunk in chunks:
+                if chunk.size == 0:
+                    continue
+                if started:
+                    t += synth.SESSION_BREAK + int(rng.exponential(synth.SESSION_BREAK_SCALE))
+                started = True
+                for offset, idx in enumerate(chunk):
+                    if offset > 0:
+                        gap = int(np.clip(rng.lognormal(synth.GAP_LOG_MEDIAN, synth.GAP_LOG_SIGMA),
+                                          1, synth.MAX_GAP))
+                        t += gap
+                    q, attempt_number, correct = flat[idx]
+                    events.append(SubmissionEvent(sid, bank[q].question_id, a,
+                                                  t, attempt_number, correct))
+
+    final_numeric = 0.6 * test_scores + 0.4 * hw_scores.mean(axis=1)
+    grades = synth._assign_grades(final_numeric, config.grade_counts)
+
+    records = tuple(
+        StudentRecord(student_ids[s],
+                      tuple(float(x) for x in hw_scores[s]),
+                      float(test_scores[s]),
+                      Grade(grades[s]))
+        for s in range(config.n_students))
+    return tuple(events), records

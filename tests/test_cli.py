@@ -1,7 +1,13 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gradecast
 from gradecast.cli import main
 from gradecast.ingest import SubmissionEvent, load_dataset
 from gradecast.models import tree
@@ -43,6 +49,19 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_runs_as_a_module(self, tmp_path):
+        src = str(Path(gradecast.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-m", "gradecast", "synth", "--students", "5",
+             "--grade-counts", "1,1,1,1,1", "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert "5 students" in done.stdout
+        assert (tmp_path / "submissions.csv").exists()
+        assert (tmp_path / "gradebook.csv").exists()
+
     def test_byte_identical_across_directories(self, tmp_path, monkeypatch):
         texts = []
         for name in ("one", "two"):
@@ -72,6 +91,19 @@ class TestExtract:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert "/nonexistent/subs.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["submissions.csv", "gradebook.csv"])
+    def test_invalid_utf8_exits_usage(self, cohort_dir, tmp_path, capsys, name):
+        for each in ("submissions.csv", "gradebook.csv"):
+            shutil.copy(cohort_dir / each, tmp_path / each)
+        bad = tmp_path / name
+        lines = bad.read_bytes().split(b"\n")
+        assert lines[2].startswith(b"s")    # line 3: the first data row
+        lines[2] = b"s\xff" + lines[2][1:]
+        bad.write_bytes(b"\n".join(lines))
+        code = main(["extract", *inputs(tmp_path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 3: not valid UTF-8 in {bad}\n"
 
     def test_inputs_are_required(self, tmp_path, capsys):
         code = main(["extract", "--out-dir", str(tmp_path)])

@@ -11,6 +11,7 @@ from gradecast.ingest import (
     Grade,
     InconsistentAssignment,
     MalformedRow,
+    NotUtf8,
     OrphanEvent,
     ScoreOutOfRange,
     SubmissionEvent,
@@ -177,7 +178,7 @@ OUTSIDE_COLUMNAR_FORM = {
     "lone-cr-in-id": (SUB_HEADER + "s\r1,q1,1,100,1,0\n" + ROW_B, (MalformedRow, 2)),
     "nul": (SUB_HEADER + "s\x001,q1,1,100,1,0\n" + ROW_B, None),
     "non-utf8": ((SUB_HEADER + ROW_A).encode() + b"s\xff,q1,1,5,1,0\n",
-                 (UnicodeDecodeError, None)),
+                 (NotUtf8, 3)),
     "bom": ("\ufeff" + SUB_HEADER + ROW_A, (MalformedRow, 1)),
     "whitespace-line": (SUB_HEADER + ROW_A + " \t\n" + ROW_B, None),
     "space": (SUB_HEADER + "s1,q1,1, 5,1,0\n" + ROW_B, None),

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gradecast.ingest import build_dataset, load_dataset
 from gradecast.synth import (
@@ -12,6 +14,7 @@ from gradecast.synth import (
     question_bank,
     write_cohort,
 )
+from oracles import reference_generate_cohort
 
 SMALL = CohortConfig(n_students=30, n_questions=40,
                      grade_counts=(4, 2, 5, 8, 11), seed=7)
@@ -200,6 +203,45 @@ class TestDeterminism:
         assert volumes[0] < volumes[1] < volumes[2]
         ratio = volumes[2] / volumes[0]
         assert 3.0 < ratio < 5.0
+
+
+@st.composite
+def small_configs(draw):
+    """Small cohorts: any caps, boolean fraction and spreads, and grade counts."""
+    n_students = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.integers(0, n_students), min_size=4, max_size=4)))
+    counts = np.diff([0, *cuts, n_students])
+    spreads = st.sampled_from((0.0, 0.5, 1.5, 4.0))
+    return CohortConfig(
+        n_students=n_students, n_questions=draw(st.integers(4, 24)),
+        boolean_question_fraction=draw(st.sampled_from((0.0, 0.2, 0.5, 1.0))),
+        max_attempts_boolean=draw(st.integers(1, 5)), max_attempts_other=draw(st.integers(1, 5)),
+        grade_counts=tuple(int(c) for c in counts), ability_spread=draw(spreads),
+        difficulty_spread=draw(spreads), seed=draw(st.integers(0, 2**32)))
+
+
+class TestAgainstScalarReference:
+    """generate_cohort against the scalar generator it replaced (tests/oracles.py)."""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_configs())
+    # One event per assignment: every session holds one event or none, so
+    # every gap batch is empty and sessions two and three are often empty.
+    @example(CohortConfig(n_students=1, n_questions=4, grade_counts=(0, 0, 1, 0, 0),
+                          max_attempts_boolean=1, max_attempts_other=1,
+                          ability_spread=0.0, seed=5))
+    @example(CohortConfig(n_students=3, n_questions=9, grade_counts=(1, 0, 1, 0, 1),
+                          boolean_question_fraction=1.0, max_attempts_boolean=4,
+                          max_attempts_other=2, seed=6))
+    @example(CohortConfig(n_students=3, n_questions=9, grade_counts=(1, 0, 1, 0, 1),
+                          boolean_question_fraction=0.0, seed=7))
+    def test_equal_on_small_configs(self, config):
+        assert generate_cohort(config) == reference_generate_cohort(config)
+
+    def test_equal_on_default_cohort(self):
+        config = CohortConfig(seed=42)
+        assert generate_cohort(config) == reference_generate_cohort(config)
 
 
 class TestRoundTripThroughFiles:
