@@ -282,8 +282,8 @@ class Dataset:
         """The session index, built on first use; every session view reads it."""
         log = self.log
         graded = np.flatnonzero((log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS))
-        order = graded[np.lexsort(tuple(col[graded] for col in (
-            log.attempt, log.question, log.timestamp, log.assignment, self.row)))]
+        order = graded[_stable_order(col[graded] for col in (
+            self.row, log.assignment, log.timestamp, log.question, log.attempt))]
         row = self.row[order]
         key = row * N_ASSIGNMENTS + log.assignment[order] - 1
         # Timestamps of one key are sorted, so their uint64 difference is
@@ -555,8 +555,8 @@ def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray
     if np.any((width < 1) | (width > _MAX_DIGITS)):
         return None
     widest = int(width.max())
-    at = end[:, None] - np.arange(widest, 0, -1)         # right-aligned digit positions
-    digit = np.where(at >= start[:, None], buf[np.maximum(at, 0)] - ord("0"), 0)
+    digit = _windows(buf, end - widest, widest) - np.uint8(ord("0"))   # right-aligned
+    digit *= np.arange(widest) >= (widest - width)[:, None]
     if np.any(digit > 9):             # uint8 arithmetic wraps bytes below '0' above 9
         return None
     value = digit.astype(np.int64) @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
@@ -564,24 +564,93 @@ def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray
 
 
 def _id_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """The distinct fields ``buf[start:end]`` as sorted bytes, and each field's index into them.
+    """The distinct fields ``buf[start:end]`` in byte order, and each field's index into them.
 
-    The fields are zero-padded to one width, which orders them as bytes
-    (no field holds a NUL).  UTF-8 byte order is code-point order, the
-    order of Python ``str``.
+    Each field is zero-padded to a multiple of 8 bytes and read as
+    big-endian uint64 words, one row of words per field; the distinct
+    fields are returned as such rows.  Zero-padded big-endian words order
+    the fields as bytes (no field holds a NUL), and UTF-8 byte order is
+    code-point order, the order of Python ``str``.
     """
-    width = max(int((end - start).max()), 1)
-    at = start[:, None] + np.arange(width)
-    padded = np.where(at < end[:, None], buf[np.minimum(at, buf.size - 1)], 0)
-    return np.unique(padded.view(f"S{width}").ravel(), return_inverse=True)
+    width = -(-max(int((end - start).max()), 1) // 8) * 8
+    padded = _windows(buf, start, width)
+    padded *= np.arange(width) < (end - start)[:, None]
+    return _distinct_rows(padded.view(">u8").astype(np.uint64))
+
+
+def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """``buf[i:i + width]`` for each offset i in ``at``, one row each, where
+    bytes outside ``buf`` read as zeros; every i is at least ``-width``."""
+    pad = np.zeros(width, dtype=np.uint8)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((pad, buf, pad)), width)[at + width]
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D uint64 array in lexicographic order, and
+    each row's index into them."""
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0])
+    else:
+        order = np.lexsort(words.T[::-1])
+    ranked = words[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ranked[new], inverse
 
 
 def _merged_codes(blocks) -> tuple[tuple[str, ...], np.ndarray]:
     """The blocks' (distinct, codes) pairs merged, as ``_codes`` gives them for the whole column."""
-    distinct = np.unique(np.concatenate([ids for ids, _ in blocks]))
-    codes = np.concatenate([np.searchsorted(distinct, ids)[block_codes]
-                            for ids, block_codes in blocks])
-    return tuple(ids.decode("utf-8") for ids in distinct.tolist()), codes
+    words = max(ids.shape[1] for ids, _ in blocks)
+    distinct, inverse = _distinct_rows(np.concatenate(
+        [np.pad(ids, ((0, 0), (0, words - ids.shape[1]))) for ids, _ in blocks]))
+    first = np.cumsum([0, *(len(ids) for ids, _ in blocks)])
+    codes = np.concatenate([inverse[lo:][block_codes]
+                            for lo, (_, block_codes) in zip(first.tolist(), blocks)])
+    names = distinct.astype(">u8").view(f"S{8 * words}").ravel()
+    return tuple(name.decode("utf-8") for name in names.tolist()), codes
+
+
+def _stable_order(keys: Iterable[np.ndarray]) -> np.ndarray:
+    """The stable sort by the int64 ``keys``, which are of one length and
+    most significant first: the permutation ``np.lexsort`` gives for them
+    listed least significant first.
+
+    The keys are packed into uint64 words (``_pack``), and each row's index
+    is packed last as the least significant key.  That makes the packed
+    rows distinct, so when they fit in one word, any sort of it gives the
+    stable order; more words are ``np.lexsort``ed.  The keys are taken one
+    at a time, so a generator of gathered keys holds only one at once.
+    """
+    words: list[np.ndarray] = []
+    free = 0                                    # bits left in the last word
+    for key in keys:
+        if not key.size:
+            return np.zeros(0, dtype=np.intp)
+        free = _pack(words, free, key)
+        del key                                 # before the next key is made
+    _pack(words, free, np.arange(words[0].size, dtype=np.int64))
+    return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+
+
+def _pack(words: list[np.ndarray], free: int, key: np.ndarray) -> int:
+    """Pack an int64 key below the last of ``words``, which has ``free``
+    bits left, or start a new word with it; returns the bits left.
+
+    The key is offset by its minimum, exactly in uint64 for any int64
+    values, and so takes the bit width of its span.
+    """
+    low = int(key.min())
+    width = (int(key.max()) - low).bit_length()
+    offset = key.view(np.uint64) - np.uint64(low % 2**64)
+    if words and width <= free:
+        words[-1] <<= np.uint64(width)
+        words[-1] |= offset
+        return free - width
+    words.append(offset)
+    return 64 - width
 
 
 def _canonical_order(log: EventLog) -> np.ndarray:
@@ -592,16 +661,25 @@ def _canonical_order(log: EventLog) -> np.ndarray:
     len(question_ids), and (correct, assignment) is one because assignment
     is in 1..N_ASSIGNMENTS, below 8.
     """
-    return np.lexsort((log.correct * 8 + log.assignment, log.attempt, log.timestamp,
-                       log.student * len(log.question_ids) + log.question))
+    def keys():
+        yield log.student * len(log.question_ids) + log.question
+        yield log.timestamp
+        yield log.attempt
+        yield log.correct * 8 + log.assignment
+
+    return _stable_order(keys())
 
 
 def _repaired(log: EventLog) -> tuple[EventLog, RepairCount]:
-    """The log in canonical order, with the after-correct and attempt repairs."""
+    """The log in canonical order, with the after-correct and attempt repairs.
+
+    The groups, the kept rows and their new attempt numbers are found from
+    the permuted student, question and correct columns; every column of the
+    result is then gathered once, through the kept rows' order.
+    """
     order = _canonical_order(log)
-    student, question, assignment, timestamp, attempt, correct = (
-        col[order] for col in (log.student, log.question, log.assignment,
-                               log.timestamp, log.attempt, log.correct))
+    student, question, correct = (col[order] for col in
+                                  (log.student, log.question, log.correct))
     first = np.ones(order.size, dtype=bool)      # first row of its (student, question) group
     first[1:] = (student[1:] != student[:-1]) | (question[1:] != question[:-1])
     group = np.cumsum(first) - 1
@@ -611,9 +689,12 @@ def _repaired(log: EventLog) -> tuple[EventLog, RepairCount]:
     # A group's first row is always kept, so group numbers stay dense.
     group = group[keep]
     position = np.arange(group.size) - np.flatnonzero(first[keep])[group] + 1
-    renumbered = int(np.count_nonzero(attempt[keep] != position))
-    canonical = EventLog(log.student_ids, log.question_ids, student[keep], question[keep],
-                         assignment[keep], timestamp[keep], position, correct[keep])
+    order = order[keep]
+    renumbered = int(np.count_nonzero(log.attempt[order] != position))
+    canonical = EventLog(log.student_ids, log.question_ids,
+                         *(col[order] for col in (log.student, log.question,
+                                                  log.assignment, log.timestamp)),
+                         position, log.correct[order])
     return canonical, RepairCount(dropped, renumbered)
 
 

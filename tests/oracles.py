@@ -656,6 +656,25 @@ def reference_feature_values(dataset) -> np.ndarray:
                       reference_score_features(dataset)])
 
 
+def reference_write_features_csv(matrix: FeatureMatrix, path,
+                                 header_comment: str | None = None) -> None:
+    """The per-cell writer that the value-table writer replaced: one repr per cell."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        fh.write(",".join(("student_id", *matrix.names)) + "\n")
+        for sid, row in zip(matrix.row_ids, matrix.values):
+            fh.write(",".join((sid, *[repr(float(v)) for v in row])) + "\n")
+
+
+def reference_session_order(dataset) -> np.ndarray:
+    """``Dataset.sessions.order`` by the five-key lexsort the packed sort replaced."""
+    log = dataset.log
+    graded = np.flatnonzero((log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS))
+    return graded[np.lexsort(tuple(col[graded] for col in (
+        log.attempt, log.question, log.timestamp, log.assignment, dataset.row)))]
+
+
 # ------------------------------------------------------------------- synth
 #
 # The scalar generator that the per-student batched draws replaced: one

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from gradecast.features import (
+    CSV_BLOCK_ROWS,
     GROUP_PERF,
     GROUP_SUBS,
     RT_FEATURE_NAMES,
     SCORE_FEATURE_NAMES,
     SESSION_FEATURE_NAMES,
+    FeatureMatrix,
     assemble_feature_matrix,
     per_question_performance,
     response_time_features,
@@ -19,8 +21,9 @@ from gradecast.features import (
     submissions_per_question,
     write_features_csv,
 )
-from gradecast.ingest import SessionIndex, build_dataset
+from gradecast.ingest import N_ASSIGNMENTS, SessionIndex, build_dataset
 from helpers import dataset_from, event, record
+from oracles import reference_write_features_csv
 
 
 def events_at(times, student="s1", question="q1", assignment=1):
@@ -113,6 +116,18 @@ class TestSessionIndex:
                 assert segment_sessions(ds, rec.student_id, a) == []
         assert not sessions_per_assignment(ds).any()
         assert not response_time_features(ds).any()
+
+    def test_log_without_graded_assignments_has_no_sessions(self):
+        evs = [*events_at([0, 60], assignment=0),
+               *events_at([30], student="s2", question="q2", assignment=N_ASSIGNMENTS + 1)]
+        ds = dataset_from(evs, [record(), record(student="s2")])
+        index = ds.sessions
+        assert index.order.size == index.key.size == index.gaps.size == index.gap_row.size == 0
+        assert index.bounds.tolist() == [0]
+        assert response_times(ds, "s1") == [] and segment_sessions(ds, "s2", 1) == []
+        fm = assemble_feature_matrix(ds)
+        timing = [j for j, name in enumerate(fm.names) if name.startswith(("rt:", "sess:"))]
+        assert len(timing) == 8 and not fm.values[:, timing].any()
 
 
 class TestResponseTimes:
@@ -245,3 +260,22 @@ class TestCsvExport:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         values = np.array([[float(v) for v in row[1:]] for row in rows])
         assert np.array_equal(values, fm.values)
+
+    def test_bytes_equal_the_per_cell_writer(self, tmp_path):
+        """Values whose text a table keyed by value (not by bits) would confuse."""
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2, 1e16,
+                   *np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                             dtype=np.uint64).view(np.float64).tolist()]
+        rng = np.random.default_rng(5)
+        n = 2 * CSV_BLOCK_ROWS + 3
+        values = rng.choice([*special, 1.0, 2.5, -7.25], size=(n, len(special)))
+        values[0] = special
+        values[n - 1] = special[::-1]
+        names = tuple(f"c{j}" for j in range(len(special)))
+        fm = FeatureMatrix(tuple(f"s{i}" for i in range(n)), names, (GROUP_PERF,) * len(names),
+                           values)
+        got, expected = tmp_path / "got.csv", tmp_path / "expected.csv"
+        write_features_csv(fm, got, header_comment="x")
+        reference_write_features_csv(fm, expected, header_comment="x")
+        assert got.read_bytes() == expected.read_bytes()
+        assert got.read_text().splitlines()[2].split(",")[1:4] == ["-0.0", "0.0", "nan"]

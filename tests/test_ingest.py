@@ -1,10 +1,12 @@
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from gradecast import ingest
 from gradecast.ingest import (
+    N_ASSIGNMENTS,
     DuplicateStudent,
     EmptyLog,
     EventLog,
@@ -20,8 +22,10 @@ from gradecast.ingest import (
     load_dataset,
     parse_gradebook,
     parse_submissions,
+    write_submissions,
 )
 from helpers import dataset_from, event, log_bits, record, write_dataset
+from oracles import reference_session_order
 
 SUB_HEADER = "student_id,question_id,assignment_id,timestamp,attempt_number,correct\n"
 GB_HEADER = "student_id,hw1,hw2,hw3,hw4,test1,final_grade\n"
@@ -229,6 +233,53 @@ class TestColumnarReader:
             six_keys = np.lexsort((log.assignment, log.correct, log.attempt, log.timestamp,
                                    log.question, log.student))
             assert np.array_equal(ingest._canonical_order(log), six_keys)
+
+    @pytest.mark.parametrize("spans", [(0,), (1, 0, 3), (12, 7, 9), (40, 30), (64,),
+                                       (63, 64, 1), (20, 20, 20, 20)])
+    def test_packed_sort_equals_lexsort(self, spans):
+        """Keys with many ties, of spans up to the whole int64 range, packed
+        into one word or several."""
+        rng = np.random.default_rng(len(spans))
+        keys = []
+        for bits in spans:
+            low = int(rng.integers(-2**63, 2**63 - 2**bits, endpoint=True))
+            pool = [low, low + 2**bits - 1,
+                    *(low + int(x) for x in rng.integers(0, 2**bits, 6, dtype=np.uint64))]
+            keys.append(np.array(pool, dtype=np.int64)[rng.integers(0, 8, 3000)])
+        assert np.array_equal(ingest._stable_order(iter(keys)), np.lexsort(keys[::-1]))
+        assert ingest._stable_order(iter([np.zeros(0, dtype=np.int64)])).size == 0
+
+    def test_session_order_equals_the_five_key_sort(self):
+        rng = np.random.default_rng(9)
+        extremes = [-2**63, -2**63 + 1, -1, 0, 1, 7200, 2**63 - 2, 2**63 - 1]
+        students = ("", "s1", "s2")
+        for _ in range(300):
+            home = rng.integers(0, N_ASSIGNMENTS + 2, 4)      # 0 and 5 have no sessions
+            events = [event(students[s], f"q{q}", int(home[q]), int(rng.choice(extremes)),
+                            int(rng.integers(-3, 3)), bool(rng.integers(0, 2)))
+                      for s, q in zip(rng.integers(0, 3, 60), rng.integers(0, 4, 60))]
+            records = [record(student=sid) for sid in rng.permutation(students).tolist()]
+            ds = build_dataset(events[:int(rng.integers(1, 61))], records)
+            assert np.array_equal(ds.sessions.order, reference_session_order(ds))
+
+    @pytest.mark.parametrize("block_bytes", [64, ingest.BLOCK_BYTES])
+    def test_ids_across_word_boundaries_match_the_row_reader(self, tmp_path, block_bytes):
+        """Ids of 1 to 17 bytes, ASCII and not, coded in blocks of one to
+        three lines and in one block."""
+        ids = ["a", "abcdefg", "abcdefgh", "abcdefgi", "abcdefgh1", "abcdefgh" * 2,
+               "abcdefgh" * 2 + "1", "é", "abcdefgé", "日本語の", "\uffff", "\U00010000"]
+        assert {len(i.encode()) for i in ids} >= {1, 7, 8, 9, 16, 17}
+        rng = np.random.default_rng(4)
+        events = [event(sid, qid, 1 + j % N_ASSIGNMENTS, int(rng.integers(0, 10**6)),
+                        int(rng.integers(1, 4)), bool(rng.integers(0, 2)))
+                  for i, sid in enumerate(ids) for j, qid in enumerate(ids)]
+        path = tmp_path / "s.csv"
+        write_submissions([events[i] for i in rng.permutation(len(events))], path)
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+            columnar = ingest._columnar_log(path)
+        assert columnar is not None
+        assert columnar.student_ids == columnar.question_ids == tuple(sorted(ids))
+        assert log_bits(columnar) == log_bits(ingest._row_log(path))
 
 
 class TestParseGradebook:
