@@ -114,9 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fit selection/normalization once on all rows "
                             "instead of per fold")
     hyper.add_argument("--jobs", type=int, default=_UNSET,
-                       help="worker threads for the folds of the models fitted "
-                            "fold by fold; the SVM and SVR fit all folds in one "
-                            "batched solve (default 1)")
+                       help="worker threads for the folds of linreg, nb, knn "
+                            "and the baselines, which fit fold by fold on their "
+                            "transform group's rows; the SVM, SVR and tree run "
+                            "every fold on the calling thread (default 1)")
 
     p_eval = sub.add_parser("evaluate", parents=[common, inputs, hyper],
                             help="leave-one-out evaluation -> report.md + predictions")

@@ -7,29 +7,23 @@ prediction, so nothing about the held-out student leaks into fold
 preparation.  ``global_prep=True`` switches to the fit-once alternative for
 comparison.  Folds are independent and deterministic: each derives its own
 seed from (master seed, fold index), so thread count cannot change results.
-The SVM, the SVR and the tree group their folds by fitted transform, and
-each group transforms all rows once.  The SVM and the SVR build one kernel
-per group, and fit every fold through one batched dual solve on the calling
-thread, fold i's duals using the group's rows other than i
-(``models.predict_held_out``).  The tree codes each group's matrix once,
-and fold i grows its tree from that group's rows other than i
-(``tree.Grower``), on the calling thread too.  Every such fold is
-bit-identical to a model trained on its own transformed rows.  The other
-models fit fold by fold, on a thread pool when jobs > 1.
+
+Every model runs through one engine.  Folds are grouped by equal fitted
+preprocessor, and each group transforms all rows once (``_FoldGroups``);
+fold i of a group trains on that matrix's rows other than i and predicts
+row i (``models.predict_held_out``).  Every fold is bit-identical to a model
+trained on its own transformed rows.
 """
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
-from .models import (ModelSpec, PredictionOutcome, predict_held_out,
-                     solves_in_batch, train, tree)
-from .rng import mix_seed
+from .models import ModelSpec, PredictionOutcome, predict_held_out
 from .selection import Preprocessor, fit_preprocessor
 
 N_GRADES = 5
@@ -88,21 +82,6 @@ def prepare_fold_preprocessors(matrix: FeatureMatrix,
     return preps
 
 
-class _TrainingSets:
-    """Fold i's transformed training rows and labels, built on each access."""
-
-    def __init__(self, values: np.ndarray, y: np.ndarray, preps: list[Preprocessor]):
-        self.values, self.y, self.preps = values, y, preps
-
-    def __len__(self) -> int:
-        return len(self.preps)
-
-    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        keep = np.ones(len(self.y), dtype=bool)
-        keep[i] = False
-        return self.preps[i].transform(self.values[keep]), self.y[keep]
-
-
 def _folds_by_transform(preps: list[Preprocessor]) -> list[list[int]]:
     """Fold indices grouped by equal fitted preprocessor, in fold order."""
     groups: dict[tuple, list[int]] = {}
@@ -145,39 +124,11 @@ def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
     if preps is None:
         preps = prepare_fold_preprocessors(matrix, thresholds, normalize, global_prep)
 
-    def held_out(i: int, outcome: PredictionOutcome,
-                 warnings: tuple[str, ...]) -> tuple[LooPrediction, tuple[str, ...]]:
-        return LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), warnings
-
+    groups = _FoldGroups(values, y, preps)
     folds = [None] * n
-    if solves_in_batch(spec):
-        # One batched solve over every fold, one kernel per group of folds.
-        groups = _FoldGroups(values, y, preps)
-        for members, outcomes in zip(groups.members, predict_held_out(spec, groups)):
-            for i, (outcome, warnings) in zip(members, outcomes):
-                folds[i] = held_out(i, outcome, warnings)
-    elif spec.kind == "tree":
-        # On the calling thread: the tree's small per-node numpy calls hold
-        # the interpreter lock, and a thread pool only slowed them down.
-        for X, _, members in _FoldGroups(values, y, preps):   # one group's codes at a time
-            grower = tree.Grower(X, y)
-            for i in members:
-                model = grower.tree(without=i)
-                folds[i] = held_out(i, model.predict(X[i]), model.warnings)
-    else:
-        training = _TrainingSets(values, y, preps)
-
-        def run_fold(i: int) -> tuple[LooPrediction, tuple[str, ...]]:
-            fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
-            model = train(fold_spec, *training[i])
-            x = preps[i].transform(values[i:i + 1])[0]
-            return held_out(i, model.predict(x), model.warnings)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                folds = list(pool.map(run_fold, range(n)))
-        else:
-            folds = [run_fold(i) for i in range(n)]
+    for members, outcomes in zip(groups.members, predict_held_out(spec, groups, jobs)):
+        for i, (outcome, warnings) in zip(members, outcomes):
+            folds[i] = LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), warnings
     # Warnings join the sink in fold order, whatever order the threads finish in.
     if warning_sink is not None:
         for pred, warnings in folds:

@@ -460,7 +460,7 @@ def _columnar_log(path) -> EventLog | None:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data.count(b"\r") != data.count(b"\r\n"):
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
         return None
     if not data.isascii():
         try:

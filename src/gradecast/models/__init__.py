@@ -4,18 +4,30 @@
 PredictionOutcome: an integer grade 1..5 plus one finite score per grade.
 Unless a model documents its own rule, score ties resolve to the lower
 grade.
+
+``predict_held_out(spec, groups, jobs)`` is leave-one-out for every model.
+A group holds one matrix X, its labels y, and the rows its folds hold out;
+fold i trains on every row of X but i and predicts row i.  Each fold is
+bit-identical to the model ``train`` fits on that fold's own rows.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from typing import Iterator
 
+import numpy as np
+
+from ..rng import mix_seed
 from . import baselines, bayes, dual, neighbors, regression, svm, tree
 from .base import (KINDS, N_GRADES, REGRESSION_BACKENDS, DimensionMismatch,
                    ModelSpec, PredictionOutcome, argmax_lower_grade)
 
-# Models fitted one training set at a time.
+# One training set's fitter, by model kind or, for regression, by backend.
 _FITTERS = {
-    "regression": regression.fit_least_squares,
+    "svm": svm.fit,
+    "least_squares": regression.fit_least_squares,
+    "epsilon_svr": regression.fit_svr,
     "tree": tree.fit,
     "nb": bayes.fit,
     "knn": neighbors.fit,
@@ -24,49 +36,61 @@ _FITTERS = {
 }
 
 
-def solves_in_batch(spec: ModelSpec) -> bool:
-    """True for the kernel models, whose folds share lock-step dual solves."""
-    return spec.kind == "svm" or (spec.kind == "regression"
-                                  and spec.regression_backend == "epsilon_svr")
-
-
-def fit_folds(spec: ModelSpec, folds) -> Iterator:
-    """Fit the model named by ``spec.kind`` on each training set (X, y) of
-    ``folds``, yielding the fitted models in order.
-
-    The SVM and the epsilon-SVR solve the duals of all folds together, in
-    lock-step batches (see ``dual.solve_groups``); the other models fit fold
-    by fold.
-    """
-    if spec.kind == "svm":
-        return svm.fit_folds(spec, folds)
-    if solves_in_batch(spec):
-        return regression.fit_svr_folds(spec, folds)
-    return (_FITTERS[spec.kind](spec, X, y) for X, y in folds)
-
-
-def predict_held_out(spec: ModelSpec, groups) -> Iterator[list]:
-    """Leave-one-out for the kernel models (``solves_in_batch``).
-
-    ``groups[g]`` is (X, y, held): fold f of group g trains on every row of X
-    but ``held[f]`` and predicts that row.  Each group builds one kernel on
-    all its rows, which its folds' duals and predictions share.  Yields, per
-    group, each fold's (PredictionOutcome, warnings); every fold is
-    bit-identical to a model trained on its own rows.
-    """
-    if spec.kind == "svm":
-        return svm.predict_held_out(spec, groups)
-    return regression.predict_svr_held_out(spec, groups)
+def _model(spec: ModelSpec) -> str:
+    return spec.regression_backend if spec.kind == "regression" else spec.kind
 
 
 def train(spec: ModelSpec, X, y):
     """Fit the model named by ``spec.kind`` on grade-labeled rows."""
-    return next(fit_folds(spec, [(X, y)]))
+    return _FITTERS[_model(spec)](spec, X, y)
+
+
+def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
+    """Leave-one-out over groups of folds that share one matrix.
+
+    ``groups`` yields (X, y, held): fold f of a group trains on every row of
+    X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
+    (PredictionOutcome, warnings).
+
+    The SVM and the epsilon-SVR build one kernel per group and solve every
+    fold's duals in lock-step batches; the tree codes each group's matrix
+    once and grows every fold from it.  Both run on the calling thread.  The
+    other models fit fold by fold on the group's rows other than the held-out
+    one, on ``jobs`` threads when jobs > 1; fold i's spec carries its own
+    seed, so the thread count cannot change a result.
+    """
+    model = _model(spec)
+    if model == "svm":
+        return svm.predict_held_out(spec, groups)
+    if model == "epsilon_svr":
+        return regression.predict_svr_held_out(spec, groups)
+    if model == "tree":
+        return tree.predict_held_out(groups)
+    return _fold_by_fold(spec, _FITTERS[model], groups, jobs)
+
+
+def _fold_by_fold(spec: ModelSpec, fit, groups, jobs: int) -> Iterator[list]:
+    def run_fold(X, y, i):
+        model = fit(replace(spec, seed=mix_seed(spec.seed, i)),
+                    np.delete(X, i, axis=0), np.delete(y, i))
+        # np.delete keeps X's memory order, so the fold's rows are
+        # bit-identical to its own transformed rows.  The held-out row is
+        # made contiguous: a strided row of a Fortran-ordered X changes how
+        # a dot product sums it.
+        return model.predict(np.ascontiguousarray(X[i])), model.warnings
+
+    if jobs <= 1:
+        for X, y, held in groups:
+            yield [run_fold(X, y, i) for i in held]
+        return
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for X, y, held in groups:
+            yield list(pool.map(lambda i: run_fold(X, y, i), held))
 
 
 __all__ = [
     "KINDS", "N_GRADES", "REGRESSION_BACKENDS", "DimensionMismatch",
-    "ModelSpec", "PredictionOutcome", "argmax_lower_grade", "fit_folds",
-    "predict_held_out", "solves_in_batch", "train",
+    "ModelSpec", "PredictionOutcome", "argmax_lower_grade",
+    "predict_held_out", "train",
     "baselines", "bayes", "dual", "neighbors", "regression", "svm", "tree",
 ]

@@ -121,13 +121,11 @@ def _svr_fits(spec: ModelSpec, groups) -> Iterator[list]:
         yield fits
 
 
-def fit_svr_folds(spec: ModelSpec, folds) -> Iterator[RegressionModel]:
-    """Fit one epsilon-SVR per training set (X, y) of the sequence ``folds``,
-    yielded in order; the duals of all folds are solved together."""
-    groups = [(X, y, [None]) for X, y in folds]
-    for (X, _, _), [(_, beta, b, warnings)] in zip(groups, _svr_fits(spec, groups)):
-        X = np.asarray(X, dtype=float)
-        yield RegressionModel(X.T @ beta, b, X.shape[1], "epsilon_svr", warnings)
+def fit_svr(spec: ModelSpec, X, y) -> RegressionModel:
+    """One epsilon-SVR on every row of X."""
+    [[(_, beta, b, warnings)]] = _svr_fits(spec, [(X, y, [None])])
+    X = np.asarray(X, dtype=float)
+    return RegressionModel(X.T @ beta, b, X.shape[1], "epsilon_svr", warnings)
 
 
 def predict_svr_held_out(spec: ModelSpec, groups) -> Iterator[list]:

@@ -47,26 +47,6 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * d2)
 
 
-def dual_objective(alpha: np.ndarray, y: np.ndarray, K: np.ndarray) -> float:
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ K @ ay)
-
-
-def kkt_max_violation(alpha: np.ndarray, y: np.ndarray, K: np.ndarray,
-                      b: float, C: float) -> float:
-    """Largest violation of the soft-margin KKT conditions."""
-    margins = y * (K @ (alpha * y) + b)
-    atol = 1e-9
-    zero = alpha <= atol
-    at_c = alpha >= C - atol
-    free = ~zero & ~at_c
-    v = np.zeros_like(margins)
-    v[zero] = np.maximum(0.0, 1.0 - margins[zero])
-    v[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
-    v[free] = np.abs(margins[free] - 1.0)
-    return float(v.max()) if v.size else 0.0
-
-
 def smo(K: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float, bool, int]:
     """Solve one binary soft-margin dual.  Returns (alpha, b, converged, iterations)."""
     y = np.asarray(y, dtype=float)
@@ -169,13 +149,11 @@ def _fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
         yield K, fits
 
 
-def fit_folds(spec: ModelSpec, folds) -> Iterator[PairwiseSvm]:
-    """Fit one machine per training set (X, y) of the sequence ``folds``,
-    yielded in order; the pair duals of all folds are solved together."""
-    groups = [(X, y, [None]) for X, y in folds]
-    for (X, _, _), (_, [(_, classes, machines, warnings)]) in zip(groups, _fits(spec, groups)):
-        X = np.asarray(X, dtype=float)
-        yield PairwiseSvm(classes, machines, X, 1.0 / X.shape[1], warnings)
+def fit(spec: ModelSpec, X, y) -> PairwiseSvm:
+    """One pairwise machine on every row of X."""
+    [(_, [(_, classes, machines, warnings)])] = _fits(spec, [(X, y, [None])])
+    X = np.asarray(X, dtype=float)
+    return PairwiseSvm(classes, machines, X, 1.0 / X.shape[1], warnings)
 
 
 def predict_held_out(spec: ModelSpec, groups) -> Iterator[list]:

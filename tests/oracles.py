@@ -128,6 +128,20 @@ def svm_bias_interval(alpha, y, K, C):
     return lo, hi
 
 
+def kkt_max_violation(alpha, y, K, b, C):
+    """Largest violation of the soft-margin KKT conditions, vectorized."""
+    margins = y * (K @ (alpha * y) + b)
+    atol = 1e-9
+    zero = alpha <= atol
+    at_c = alpha >= C - atol
+    free = ~zero & ~at_c
+    v = np.zeros_like(margins)
+    v[zero] = np.maximum(0.0, 1.0 - margins[zero])
+    v[at_c] = np.maximum(0.0, margins[at_c] - 1.0)
+    v[free] = np.abs(margins[free] - 1.0)
+    return float(v.max()) if v.size else 0.0
+
+
 def svm_kkt_violation(alpha, y, K, b, C):
     """Largest complementary-slackness violation of a candidate solution."""
     f = (alpha * y) @ K + b

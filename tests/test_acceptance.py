@@ -27,16 +27,18 @@ from gradecast.features import (
 )
 from gradecast.ingest import build_dataset
 from gradecast.models import ModelSpec, train
-from gradecast.models.svm import dual_objective, kkt_max_violation, rbf_kernel, smo
+from gradecast.models.svm import rbf_kernel, smo
 from gradecast.rng import mix_seed
 from gradecast.selection import apply_variance_threshold
 from gradecast.synth import CohortConfig, generate_cohort
 
 from conftest import ACCEPTANCE_VERDICTS
 from oracles import (
+    kkt_max_violation,
     knn_oracle_predict,
     nb_oracle_predict,
     svm_bias_from_alpha,
+    svm_dual_objective,
     svm_dual_oracle,
     tree_oracle_predict,
     variance_oracle,
@@ -155,7 +157,7 @@ def test_criterion_04_smo_against_enumeration_oracle():
         worst_kkt = max(worst_kkt, kkt_max_violation(alpha, ysub, K, b, 1.0))
 
         oracle_alpha, oracle_obj = svm_dual_oracle(K, ysub, 1.0)
-        worst_gap = max(worst_gap, oracle_obj - dual_objective(alpha, ysub, K))
+        worst_gap = max(worst_gap, oracle_obj - svm_dual_objective(alpha, ysub, K))
 
         model = train(ModelSpec(kind="svm"), X, y)
         oracle_b = svm_bias_from_alpha(oracle_alpha, ysub, K, 1.0)

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,10 @@ from gradecast.evaluation import (
 )
 from gradecast.features import FeatureMatrix
 from gradecast.cli import main as cli_main
-from gradecast.models import ModelSpec, PredictionOutcome, dual, fit_folds, train, tree
-from gradecast.models.svm import rbf_kernel
+import gradecast.models as models
+from gradecast.models import (ModelSpec, PredictionOutcome, dual, predict_held_out,
+                              train, tree)
+from gradecast.rng import mix_seed
 from oracles import auroc_oracle, average_precision_oracle
 
 
@@ -122,7 +126,7 @@ class TestLoocvHarness:
             def predict(self, x):
                 return PredictionOutcome(3, np.array([0, 0, 1, 0, 0.0]))
 
-        monkeypatch.setattr(evaluation, "train", lambda spec, X, y: Stub())
+        monkeypatch.setitem(models._FITTERS, "majority", lambda spec, X, y: Stub())
         matrix = toy_matrix([[0.0], [1.0], [2.0]])
         sink = []
         loocv_matrix(matrix, np.array([1, 2, 3]), ModelSpec(kind="majority"),
@@ -145,6 +149,10 @@ class TestLoocvHarness:
 
 KERNEL_SPECS = (ModelSpec(kind="svm"),
                 ModelSpec(kind="regression", regression_backend="epsilon_svr"))
+FOLD_BY_FOLD_SPECS = (ModelSpec(kind="regression"), ModelSpec(kind="nb"),
+                      ModelSpec(kind="knn"), ModelSpec(kind="random", seed=7),
+                      ModelSpec(kind="majority"))
+ALL_SPECS = KERNEL_SPECS + (ModelSpec(kind="tree"),) + FOLD_BY_FOLD_SPECS
 
 
 def fold_training_sets(values, y, normalize, group="score"):
@@ -158,29 +166,21 @@ def fold_training_sets(values, y, normalize, group="score"):
     return sets, preps
 
 
-def probe_output(model, x):
-    """Every bit a fitted kernel model shows on one input."""
-    outcome = model.predict(x)
-    if hasattr(model, "pairs"):
-        k = rbf_kernel(model.X, x, model.gamma)[:, 0]
-        raw = [pair.decision(k) for pair in model.pairs]
-    else:
-        raw = [model.numeric_estimate(x)]
-    return outcome.grade, outcome.class_scores.tolist(), raw
-
-
 class TestBatchedFoldEngine:
-    """The SVM and SVR fit every fold in lock-step batches of dual solves."""
+    """Every model predicts its held-out rows through ``predict_held_out``."""
 
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.regression_backend
-                             if s.kind == "regression" else s.kind)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=models._model)
     def test_held_out_row_does_not_reach_its_fold_model(self, small_matrix, spec):
-        # Mutating row i changes the other folds' problems in the batch,
-        # never fold i's: batching must not couple problems.
+        # Every fold's training set is its own group, and a probe is the row
+        # each group holds out, so the duals of all folds meet in lock-step
+        # batches.  Mutating row i changes the other folds' problems in the
+        # batch, never fold i's: batching must not couple problems.  The
+        # probe is the mean row, whose SVR estimates are not clamped to the
+        # grade range, so its class scores show every fold's estimate.
         matrix, y = small_matrix
         rng = np.random.default_rng(88)
         values = matrix.values[:, :80]
-        probe = rng.uniform(0, 5, size=values.shape[1])
+        probe = values.mean(axis=0)
         for i in (0, 13, 39):
             mutated = values.copy()
             mutated[i] = mutated[i] * rng.uniform(0.5, 2.0) + rng.normal(
@@ -188,30 +188,35 @@ class TestBatchedFoldEngine:
             outputs = []
             for source in (values, mutated):
                 sets, preps = fold_training_sets(source, y, normalize=False)
-                models = list(fit_folds(spec, sets))
-                outputs.append([probe_output(m, p.transform(probe[None, :])[0])
-                                for m, p in zip(models, preps)])
+                groups = [(np.vstack([X, p.transform(probe[None, :])]), np.append(y_fold, 1),
+                           [y_fold.size]) for (X, y_fold), p in zip(sets, preps)]
+                outputs.append([(outcome.grade, outcome.class_scores.tobytes())
+                                for [(outcome, _)] in predict_held_out(spec, groups)])
             assert outputs[0][i] == outputs[1][i]
             assert sum(a != b for a, b in zip(*outputs)) > y.size // 2
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
     def test_each_fold_equals_a_standalone_train(self, small_matrix, normalize):
-        # The folds share kernels by transform group; selection (on "perf"
-        # columns) and a column only row 7 varies give several groups.
+        # The folds share one transformed matrix by transform group;
+        # selection (on "perf" columns) and a column only row 7 varies give
+        # several groups.  Fold i's model carries its own seed, and its
+        # held-out row is transformed by its own preprocessor.
         matrix, y = small_matrix
         values = matrix.values[:, :80].copy()
         values[:, 0] = 0.0
         values[7, 0] = 1.0
         sets, preps = fold_training_sets(values, y, normalize, group="perf")
         assert len({p.key() for p in preps}) > 1
-        for spec in KERNEL_SPECS:
+        for spec in ALL_SPECS:
             preds = loocv_matrix(toy_matrix(values, "perf"), y, spec,
                                  thresholds=(0.0, 0.0), normalize=normalize)
             for i, ((X, y_fold), prep) in enumerate(zip(sets, preps)):
-                alone = train(spec, X, y_fold).predict(
+                fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
+                alone = train(fold_spec, X, y_fold).predict(
                     prep.transform(values[i:i + 1])[0])
-                assert preds[i].outcome.grade == alone.grade
-                assert np.array_equal(preds[i].outcome.class_scores, alone.class_scores)
+                assert preds[i].outcome.grade == alone.grade, (models._model(spec), i)
+                assert (preds[i].outcome.class_scores.tobytes()
+                        == alone.class_scores.tobytes()), (models._model(spec), i)
 
     @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
     def test_artifacts_do_not_depend_on_jobs(self, tmp_path, extra):
@@ -263,8 +268,7 @@ class TestKernelFoldGroups:
     """SVM and SVR folds with equal transforms share one kernel on all rows."""
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: s.regression_backend
-                             if s.kind == "regression" else s.kind)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=models._model)
     def test_held_out_row_does_not_reach_its_fold_duals(self, small_matrix, spec,
                                                         normalize, monkeypatch):
         # Row i sits in its group's kernel, but fold i's duals and their
@@ -344,6 +348,56 @@ class TestTreeFoldGroups:
             outcome = alone.predict(prep.transform(values[i:i + 1])[0])
             assert preds[i].outcome.grade == outcome.grade
             assert np.array_equal(preds[i].outcome.class_scores, outcome.class_scores)
+
+
+def model_bits(model):
+    """Every bit a fitted model holds, field by field."""
+    return [(np.asarray(value).dtype.str, np.asarray(value).tobytes())
+            for value in (getattr(model, f.name) for f in fields(model))]
+
+
+def loo_fold_models(monkeypatch, matrix, y, spec, normalize):
+    """The bits of every fold's model on the leave-one-out path of a model
+    fitted fold by fold, by held-out row (told apart by the fold's seed)."""
+    fold_of = {mix_seed(spec.seed, i): i for i in range(y.size)}
+    assert len(fold_of) == y.size
+    key = models._model(spec)
+    fit = models._FITTERS[key]
+    fitted = {}
+
+    def recording(fold_spec, X, y_fold):
+        fitted[fold_of[fold_spec.seed]] = model = fit(fold_spec, X, y_fold)
+        return model
+
+    with monkeypatch.context() as patch:
+        patch.setitem(models._FITTERS, key, recording)
+        loocv_matrix(matrix, y, spec, normalize=normalize)
+    return [model_bits(fitted[i]) for i in range(y.size)]
+
+
+class TestFoldByFoldGroups:
+    """Linreg, nb, knn and the baselines fit fold i on its group's matrix
+    without row i."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("spec", FOLD_BY_FOLD_SPECS, ids=models._model)
+    def test_held_out_row_does_not_reach_its_fold_model(self, small_matrix, spec,
+                                                        normalize, monkeypatch):
+        # Row i sits in its group's matrix, but fold i's model must not
+        # change when it does; the other folds train on it, and the models
+        # that read the features change with it.
+        matrix, y = small_matrix
+        rng = np.random.default_rng(91)
+        for i in (0, 13, 39):
+            values = matrix.values.copy()
+            values[i] = values[i] * rng.uniform(0.5, 2.0) + rng.normal(
+                scale=3.0, size=values.shape[1])
+            mutated = FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, values)
+            before, after = (loo_fold_models(monkeypatch, m, y, spec, normalize)
+                             for m in (matrix, mutated))
+            assert before[i] == after[i]
+            if spec.kind in ("regression", "nb", "knn"):
+                assert sum(a != b for a, b in zip(before, after)) > y.size // 2
 
 
 class TestBasicMetrics:

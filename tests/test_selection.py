@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import gradecast.evaluation
+import gradecast.models
 from gradecast.features import assemble_feature_matrix
 from gradecast.models import ModelSpec
 from gradecast.selection import (
@@ -177,7 +177,7 @@ class TestSweep:
         def boom(spec, X, y):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(gradecast.evaluation, "train", boom)
+        monkeypatch.setitem(gradecast.models._FITTERS, "majority", boom)
         with pytest.raises(SweepFailure) as err:
             threshold_sweep(*small_matrix, ModelSpec(kind="majority"))
         assert err.value.thresholds == SWEEP_THRESHOLDS[0]

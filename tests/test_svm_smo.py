@@ -3,16 +3,13 @@ import pytest
 
 from gradecast.models import ModelSpec, dual, train
 from gradecast.models.base import linear_kernel
-from gradecast.models.svm import (
-    dual_objective,
-    kkt_max_violation,
-    rbf_kernel,
-    smo,
-)
+from gradecast.models.svm import rbf_kernel, smo
 from helpers import svr_dual
 from oracles import (
     dual_solve_reference,
+    kkt_max_violation,
     svm_bias_interval,
+    svm_dual_objective,
     svm_dual_oracle,
     svm_kkt_violation,
     svr_kkt_violation,
@@ -114,7 +111,7 @@ class TestSmoSolver:
                 for cap in range(1, iterations + 1):
                     patch.setattr(dual, "MAX_ITER", cap)
                     alpha, _, _, _ = smo(K, y, 1.0)
-                    trace.append(dual_objective(alpha, y, K))
+                    trace.append(svm_dual_objective(alpha, y, K))
             assert trace
             assert np.diff(np.array([0.0] + trace)).min() > -1e-10
 
@@ -146,7 +143,7 @@ class TestSmoSolver:
         assert converged
         assert alpha == pytest.approx([1.0, 1.0])
         assert b == pytest.approx(0.0, abs=1e-12)
-        assert dual_objective(alpha, y, K) == pytest.approx(1.0)
+        assert svm_dual_objective(alpha, y, K) == pytest.approx(1.0)
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(14)
@@ -155,7 +152,7 @@ class TestSmoSolver:
             alpha, b, converged, _ = smo(K, y, 1.0)
             assert converged
             _, best = svm_dual_oracle(K, y, 1.0)
-            got = dual_objective(alpha, y, K)
+            got = svm_dual_objective(alpha, y, K)
             assert got <= best + 1e-9
             assert best - got <= 1e-4
 
@@ -240,7 +237,7 @@ class TestSolverMatchesReference:
 
     @staticmethod
     def svm_pair_problem(rng):
-        # A pair's dual uses a subset of its fold kernel's rows, as in svm.fit_folds.
+        # A pair's dual uses a subset of its fold kernel's rows, as in svm._plan.
         K, y = random_problem(rng, n_max=14, d_max=4)
         rows = np.sort(rng.choice(y.size, size=int(rng.integers(2, y.size + 1)),
                                   replace=False))
