@@ -4,9 +4,12 @@ Each fold holds out one student.  Feature selection and normalization
 statistics are fitted on the remaining rows only, the model is retrained,
 and the held-out row is transformed with the fold's own statistics before
 prediction, so nothing about the held-out student leaks into fold
-preparation.  ``global_prep=True`` switches to the fit-once alternative for
-comparison.  Folds are independent and deterministic: each derives its own
-seed from (master seed, fold index), so thread count cannot change results.
+preparation.  All folds' statistics come from one vectorized pass
+(``selection.fit_fold_preprocessors``), equal bit for bit to a fit on each
+fold's own rows.  ``global_prep=True`` switches to the fit-once alternative
+for comparison.  Folds are independent and deterministic: each derives its
+own seed from (master seed, fold index), so thread count cannot change
+results.
 
 Every model runs through one engine.  Folds are grouped by equal fitted
 preprocessor, and each group transforms all rows once (``_FoldGroups``);
@@ -24,7 +27,7 @@ import numpy as np
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
 from .models import ModelSpec, PredictionOutcome, predict_held_out
-from .selection import Preprocessor, fit_preprocessor
+from .selection import Preprocessor, fit_fold_preprocessors, fit_preprocessor
 
 N_GRADES = 5
 DEFAULT_THRESHOLDS = (0.02, 0.05)
@@ -67,19 +70,13 @@ def prepare_fold_preprocessors(matrix: FeatureMatrix,
                                thresholds: tuple[float, float],
                                normalize: bool,
                                global_prep: bool = False) -> list[Preprocessor]:
-    """One preprocessor per fold, each fitted without its held-out row."""
-    n = matrix.values.shape[0]
+    """One preprocessor per fold, each fitted without its held-out row, all
+    in one pass (``selection.fit_fold_preprocessors``)."""
     t_perf, t_subs = thresholds
     if global_prep:
         prep = fit_preprocessor(matrix.values, matrix.groups, t_perf, t_subs, normalize)
-        return [prep] * n
-    preps = []
-    for i in range(n):
-        keep = np.ones(n, dtype=bool)
-        keep[i] = False
-        preps.append(fit_preprocessor(matrix.values[keep], matrix.groups,
-                                      t_perf, t_subs, normalize))
-    return preps
+        return [prep] * matrix.values.shape[0]
+    return fit_fold_preprocessors(matrix.values, matrix.groups, t_perf, t_subs, normalize)
 
 
 def _folds_by_transform(preps: list[Preprocessor]) -> list[list[int]]:

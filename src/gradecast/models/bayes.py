@@ -34,7 +34,7 @@ class GaussianNb:
 
 def fit(spec: ModelSpec, X, y) -> GaussianNb:
     X, y = validate_training_data(X, y)
-    classes = tuple(sorted(int(g) for g in np.unique(y)))
+    classes = tuple(sorted(set(y.tolist())))
     # Smoothing keeps zero-variance features usable: add a fixed fraction of
     # the largest single-feature variance over the whole training set.
     max_var = float(np.var(X, axis=0).max())

@@ -20,7 +20,8 @@ variable) array, so each problem's result is bit-identical to solving it
 alone, whatever else is in the batch.  ``solve_groups`` feeds it the
 problems of many training folds, a memory-bounded batch at a time; the
 folds of one group share one kernel, each fold's problems using its own
-rows of it.
+rows of it.  Folds of a group may hold the same problem, which is solved
+once for all of them.
 """
 from __future__ import annotations
 
@@ -145,57 +146,64 @@ def solve_groups(groups: Iterable, plan: Callable) -> Iterator[tuple]:
     """Solve the duals of every fold of every group in lock-step batches.
 
     ``plan(group)`` returns (K, problems, note): the group's kernel K and,
-    per fold, the list of that fold's duals on K.  Yields, per group in
-    order, (note, K, solutions), with ``solutions[f]`` the solutions of fold
-    f's duals.  Folds join a batch until its padded solver state (problems
-    times the widest problem's variables, 8 bytes each) reaches BLOCK_BYTES,
-    so one group's folds may span batches.  A group's kernel and duals are
-    kept until the group is yielded, and the rest of what ``plan`` reads can
-    be freed as soon as it returns.
+    per fold, the list of that fold's duals on K.  Folds of a group may hold
+    the same ``Problem`` object: each distinct problem of a group is solved
+    once, and every fold that holds it gets the same ``Solution``.  Yields,
+    per group in order, (note, K, solutions), with ``solutions[f]`` the
+    solutions of fold f's duals.  Folds join a batch until its padded solver
+    state (distinct problems times the widest one's variables, 8 bytes each)
+    reaches BLOCK_BYTES, so one group's folds may span batches; a problem
+    solved in an earlier batch is not queued again.  A group's kernel and
+    duals are kept until the group is yielded, and the rest of what ``plan``
+    reads can be freed as soon as it returns.
     """
     planned: list[_Group] = []
-    batch: list[tuple[_Group, int]] = []     # (group, fold) not solved yet
-    count = width = 0
+    batch: list[tuple[_Group, Problem]] = []     # distinct problems not solved yet
+    width = 0
     for group in groups:
         K, problems, note = plan(group)
-        planned.append(_Group(note, K, problems, [None] * len(problems)))
-        for f, probs in enumerate(problems):
-            batch.append((planned[-1], f))
-            count += len(probs)
-            width = max([width, *(prob.s.size for prob in probs)])
-            if count * width * 8 >= BLOCK_BYTES:
+        planned.append(_Group(note, K, problems, {}))
+        for probs in problems:
+            for prob in probs:
+                if prob not in planned[-1].solved:
+                    planned[-1].solved[prob] = None
+                    batch.append((planned[-1], prob))
+                    width = max(width, prob.s.size)
+            if len(batch) * width * 8 >= BLOCK_BYTES:
                 _solve_batch(batch)
-                batch, count, width = [], 0, 0
-        while planned and None not in planned[0].solutions:
-            done = planned.pop(0)
-            yield done.note, done.K, done.solutions
+                batch, width = [], 0
+        while planned and planned[0].done():
+            yield planned[0].result()
+            planned.pop(0)
     if batch:
         _solve_batch(batch)
     for done in planned:
-        yield done.note, done.K, done.solutions
+        yield done.result()
 
 
 @dataclass(eq=False)
 class _Group:
     note: object
     K: np.ndarray
-    problems: list[list[Problem]]           # per fold
-    solutions: list[list[Solution] | None]  # per fold, once solved
+    problems: list[list[Problem]]               # per fold
+    solved: dict[Problem, Solution | None]      # each distinct problem, once queued
+
+    def done(self) -> bool:
+        return None not in self.solved.values()
+
+    def result(self) -> tuple:
+        return self.note, self.K, [[self.solved[prob] for prob in probs]
+                                   for probs in self.problems]
 
 
-def _solve_batch(batch: list[tuple[_Group, int]]) -> None:
-    """Solve the folds (group, fold) of ``batch`` in one call, one kernel per group."""
-    runs = [(group, [f for _, f in folds])
-            for group, folds in groupby(batch, key=lambda entry: entry[0])]
-    solved = solve([group.K for group, _ in runs],
-                   [[prob for f in folds for prob in group.problems[f]]
-                    for group, folds in runs])
-    for (group, folds), solutions in zip(runs, solved):
-        start = 0
-        for f in folds:
-            stop = start + len(group.problems[f])
-            group.solutions[f] = solutions[start:stop]
-            start = stop
+def _solve_batch(batch: list[tuple[_Group, Problem]]) -> None:
+    """Solve the problems (group, problem) of ``batch`` in one call, one
+    kernel per group."""
+    runs = [(group, [prob for _, prob in entries])
+            for group, entries in groupby(batch, key=lambda entry: entry[0])]
+    solved = solve([group.K for group, _ in runs], [probs for _, probs in runs])
+    for (group, probs), solutions in zip(runs, solved):
+        group.solved.update(zip(probs, solutions))
 
 
 def rho(a: np.ndarray, s: np.ndarray, G: np.ndarray, C: float) -> float:

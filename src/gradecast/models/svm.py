@@ -17,6 +17,11 @@ Leave-one-out folds that share a transform share one kernel
 fold i's pair duals use its rows other than i, and fold i votes on column i
 of the same kernel.  ``rbf_kernel`` computes each entry from its two rows
 alone, so every fold is bit-identical to a machine trained on its own rows.
+Fold i's dual for a pair (l, u) that does not contain row i's grade is the
+dual on the group's rows of grade l or u, the same in every such fold: the
+group builds it once, ``dual.solve_groups`` solves it once, and one pair
+machine serves all those folds.  Fold i builds only the pairs of its own
+grade, at most four.
 """
 from __future__ import annotations
 
@@ -113,38 +118,60 @@ class PairwiseSvm:
 def _plan(spec: ModelSpec, X, y, held):
     """The kernel of one matrix and the pair duals of each fold on it, for
     ``dual.solve_groups``: fold f trains on every row but ``held[f]``, or on
-    every row when that is None."""
+    every row when that is None.
+
+    The dual of pair (l, u) on every row is built once, and every fold whose
+    held-out grade is neither l nor u holds that same ``Problem``.  A fold
+    builds only the pairs of its held-out grade, without that row; a grade
+    whose only row is held out leaves the fold's classes.
+    """
     X, y = validate_training_data(X, y)
     K = rbf_kernel(X, X, 1.0 / X.shape[1])
-    folds = []
+    present = sorted(set(y.tolist()))
+    count = np.bincount(y)
+    shared = {}
+    for a_pos, lower in enumerate(present):
+        for upper in present[a_pos + 1:]:
+            rows = np.flatnonzero((y == lower) | (y == upper))
+            s = np.where(y[rows] == lower, 1.0, -1.0)
+            shared[lower, upper] = (rows, s, _pair_problem(rows, s, spec.C))
+    folds, problems = [], []
     for r in held:
-        rows = np.arange(y.size) if r is None else np.delete(np.arange(y.size), r)
-        labels = y[rows]
-        classes = tuple(sorted(int(g) for g in np.unique(labels)))
-        pairs = []
+        grade = None if r is None else int(y[r])
+        classes = tuple(g for g in present if g != grade or count[g] > 1)
+        pairs, probs = [], []
         for a_pos, lower in enumerate(classes):
             for upper in classes[a_pos + 1:]:
-                idx = np.flatnonzero((labels == lower) | (labels == upper))
-                pairs.append((lower, upper, rows[idx],
-                              np.where(labels[idx] == lower, 1.0, -1.0)))
+                rows, s, prob = shared[lower, upper]
+                if grade in (lower, upper):
+                    keep = rows != r
+                    rows, s = rows[keep], s[keep]
+                    prob = _pair_problem(rows, s, spec.C)
+                pairs.append((lower, upper, rows, s))
+                probs.append(prob)
         folds.append((r, classes, pairs))
-    problems = [[_pair_problem(rows, s, spec.C) for _, _, rows, s in pairs]
-                for _, _, pairs in folds]
+        problems.append(probs)
     return K, problems, folds
 
 
 def _fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
     """Per group (X, y, held) of ``groups``, its kernel and, per fold, (held
-    row, classes, pair machines, warnings)."""
+    row, classes, pair machines, warnings).  Folds that share a dual share
+    its machine."""
     for folds, K, solutions in dual.solve_groups(groups, lambda g: _plan(spec, *g)):
+        machine_of = {}
         fits = []
         for (r, classes, pairs), sols in zip(folds, solutions):
             machines, warnings = [], []
-            for (lower, upper, rows, s), (alpha, rho, converged, _) in zip(pairs, sols):
+            for (lower, upper, rows, s), sol in zip(pairs, sols):
+                alpha, rho, converged, _ = sol
                 if not converged:
                     warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
-                sv = alpha > 1e-12
-                machines.append(PairMachine(lower, upper, rows[sv], alpha[sv] * s[sv], -rho))
+                if id(sol) not in machine_of:
+                    sv = alpha > 1e-12
+                    machine_of[id(sol)] = PairMachine(lower, upper, rows[sv],
+                                                      alpha[sv] * s[sv], -rho)
+                machines.append(machine_of[id(sol)])
             fits.append((r, classes, tuple(machines), tuple(warnings)))
         yield K, fits
 

@@ -18,7 +18,10 @@ tree equals the one a per-node sort of the rows would give.
 share a transform share one grower (``predict_held_out``): fold i grows on
 every row but i, from the full histogram minus row i's counts.  A code that
 only row i holds counts zero at every node of that tree, so no cut uses it,
-and nothing in fold i's tree depends on row i.
+and nothing in fold i's tree depends on row i.  A subtree depends only on
+its rows and the grower's codes, so a grower keeps every subtree it grows,
+keyed by its rows: a fold whose node has the rows of one an earlier fold
+grew reuses that subtree and computes no histogram for it.
 
 Nodes grow until pure or until no split strictly reduces weighted impurity;
 there is no pruning or depth limit.  Leaf class scores are the training
@@ -77,8 +80,9 @@ class Grower:
     """Decision trees on the rows of one matrix, or on all its rows but one.
 
     Holds the value codes of ``X`` and the histogram of all its rows, which
-    growing only reads.  Every row must pass the training-data checks, a
-    left-out one too.
+    growing only reads, and every subtree grown so far, which later trees
+    reuse.  Every row must pass the training-data checks, a left-out one
+    too.
     """
 
     def __init__(self, X, y):
@@ -100,6 +104,7 @@ class Grower:
         # Flat histogram bin of every entry: its grade's row, then its code.
         self.bins += ((y - 1) * self.n_codes)[:, None]
         self.full = self.histogram(np.arange(n))
+        self.subtrees = {}       # rows.tobytes() -> the subtree grown on those rows
 
     def histogram(self, rows: np.ndarray) -> np.ndarray:
         """Counts of ``rows`` per (grade - 1, code)."""
@@ -109,11 +114,15 @@ class Grower:
     def tree(self, without: int | None = None) -> DecisionTree:
         """The tree grown on every row, or on every row but ``without``."""
         rows = np.arange(self.y.size)
-        hist = self.full.copy()
         if without is not None:
             rows = np.delete(rows, without)
-            hist.reshape(-1)[self.bins[without]] -= 1
-        return DecisionTree(self._grow(rows, hist), self.X.shape[1])
+        root = self.subtrees.get(rows.tobytes())
+        if root is None:
+            hist = self.full.copy()
+            if without is not None:
+                hist.reshape(-1)[self.bins[without]] -= 1
+            root = self._grow(rows, hist)
+        return DecisionTree(root, self.X.shape[1])
 
     def best_split(self, hist: np.ndarray, counts: np.ndarray, n: int):
         """Best (feature, threshold) of a node, or None when no split gains.
@@ -150,23 +159,35 @@ class Grower:
         return int(self.column[cut]), float(threshold)
 
     def _grow(self, rows: np.ndarray, hist: np.ndarray):
-        """The subtree on ``rows``, whose histogram ``hist`` it consumes."""
+        """The subtree on ``rows``, whose histogram ``hist`` it consumes.
+
+        ``rows`` ascend and have no subtree yet.  A child whose rows already
+        have one, grown for another fold, reuses it and needs no histogram.
+        """
         counts = np.bincount(self.y[rows], minlength=N_GRADES + 1)[1:]
         n = rows.size
-        if counts.max() == n:
-            return _leaf(counts, n)
-        split = self.best_split(hist, counts, n)
+        split = None if counts.max() == n else self.best_split(hist, counts, n)
         if split is None:
-            return _leaf(counts, n)
-        feature, threshold = split
-        goes_left = self.X[rows, feature] <= threshold
-        left, right = rows[goes_left], rows[~goes_left]
-        small = left if left.size <= right.size else right
-        small_hist = self.histogram(small)
-        hist -= small_hist                         # now the larger child's
-        left_hist, right_hist = (small_hist, hist) if small is left else (hist, small_hist)
-        return _Split(feature, threshold, self._grow(left, left_hist),
-                      self._grow(right, right_hist))
+            node = _leaf(counts, n)
+        else:
+            feature, threshold = split
+            goes_left = self.X[rows, feature] <= threshold
+            kids = rows[goes_left], rows[~goes_left]
+            grown = [self.subtrees.get(kid.tobytes()) for kid in kids]
+            if None in grown:
+                small = 0 if kids[0].size <= kids[1].size else 1
+                hists = [None, None]
+                hists[small] = self.histogram(kids[small])
+                if grown[1 - small] is None:
+                    hist -= hists[small]                # now the larger child's
+                    hists[1 - small] = hist
+                # Both histograms exist before either child consumes its own.
+                for k in (0, 1):
+                    if grown[k] is None:
+                        grown[k] = self._grow(kids[k], hists[k])
+            node = _Split(feature, threshold, *grown)
+        self.subtrees[rows.tobytes()] = node
+        return node
 
 
 def fit(spec: ModelSpec, X, y) -> DecisionTree:

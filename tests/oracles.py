@@ -32,7 +32,7 @@ from gradecast.ingest import (
     _numbered_rows,
 )
 from gradecast.rng import substream
-from gradecast.selection import SelectionMask
+from gradecast.selection import SelectionMask, fit_preprocessor
 
 
 # ---------------------------------------------------------------- SVM dual
@@ -418,6 +418,19 @@ def column_variance(values: np.ndarray, column: int) -> float:
     """Population variance of one column."""
     col = np.asarray(values, dtype=float)[:, column]
     return float(np.mean((col - col.mean()) ** 2))
+
+
+def reference_fold_preprocessors(values, groups, t_perf, t_subs, normalize):
+    """Every leave-one-out fold's preprocessor, fitted on its own rows one
+    fold at a time."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    preps = []
+    for i in range(n):
+        keep = np.ones(n, dtype=bool)
+        keep[i] = False
+        preps.append(fit_preprocessor(values[keep], groups, t_perf, t_subs, normalize))
+    return preps
 
 
 def apply_mask(matrix: FeatureMatrix, mask: SelectionMask) -> FeatureMatrix:

@@ -213,6 +213,25 @@ class TestEvaluate:
         assert '"jobs"' not in header
         assert '"command": "evaluate"' in header
 
+    def test_evaluate_does_not_import_numpy_ma(self, cohort_dir, tmp_path):
+        # numpy 2's np.unique without return_* arguments imports numpy.ma, a
+        # cost of milliseconds paid by every process that calls it.
+        script = (
+            "import sys, numpy\n"
+            "if 'numpy.ma' in sys.modules: sys.exit(77)\n"
+            "from gradecast.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))\n")
+        src = str(Path(gradecast.__file__).parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "evaluate", *inputs(cohort_dir), "--model", "all",
+             "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True)
+        if done.returncode == 77:
+            pytest.skip("importing numpy alone loads numpy.ma")
+        assert done.returncode == 0, done.stderr
+
 
 class TestColumnarPath:
     def test_extract_and_evaluate_build_no_event_objects(self, cohort_dir, tmp_path,
@@ -305,3 +324,16 @@ class TestSweep:
         first = (tmp_path / "sweep.csv").read_bytes()
         assert main(args) == 0
         assert (tmp_path / "sweep.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("model", ["svm", "tree"])
+    def test_sweep_artifacts_do_not_depend_on_jobs(self, cohort_dir, tmp_path, model, extra):
+        artifacts = []
+        for jobs in (1, 4):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["sweep", *inputs(cohort_dir), "--model", model, *extra,
+                         "--jobs", str(jobs), "--out-dir", str(out)]) == 0
+            artifacts.append({"sweep.csv": (out / "sweep.csv").read_bytes().split(b"\n", 1)[1],
+                              "mask.json": (out / "mask.json").read_bytes()})
+        assert sorted(f.name for f in out.iterdir()) == ["mask.json", "sweep.csv"]
+        assert artifacts[0] == artifacts[1]

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import fields, replace
 
 import numpy as np
@@ -287,6 +288,82 @@ class TestKernelFoldGroups:
             assert sum(a != b for a, b in zip(before, after)) > y.size // 2
 
 
+def svm_plans(monkeypatch, matrix, y, normalize):
+    """Each group's (labels, fold notes, fold duals) as the SVM's leave-one-out
+    path plans them, every problem handed to the solver, and the predictions."""
+    plans, solved = [], []
+    solve_groups, solve = dual.solve_groups, dual.solve
+
+    def recording_groups(groups, plan):
+        def planning(group):
+            K, problems, note = plan(group)
+            plans.append((np.asarray(group[1]), note, problems))
+            return K, problems, note
+        return solve_groups(groups, planning)
+
+    def recording_solve(kernels, problems):
+        solved.extend(prob for probs in problems for prob in probs)
+        return solve(kernels, problems)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dual, "solve_groups", recording_groups)
+        patch.setattr(dual, "solve", recording_solve)
+        preds = loocv_matrix(matrix, y, ModelSpec(kind="svm"), normalize=normalize)
+    return plans, solved, preds
+
+
+class TestSharedPairDuals:
+    """A group builds each full-pair SVM dual once; fold i builds only the
+    pairs of its held-out grade."""
+
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_folds_hold_the_group_dual_of_every_pair_without_their_grade(
+            self, small_matrix, normalize, monkeypatch):
+        matrix, y = small_matrix
+        plans, solved, _ = svm_plans(monkeypatch, matrix, y, normalize)
+        distinct = set()
+        for labels, folds, problems in plans:
+            full, own = {}, []
+            for (r, _, pairs), probs in zip(folds, problems):
+                for (lower, upper, _, _), prob in zip(pairs, probs):
+                    rows = np.flatnonzero((labels == lower) | (labels == upper))
+                    if labels[r] in (lower, upper):
+                        own.append(prob)
+                        rows = rows[rows != r]
+                    else:
+                        assert full.setdefault((lower, upper), prob) is prob
+                    assert prob.rows.tolist() == rows.tolist()
+            group = {id(prob) for probs in problems for prob in probs}
+            assert len(group) == len(full) + len(own)
+            distinct |= group
+        # Every distinct dual is solved, and once.
+        assert Counter(map(id, solved)) == Counter(distinct)
+
+    def test_a_dual_shared_across_batches_is_solved_once(self, small_matrix, monkeypatch):
+        # With the smallest batch bound every fold is its own batch.
+        matrix, y = small_matrix
+        _, _, preds = svm_plans(monkeypatch, matrix, y, False)
+        monkeypatch.setattr(dual, "BLOCK_BYTES", 1)
+        _, solved, split = svm_plans(monkeypatch, matrix, y, False)
+        assert max(Counter(map(id, solved)).values()) == 1
+        assert ([(p.outcome.grade, p.outcome.class_scores.tobytes()) for p in preds]
+                == [(p.outcome.grade, p.outcome.class_scores.tobytes()) for p in split])
+
+    def test_a_grade_whose_only_row_is_held_out_leaves_the_fold(self, small_matrix,
+                                                                 monkeypatch):
+        matrix, y = small_matrix
+        y = y.copy()
+        only = int(np.flatnonzero(y == 2)[0])
+        y[(y == 2) & (np.arange(y.size) != only)] = 3
+        plans, _, preds = svm_plans(monkeypatch, matrix, y, False)
+        for labels, folds, _ in plans:
+            for r, classes, pairs in folds:
+                assert (2 in classes) == (r != only)
+                assert all(2 not in (lower, upper) for lower, upper, _, _ in pairs) \
+                    == (r == only)
+        assert preds[only].outcome.class_scores[1] == 0.0
+
+
 def tree_nodes(node):
     """Every bit a fitted tree holds, in preorder."""
     if hasattr(node, "threshold"):
@@ -348,6 +425,34 @@ class TestTreeFoldGroups:
             outcome = alone.predict(prep.transform(values[i:i + 1])[0])
             assert preds[i].outcome.grade == outcome.grade
             assert np.array_equal(preds[i].outcome.class_scores, outcome.class_scores)
+
+
+class TestSharedSubtrees:
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    def test_a_grower_splits_each_row_set_once(self, small_matrix, normalize,
+                                               monkeypatch):
+        # The rows of the node being split are those of the innermost _grow.
+        matrix, y = small_matrix
+        stack, splits = [], Counter()
+        grow, best_split = tree.Grower._grow, tree.Grower.best_split
+
+        def recording_grow(grower, rows, hist):
+            stack.append(rows.tobytes())
+            try:
+                return grow(grower, rows, hist)
+            finally:
+                stack.pop()
+
+        def recording_split(grower, hist, counts, n):
+            splits[grower, stack[-1]] += 1     # holds the grower, so no id is reused
+            return best_split(grower, hist, counts, n)
+
+        monkeypatch.setattr(tree.Grower, "_grow", recording_grow)
+        monkeypatch.setattr(tree.Grower, "best_split", recording_split)
+        trees, _ = loo_trees(monkeypatch, matrix, y, normalize)
+        assert max(splits.values()) == 1
+        # The folds' trees share subtrees: fewer splits searched than they hold.
+        assert sum(splits.values()) < sum(len(t) for t in trees) // 2
 
 
 def model_bits(model):

@@ -1,21 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import gradecast.models
 from gradecast.features import assemble_feature_matrix
+from gradecast.ingest import build_dataset
 from gradecast.models import ModelSpec
 from gradecast.selection import (
     SWEEP_THRESHOLDS,
     Preprocessor,
     SweepFailure,
     apply_variance_threshold,
+    fit_fold_preprocessors,
     fit_preprocessor,
     threshold_sweep,
     variance_mask,
     write_mask_json,
 )
+from gradecast.synth import CohortConfig, generate_cohort
 from helpers import dataset_from, event, record
-from oracles import apply_mask, column_variance, minmax_normalize, variance_oracle
+from oracles import (apply_mask, column_variance, minmax_normalize,
+                     reference_fold_preprocessors, variance_oracle)
 
 
 def matrix_of(values, groups):
@@ -162,6 +168,90 @@ class TestPreprocessor:
                 got = prep.transform(values)
                 assert np.array_equal(got, want)
                 assert got.flags.f_contiguous and not np.shares_memory(got, values)
+
+
+def assert_fold_preprocessors_match(values, groups):
+    """Every fold's preprocessor equals the fold-by-fold fit, at every sweep
+    threshold pair, raw and normalized."""
+    for t_perf, t_subs in SWEEP_THRESHOLDS:
+        for normalize in (False, True):
+            got = fit_fold_preprocessors(values, groups, t_perf, t_subs, normalize)
+            want = reference_fold_preprocessors(values, groups, t_perf, t_subs, normalize)
+            assert len(got) == len(want)
+            for i, (a, b) in enumerate(zip(got, want)):
+                where = (t_perf, t_subs, normalize, i)
+                assert a.kept.tolist() == b.kept.tolist(), where
+                for x, y in ((a.mins, b.mins), (a.ranges, b.ranges)):
+                    assert (x is None) == (y is None), where
+                    if x is not None:
+                        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), where
+                assert a.key() == b.key(), where
+
+
+# Column values chosen to sit on the edges of the one-pass formula: constants
+# a sum of copies of which is inexact (np.var then gives a tiny positive
+# variance), large offsets, and values whose spread puts a variance near a
+# sweep threshold.
+CONSTANTS = (0.0, 1.0, 3.0, 0.1, 0.3, 2.5, 1e6 + 0.1)
+SPREADS = (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.45, 0.6)
+
+
+@st.composite
+def fold_matrices(draw):
+    n = draw(st.integers(2, 12))
+    columns, groups = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("counts", "constant", "one_off", "offset", "uniform")))
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        if kind == "counts":            # ties at the min and the max
+            col = rng.integers(0, draw(st.integers(1, 4)) + 1, size=n).astype(float)
+        elif kind == "constant":
+            col = np.full(n, draw(st.sampled_from(CONSTANTS)))
+        elif kind == "one_off":         # constant except in one row
+            col = np.full(n, draw(st.sampled_from(CONSTANTS)))
+            col[draw(st.integers(0, n - 1))] = draw(st.sampled_from(CONSTANTS + (-2.0, 9.0)))
+        elif kind == "offset":          # about 1e6 plus a spread near a threshold
+            col = (draw(st.sampled_from((1e3, 1e6, -1e6)))
+                   + draw(st.sampled_from(SPREADS)) * rng.integers(-1, 2, size=n))
+        else:
+            col = rng.random(n) * draw(st.sampled_from((1.0, 0.5, 100.0)))
+        columns.append(col)
+        groups.append(draw(st.sampled_from(("perf", "subs", "score"))))
+    return np.column_stack(columns), tuple(groups)
+
+
+class TestFoldPreprocessors:
+    """``fit_fold_preprocessors`` against the fold-by-fold loop."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fold_matrices())
+    @example((np.array([[0.1], [0.1]]), ("perf",)))
+    @example((np.array([[0.1], [0.1], [0.1], [0.5]]), ("subs",)))
+    @example((np.array([[1.0], [1.0], [1.0]]), ("perf",)))
+    def test_matches_fold_by_fold_fits(self, matrix):
+        assert_fold_preprocessors_match(*matrix)
+
+    def test_signed_zeros(self):
+        # A min over a tie of 0.0 and -0.0 keeps the one its reduction meets
+        # last; the runner-up rule cannot tell which.
+        values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 2.0],
+                           [1.0, -0.0, 2.0], [0.0, 3.0, -0.0]])
+        assert_fold_preprocessors_match(values, ("perf", "subs", "score"))
+
+    def test_default_and_benchmark_cohorts(self):
+        # The default cohort (seed 42) and the ten 40-student cohorts of the
+        # benchmark's leave-one-out workloads: seeds SeedSequence([42, 1, k]),
+        # the default grade distribution scaled to 40 students.
+        configs = [CohortConfig(seed=42)]
+        for k in range(10):
+            seed = int(np.random.SeedSequence([42, 1, k]).generate_state(1)[0])
+            configs.append(CohortConfig(n_students=40, grade_counts=(4, 2, 3, 12, 19),
+                                        seed=seed))
+        for config in configs:
+            matrix = assemble_feature_matrix(build_dataset(*generate_cohort(config)))
+            assert_fold_preprocessors_match(matrix.values, matrix.groups)
 
 
 class TestSweep:
