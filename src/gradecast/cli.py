@@ -142,17 +142,27 @@ class _Settings:
             try:
                 with open(args.config, encoding="utf-8") as fh:
                     self.config = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            except (OSError, ValueError) as exc:    # ValueError: not UTF-8 or not JSON
                 raise UsageError(f"cannot read config {args.config}: {exc}") from exc
             if not isinstance(self.config, dict):
                 raise UsageError(f"config {args.config} must hold a JSON object")
         self.args = args
         self.resolved: dict[str, object] = {}
 
-    def get(self, key: str, default):
+    def get(self, key: str, default, convert):
+        """The flag's value, else the config's converted by ``convert``, else ``default``.
+
+        Flags arrive converted by argparse; a config value that ``convert``
+        rejects is a UsageError naming the key.
+        """
         value = getattr(self.args, key, None)
-        if value is None:
-            value = self.config.get(key, default)
+        if value is None and key in self.config:
+            try:
+                value = convert(self.config[key])
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
+        elif value is None:
+            value = default
         self.resolved[key] = value
         return value
 
@@ -177,39 +187,58 @@ class UsageError(Exception):
     pass
 
 
+# Converters of config values: each takes what a JSON config may hold for
+# its key and raises TypeError, ValueError or ArgumentTypeError otherwise.
+# A value that a flag also takes is converted from the flag's text.
+
+def _flag_text(value) -> str:
+    """The text of the flag that gives ``value``: a JSON list joined by commas."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def _as_int(value) -> int:
+    return int(str(value))          # so 1.9 and true are no ints, as for a flag
+
+
+def _as_float(value) -> float:
+    return float(str(value))        # so true is no number, as for a flag
+
+
 def _as_models(value) -> tuple[str, ...]:
-    try:
-        if isinstance(value, str):
-            return _models_arg(value)
-        return _models_arg(",".join(value))
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(str(exc)) from None
+    return _models_arg(_flag_text(value))
 
 
 def _as_thresholds(value) -> tuple[float, float]:
-    if isinstance(value, str):
-        try:
-            return _thresholds_arg(value)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(str(exc)) from None
-    pair = tuple(float(v) for v in value)
-    if len(pair) != 2:
-        raise UsageError("thresholds must be a pair t_perf,t_subs")
-    return pair
+    return _thresholds_arg(_flag_text(value))
+
+
+def _as_grade_counts(value) -> tuple[int, ...]:
+    return _grade_counts_arg(_flag_text(value))
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _load_inputs(settings: _Settings):
-    sub_path = settings.get("submissions", None)
-    gb_path = settings.get("gradebook", None)
+    sub_path = settings.get("submissions", None, _as_text)
+    gb_path = settings.get("gradebook", None, _as_text)
     if not sub_path or not gb_path:
         raise UsageError("--submissions and --gradebook are required")
-    for path in (sub_path, gb_path):
-        if not os.path.exists(path):
-            raise UsageError(f"input file not found: {path}")
     try:
         dataset, repairs = load_dataset(sub_path, gb_path)
     except IngestError as exc:
         raise UsageError(str(exc)) from exc
+    except OSError as exc:          # a missing file, a directory, no permission
+        raise UsageError(f"cannot read input: {exc}") from exc
     for count, what in ((repairs.dropped, "dropped after a correct answer"),
                         (repairs.renumbered, "re-numbered")):
         if count:
@@ -219,46 +248,36 @@ def _load_inputs(settings: _Settings):
 
 
 def _model_spec(name: str, settings: _Settings, seed: int) -> ModelSpec:
-    c = float(settings.get("c", 1.0))
-    k = int(settings.get("k", 5))
-    epsilon = float(settings.get("epsilon", 0.1))
-    if name == "svm":
-        return ModelSpec(kind="svm", C=c, seed=seed)
-    if name == "linreg":
-        return ModelSpec(kind="regression", regression_backend="least_squares", seed=seed)
-    if name == "svr":
-        return ModelSpec(kind="regression", regression_backend="epsilon_svr",
-                         C=c, epsilon=epsilon, seed=seed)
-    if name == "tree":
-        return ModelSpec(kind="tree", seed=seed)
-    if name == "nb":
-        return ModelSpec(kind="nb", seed=seed)
-    if name == "knn":
-        return ModelSpec(kind="knn", k=k, seed=seed)
-    if name == "random":
-        return ModelSpec(kind="random", seed=seed)
-    if name == "majority":
-        return ModelSpec(kind="majority", seed=seed)
-    raise UsageError(f"unknown model {name!r}")
+    c = settings.get("c", 1.0, _as_float)
+    k = settings.get("k", 5, _as_int)
+    epsilon = settings.get("epsilon", 0.1, _as_float)
+    params = {
+        "svm": dict(kind="svm", C=c),
+        "linreg": dict(kind="regression", regression_backend="least_squares"),
+        "svr": dict(kind="regression", regression_backend="epsilon_svr", C=c, epsilon=epsilon),
+        "tree": dict(kind="tree"),
+        "nb": dict(kind="nb"),
+        "knn": dict(kind="knn", k=k),
+        "random": dict(kind="random"),
+        "majority": dict(kind="majority"),
+    }[name]
+    try:
+        return ModelSpec(**params, seed=seed)
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def cmd_synth(settings: _Settings) -> int:
-    out_dir = settings.get("out_dir", ".") or "."
-    counts = settings.get("grade_counts", (26, 10, 22, 72, 119))
-    if isinstance(counts, str):
-        try:
-            counts = _grade_counts_arg(counts)
-        except argparse.ArgumentTypeError as exc:
-            raise UsageError(str(exc)) from None
+    out_dir = settings.get("out_dir", ".", _as_text) or "."
     try:
         config = CohortConfig(
-            n_students=int(settings.get("students", 249)),
-            n_questions=int(settings.get("questions", 409)),
-            boolean_question_fraction=float(settings.get("boolean_fraction", 0.2)),
-            ability_spread=float(settings.get("ability_spread", 1.5)),
-            difficulty_spread=float(settings.get("difficulty_spread", 1.0)),
-            grade_counts=tuple(int(c) for c in counts),
-            seed=int(settings.get("seed", 0)),
+            n_students=settings.get("students", 249, _as_int),
+            n_questions=settings.get("questions", 409, _as_int),
+            boolean_question_fraction=settings.get("boolean_fraction", 0.2, _as_float),
+            ability_spread=settings.get("ability_spread", 1.5, _as_float),
+            difficulty_spread=settings.get("difficulty_spread", 1.0, _as_float),
+            grade_counts=settings.get("grade_counts", (26, 10, 22, 72, 119), _as_grade_counts),
+            seed=settings.get("seed", 0, _as_int),
         )
     except InfeasibleConfig as exc:
         raise UsageError(str(exc)) from exc
@@ -271,8 +290,8 @@ def cmd_synth(settings: _Settings) -> int:
 
 def cmd_extract(settings: _Settings) -> int:
     dataset = _load_inputs(settings)
-    out_dir = settings.get("out_dir", ".") or "."
-    settings.get("seed", 0)
+    out_dir = settings.get("out_dir", ".", _as_text) or "."
+    settings.get("seed", 0, _as_int)
     matrix = assemble_feature_matrix(dataset)
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "features.csv")
@@ -284,13 +303,13 @@ def cmd_extract(settings: _Settings) -> int:
 
 def cmd_evaluate(settings: _Settings) -> int:
     dataset = _load_inputs(settings)
-    names = _as_models(settings.get("model", ALL_MODELS))
-    thresholds = _as_thresholds(settings.get("thresholds", (0.02, 0.05)))
-    normalize = bool(settings.get("normalize", False))
-    global_prep = bool(settings.get("global_prep", False))
-    jobs = int(settings.get("jobs", 1))
-    seed = int(settings.get("seed", 0))
-    out_dir = settings.get("out_dir", ".") or "."
+    names = settings.get("model", ALL_MODELS, _as_models)
+    thresholds = settings.get("thresholds", (0.02, 0.05), _as_thresholds)
+    normalize = settings.get("normalize", False, _as_bool)
+    global_prep = settings.get("global_prep", False, _as_bool)
+    jobs = settings.get("jobs", 1, _as_int)
+    seed = settings.get("seed", 0, _as_int)
+    out_dir = settings.get("out_dir", ".", _as_text) or "."
     specs = {name: _model_spec(name, settings, seed) for name in names}
     header = settings.header("evaluate")
     os.makedirs(out_dir, exist_ok=True)
@@ -339,13 +358,13 @@ def cmd_evaluate(settings: _Settings) -> int:
 
 def cmd_sweep(settings: _Settings) -> int:
     dataset = _load_inputs(settings)
-    names = _as_models(settings.get("model", ("svm",)))
+    names = settings.get("model", ("svm",), _as_models)
     if len(names) != 1:
         raise UsageError("sweep takes exactly one model")
-    normalize = bool(settings.get("normalize", False))
-    jobs = int(settings.get("jobs", 1))
-    seed = int(settings.get("seed", 0))
-    out_dir = settings.get("out_dir", ".") or "."
+    normalize = settings.get("normalize", False, _as_bool)
+    jobs = settings.get("jobs", 1, _as_int)
+    seed = settings.get("seed", 0, _as_int)
+    out_dir = settings.get("out_dir", ".", _as_text) or "."
     spec = _model_spec(names[0], settings, seed)
     header = settings.header("sweep")
 

@@ -10,9 +10,11 @@ same dataset.
 
 A submission log in the form ``write_submissions`` writes is read columnar:
 numpy finds its lines and fields and converts whole columns, in blocks of
-whole lines bounded by BLOCK_BYTES.  Every other file goes through the CSV
-row reader, which defines the accepted format and every error; the two
-readers give the same log.
+whole lines bounded by BLOCK_BYTES.  The gradebook and every other log go
+through one CSV row reader (``_data_rows``), which checks the header, each
+row's width and that a data row follows the header, and numbers rows by
+physical line; it defines the accepted format and every error, and the two
+log readers give the same log.
 
 Repairs are preferred over rejection where the log is merely untidy:
 attempt numbers are re-issued densely in timestamp order, and submissions
@@ -340,42 +342,25 @@ def _first_undecodable_line(path) -> int:
     raise AssertionError(f"{path} decodes as UTF-8")
 
 
-class _DataRows:
-    """The fields of every data line of a CSV file, as ``_numbered_rows``
-    gives them, without counting physical lines.
+def _data_rows(path, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) of every data row of a CSV file that starts
+    with ``header``, as ``_numbered_rows`` gives them.
 
-    One CSV reader reads the data lines.  ``line_no`` is the physical line of
-    the row returned last; it is found only when asked for, to report a bad
-    row, by reading the file again with ``_numbered_rows``.
+    The first row must be the header and every later row as wide as it; a
+    file with no row after the header raises EmptyLog.
     """
-
-    def __init__(self, path):
-        self.path = path
-        self.reader = None
-
-    def __iter__(self) -> Iterator[list[str]]:
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            reader = self.reader = csv.reader(
-                line for line in fh if not line.startswith("#") and line.strip())
-            try:
-                for count, fields in enumerate(reader, start=1):
-                    if reader.line_num != count:
-                        # The row took more than one line: the numbered read
-                        # raises its MalformedRow.
-                        for _ in _numbered_rows(self.path):
-                            pass
-                    yield fields
-            except UnicodeDecodeError:
-                raise NotUtf8(self.path, _first_undecodable_line(self.path)) from None
-
-    @property
-    def line_no(self) -> int:
-        # Every row so far took one line, so the reader's line count is the
-        # number of rows returned.
-        rows = _numbered_rows(self.path)
-        for _ in range(self.reader.line_num):
-            line_no, _ = next(rows)
-        return line_no
+    rows = _numbered_rows(path)
+    first = next(rows, None)
+    if first is not None and tuple(first[1]) != header:
+        raise MalformedRow(first[0], f"bad header {first[1]!r}")
+    empty = True
+    for line_no, fields in rows:
+        if len(fields) != len(header):
+            raise MalformedRow(line_no, f"expected {len(header)} fields, got {len(fields)}")
+        empty = False
+        yield line_no, fields
+    if empty:
+        raise EmptyLog(str(path))
 
 
 def parse_submissions(path) -> tuple[EventLog, RepairCount]:
@@ -409,39 +394,27 @@ def _row_log(path) -> EventLog:
     timestamps: list[int] = []
     attempts: list[int] = []
     corrects: list[bool] = []
-    saw_header = False
-    rows = _DataRows(path)
-    for fields in rows:
-        if not saw_header:
-            if tuple(fields) != SUBMISSIONS_HEADER:
-                raise MalformedRow(rows.line_no, f"bad header {fields!r}")
-            saw_header = True
-            continue
-        if len(fields) != len(SUBMISSIONS_HEADER):
-            raise MalformedRow(
-                rows.line_no, f"expected {len(SUBMISSIONS_HEADER)} fields, got {len(fields)}")
-        sid, qid, assignment_s, ts_s, attempt_s, correct_s = fields
+    for line_no, (sid, qid, assignment_s, ts_s, attempt_s, correct_s) in _data_rows(
+            path, SUBMISSIONS_HEADER):
         try:
             assignment = int(assignment_s)
             timestamp = int(ts_s)
             attempt = int(attempt_s)
         except ValueError:
-            raise MalformedRow(rows.line_no, "non-integer numeric field") from None
+            raise MalformedRow(line_no, "non-integer numeric field") from None
         if not 1 <= assignment <= N_ASSIGNMENTS:
             raise MalformedRow(
-                rows.line_no, f"assignment_id {assignment} outside 1..{N_ASSIGNMENTS}")
+                line_no, f"assignment_id {assignment} outside 1..{N_ASSIGNMENTS}")
         if correct_s not in ("0", "1"):
-            raise MalformedRow(rows.line_no, f"correct must be 0 or 1, got {correct_s!r}")
+            raise MalformedRow(line_no, f"correct must be 0 or 1, got {correct_s!r}")
         if not (_INT64_MIN <= timestamp <= _INT64_MAX and _INT64_MIN <= attempt <= _INT64_MAX):
-            raise MalformedRow(rows.line_no, "integer field outside the int64 range")
+            raise MalformedRow(line_no, "integer field outside the int64 range")
         sids.append(sid)
         qids.append(qid)
         assignments.append(assignment)
         timestamps.append(timestamp)
         attempts.append(attempt)
         corrects.append(correct_s == "1")
-    if not sids:
-        raise EmptyLog(str(path))
     return EventLog.from_columns(sids, qids, assignments, timestamps, attempts, corrects)
 
 
@@ -701,24 +674,14 @@ def _repaired(log: EventLog) -> tuple[EventLog, RepairCount]:
 def parse_gradebook(path) -> tuple[StudentRecord, ...]:
     """Parse gradebook.csv into records sorted by student_id."""
     records: dict[str, StudentRecord] = {}
-    saw_header = False
-    rows = _DataRows(path)
-    for fields in rows:
-        if not saw_header:
-            if tuple(fields) != GRADEBOOK_HEADER:
-                raise MalformedRow(rows.line_no, f"bad header {fields!r}")
-            saw_header = True
-            continue
-        if len(fields) != len(GRADEBOOK_HEADER):
-            raise MalformedRow(
-                rows.line_no, f"expected {len(GRADEBOOK_HEADER)} fields, got {len(fields)}")
+    for line_no, fields in _data_rows(path, GRADEBOOK_HEADER):
         sid = fields[0]
         scores: list[float] = []
         for name, text in zip((*HW_FIELDS, "test1"), fields[1:6]):
             try:
                 value = float(text)
             except ValueError:
-                raise MalformedRow(rows.line_no, f"bad score {text!r}") from None
+                raise MalformedRow(line_no, f"bad score {text!r}") from None
             if not 0.0 <= value <= 100.0:
                 raise ScoreOutOfRange(sid, name, value)
             scores.append(value)
@@ -729,8 +692,6 @@ def parse_gradebook(path) -> tuple[StudentRecord, ...]:
         if sid in records:
             raise DuplicateStudent(sid)
         records[sid] = StudentRecord(sid, tuple(scores[:4]), scores[4], grade)
-    if not records:
-        raise EmptyLog(str(path))
     return tuple(records[sid] for sid in sorted(records))
 
 

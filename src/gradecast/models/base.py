@@ -39,13 +39,13 @@ class ModelSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not self.C > 0:
-            raise ValueError("C must be positive")
+            raise ValueError(f"C must be positive, got {self.C!r}")
         if self.k < 1:
-            raise ValueError("k must be at least 1")
+            raise ValueError(f"k must be at least 1, got {self.k!r}")
         if self.regression_backend not in REGRESSION_BACKENDS:
             raise ValueError(f"unknown regression backend {self.regression_backend!r}")
         if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+            raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -105,6 +105,16 @@ class TestExtract:
         assert code == 2
         assert capsys.readouterr().err == f"error: line 3: not valid UTF-8 in {bad}\n"
 
+    @pytest.mark.parametrize("flag", ["--submissions", "--gradebook"])
+    def test_unreadable_input_exits_usage(self, cohort_dir, tmp_path, capsys, flag):
+        args = inputs(cohort_dir)
+        args[args.index(flag) + 1] = str(tmp_path)      # a directory
+        code = main(["extract", *args, "--out-dir", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot read input: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
     def test_inputs_are_required(self, tmp_path, capsys):
         code = main(["extract", "--out-dir", str(tmp_path)])
         assert code == 2
@@ -233,6 +243,29 @@ class TestEvaluate:
         assert done.returncode == 0, done.stderr
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value, model, message", [
+    ("k", "0", "knn", "knn: k must be at least 1, got 0"),
+    ("C", "0", "svm", "svm: C must be positive, got 0.0"),
+    ("C", "-1", "svr", "svr: C must be positive, got -1.0"),
+    ("epsilon", "-1", "svr", "svr: epsilon must be non-negative, got -1.0"),
+], ids=["k-0", "C-0", "C-negative", "epsilon-negative"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, key, value,
+                                        model, message, source):
+    if source == "flag":
+        extra = [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key.lower(): json.loads(value)}))
+        extra = ["--config", str(cfg)]
+    code = main([command, *inputs(cohort_dir), "--model", model, *extra,
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 class TestColumnarPath:
     def test_extract_and_evaluate_build_no_event_objects(self, cohort_dir, tmp_path,
                                                          monkeypatch):
@@ -282,6 +315,14 @@ class TestConfigFile:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    def test_config_not_utf8_exits_usage(self, cohort_dir, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(b'{"model": "caf\xe9"}')
+        code = main(["evaluate", *inputs(cohort_dir), "--config", str(cfg),
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+
     def test_non_object_config_exits_usage(self, cohort_dir, tmp_path, capsys):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2]")
@@ -289,6 +330,45 @@ class TestConfigFile:
                      "--out-dir", str(tmp_path)])
         assert code == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, message", [
+        ({"jobs": "two"}, "config key 'jobs': invalid literal for int() with base 10: 'two'"),
+        ({"seed": "abc"}, "config key 'seed': invalid literal for int() with base 10: 'abc'"),
+        ({"seed": 1.9}, "config key 'seed': invalid literal for int() with base 10: '1.9'"),
+        ({"thresholds": ["a", "b"]},
+         "config key 'thresholds': could not convert string to float: 'a'"),
+        ({"model": 5}, "config key 'model': unknown model '5'; choose from svm, linreg, svr, "
+                       "tree, nb, knn, random, majority, all"),
+        ({"normalize": "false"}, "config key 'normalize': expected true or false, got 'false'"),
+        ({"out_dir": 5}, "config key 'out_dir': expected a string, got 5"),
+    ], ids=["jobs", "seed", "seed-float", "thresholds", "model", "normalize", "out_dir"])
+    def test_bad_config_value_exits_usage(self, cohort_dir, tmp_path, capsys, monkeypatch,
+                                          config, message):
+        monkeypatch.chdir(tmp_path)                     # the default out_dir
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "majority", **config}))
+        code = main(["evaluate", *inputs(cohort_dir), "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_header_records_converted_config_values(self, cohort_dir, tmp_path):
+        """A config value is recorded as the flag that gives it would be, and
+        gives the flag's artifacts."""
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "knn", "thresholds": "0.02,0.05",
+                                   "normalize": False}))
+        runs = {"config": ["--config", str(cfg)],
+                "flags": ["--model", "knn", "--thresholds", "0.02,0.05"]}
+        for name, extra in runs.items():
+            assert main(["evaluate", *inputs(cohort_dir), *extra,
+                         "--out-dir", str(tmp_path / name)]) == 0
+        header = json.loads((tmp_path / "config" / "report.md").read_text()
+                            .splitlines()[0].removeprefix("<!-- run-config: ")
+                            .removesuffix(" -->"))
+        assert (header["model"], header["thresholds"], header["normalize"]) == (
+            ["knn"], [0.02, 0.05], False)
+        assert ((tmp_path / "config" / "predictions.csv").read_bytes().split(b"\n", 1)[1]
+                == (tmp_path / "flags" / "predictions.csv").read_bytes().split(b"\n", 1)[1])
 
 
 class TestSweep:

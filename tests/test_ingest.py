@@ -207,6 +207,43 @@ def parse_outcome(read, path):
     return log_bits(log), repairs.dropped, repairs.renumbered
 
 
+GB_ROW = "s1,90,85,70,100,88,A\n"
+# Files that both row-read files reject the same way, as (text with {header}
+# and {row} in place, exception type, str(exc) with {width} and {path} in
+# place, line_no).
+ROW_READER_ERRORS = {
+    "bad-header": ("# run-config: {{}}\n\nstudent_id,x\n{row}", MalformedRow,
+                   "line 3: bad header ['student_id', 'x']", 3),
+    "5-fields": ("# c\n{header}\n{row}a,b,c,d,e\n", MalformedRow,
+                 "line 5: expected {width} fields, got 5", 5),
+    "8-fields": ("# c\n{header}\n{row}a,b,c,d,e,f,g,h\n", MalformedRow,
+                 "line 5: expected {width} fields, got 8", 5),
+    "row-spanning-lines": ('{header}\n{row}s2,"x\ny",1\n{row}', MalformedRow,
+                           "line 4: quoted field runs past the end of its line", 4),
+    "header-only": ("# c\n{header}\n", EmptyLog, "no data rows in {path}", None),
+    "comments-only": ("# c\n\n# d\n", EmptyLog, "no data rows in {path}", None),
+    "non-utf8": ("{header}{row}\n\xff{row}", NotUtf8,
+                 "line 4: not valid UTF-8 in {path}", 4),
+}
+
+
+@pytest.mark.parametrize("read, header, row", [(parse_submissions, SUB_HEADER, ROW_A),
+                                               (parse_gradebook, GB_HEADER, GB_ROW)],
+                         ids=["submissions", "gradebook"])
+@pytest.mark.parametrize("text, error, message, line_no", ROW_READER_ERRORS.values(),
+                         ids=ROW_READER_ERRORS.keys())
+def test_row_reader_errors(tmp_path, read, header, row, text, error, message, line_no):
+    path = tmp_path / "in.csv"
+    # U+00FF stands for the single byte 0xff, which is not UTF-8.
+    path.write_bytes(text.format(header=header, row=row).encode("utf-8")
+                     .replace("\xff".encode("utf-8"), b"\xff"))
+    with pytest.raises(error) as err:
+        read(path)
+    width = len(header.split(","))
+    assert str(err.value) == message.format(width=width, path=path)
+    assert getattr(err.value, "line_no", None) == line_no
+
+
 class TestColumnarReader:
     @pytest.mark.parametrize("text, expected", OUTSIDE_COLUMNAR_FORM.values(),
                              ids=OUTSIDE_COLUMNAR_FORM.keys())
@@ -312,7 +349,6 @@ class TestParseGradebook:
             parse_gradebook(p)
 
     def test_row_spanning_lines_is_reported_before_later_rows(self, tmp_path):
-        # Rows are read without counting lines; the line is found only on an error.
         p = write(tmp_path / "g.csv", "# run-config: {}\n" + GB_HEADER
                   + 's1,"90\n",85,70,100,88,A\ns1,90,85,70,100,88,B\n')
         with pytest.raises(MalformedRow) as err:
