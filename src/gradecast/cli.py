@@ -247,6 +247,13 @@ def _load_inputs(settings: _Settings):
     return dataset
 
 
+def _jobs(settings: _Settings) -> int:
+    jobs = settings.get("jobs", 1, _as_int)
+    if jobs < 1:
+        raise UsageError(f"jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _model_spec(name: str, settings: _Settings, seed: int) -> ModelSpec:
     c = settings.get("c", 1.0, _as_float)
     k = settings.get("k", 5, _as_int)
@@ -307,7 +314,7 @@ def cmd_evaluate(settings: _Settings) -> int:
     thresholds = settings.get("thresholds", (0.02, 0.05), _as_thresholds)
     normalize = settings.get("normalize", False, _as_bool)
     global_prep = settings.get("global_prep", False, _as_bool)
-    jobs = settings.get("jobs", 1, _as_int)
+    jobs = _jobs(settings)
     seed = settings.get("seed", 0, _as_int)
     out_dir = settings.get("out_dir", ".", _as_text) or "."
     specs = {name: _model_spec(name, settings, seed) for name in names}
@@ -362,7 +369,7 @@ def cmd_sweep(settings: _Settings) -> int:
     if len(names) != 1:
         raise UsageError("sweep takes exactly one model")
     normalize = settings.get("normalize", False, _as_bool)
-    jobs = settings.get("jobs", 1, _as_int)
+    jobs = _jobs(settings)
     seed = settings.get("seed", 0, _as_int)
     out_dir = settings.get("out_dir", ".", _as_text) or "."
     spec = _model_spec(names[0], settings, seed)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import Grade, StudentRecord, SubmissionEvent, write_gradebook, write_submissions
+from .ingest import SUBMISSIONS_HEADER, Grade, StudentRecord, SubmissionEvent, write_gradebook
 from .rng import substream
 
 DEFAULT_GRADE_COUNTS = (26, 10, 22, 72, 119)   # F, D, C, B, A
@@ -136,6 +136,17 @@ def generate_cohort(config: CohortConfig):
     the configured grade counts, lowest scores first.  Events come out by
     student, then question, then attempt.
     """
+    columns, records = _cohort_columns(config)
+    return tuple(map(SubmissionEvent, *columns)), records
+
+
+def _cohort_columns(config: CohortConfig):
+    """Return (columns, records): ``generate_cohort``'s events as six lists.
+
+    The lists hold the event fields in ``SubmissionEvent`` order (student
+    id, question id, assignment id, timestamp, attempt number, correct),
+    one entry per event in the same order.
+    """
     bank = question_bank(config)
     student_ids = _pad_ids("s", config.n_students)
     difficulty = np.array([info.difficulty for info in bank])
@@ -174,10 +185,9 @@ def generate_cohort(config: CohortConfig):
     correct = np.repeat(solved.ravel(), counts) & (attempt_number == np.repeat(counts, counts))
     student_col = np.repeat(np.array(student_ids, dtype=object), attempts.sum(axis=1))
     question_col = np.array([info.question_id for info in bank], dtype=object)[question]
-    events = tuple(map(SubmissionEvent, student_col.tolist(), question_col.tolist(),
-                       assignment_of[question].tolist(),
-                       np.concatenate(timestamps).tolist(),
-                       attempt_number.tolist(), correct.tolist()))
+    columns = (student_col.tolist(), question_col.tolist(),
+               assignment_of[question].tolist(), np.concatenate(timestamps).tolist(),
+               attempt_number.tolist(), correct.tolist())
 
     test_scores = 100.0 * _logistic(ability + noise)
     hw_scores = np.column_stack([
@@ -192,7 +202,7 @@ def generate_cohort(config: CohortConfig):
                       float(test_scores[s]),
                       Grade(grades[s]))
         for s in range(config.n_students))
-    return events, records
+    return columns, records
 
 
 def _session_timestamps(rng, start: int, n_events: int, n_sessions: int) -> np.ndarray:
@@ -231,13 +241,24 @@ def _assign_grades(final_numeric: np.ndarray, counts) -> np.ndarray:
 
 
 def write_cohort(config: CohortConfig, out_dir, header_comment: str | None = None):
-    """Write submissions.csv and gradebook.csv under out_dir; return paths."""
+    """Write submissions.csv and gradebook.csv under out_dir; return paths.
+
+    The log is formatted straight from the event columns, in the bytes
+    ``write_submissions`` writes for the same events: ``csv.writer`` ends
+    rows in CRLF, and quotes no field here, since padded ids and integers
+    hold no comma, quote or line break.
+    """
     import os
 
-    events, records = generate_cohort(config)
+    columns, records = _cohort_columns(config)
     os.makedirs(out_dir, exist_ok=True)
     sub_path = os.path.join(out_dir, "submissions.csv")
     gb_path = os.path.join(out_dir, "gradebook.csv")
-    write_submissions(events, sub_path, header_comment=header_comment)
+    with open(sub_path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        fh.write(",".join(SUBMISSIONS_HEADER) + "\r\n")
+        fh.write("".join([f"{s},{q},{a},{t},{n},{c:d}\r\n"
+                          for s, q, a, t, n, c in zip(*columns)]))
     write_gradebook(records, gb_path, header_comment=header_comment)
     return sub_path, gb_path

@@ -371,6 +371,26 @@ class TestConfigFile:
                 == (tmp_path / "flags" / "predictions.csv").read_bytes().split(b"\n", 1)[1])
 
 
+class TestJobs:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("jobs", [0, -1])
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_jobs_below_one_exits_usage(self, cohort_dir, tmp_path, capsys,
+                                        command, jobs, source):
+        if source == "flag":
+            extra = ["--jobs", str(jobs)]
+        else:
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"jobs": jobs}))
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        code = main([command, *inputs(cohort_dir), "--model", "knn", *extra,
+                     "--out-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert not out.exists()
+
+
 class TestSweep:
     def test_sweep_artifacts_and_winner(self, cohort_dir, tmp_path, capsys):
         code = main(["sweep", *inputs(cohort_dir), "--model", "majority",

@@ -1,11 +1,20 @@
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gradecast.ingest import build_dataset, load_dataset
+from gradecast.cli import main
+from gradecast.ingest import (
+    SubmissionEvent,
+    build_dataset,
+    load_dataset,
+    write_gradebook,
+    write_submissions,
+)
 from gradecast.synth import (
     COURSE_START,
     CohortConfig,
@@ -256,3 +265,51 @@ class TestRoundTripThroughFiles:
         events, records = small_run
         dataset = build_dataset(events, records)
         assert len(dataset.students) == SMALL.n_students
+
+
+class TestWriteCohort:
+    """write_cohort's files against the general writers of generate_cohort's output."""
+
+    @staticmethod
+    def assert_writes_general_bytes(config, header_comment):
+        with tempfile.TemporaryDirectory() as tmp:
+            written = write_cohort(config, Path(tmp, "cohort"), header_comment=header_comment)
+            expected = Path(tmp, "submissions.csv"), Path(tmp, "gradebook.csv")
+            events, records = generate_cohort(config)
+            write_submissions(events, expected[0], header_comment=header_comment)
+            write_gradebook(records, expected[1], header_comment=header_comment)
+            for got, want in zip(written, expected):
+                assert Path(got).read_bytes() == want.read_bytes()
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(small_configs(), st.sampled_from([None, 'run-config: {"seed": 1}']))
+    # Two-digit attempt numbers: hard questions, caps of 10 and 12.
+    @example(CohortConfig(n_students=3, n_questions=6, grade_counts=(1, 0, 1, 0, 1),
+                          max_attempts_boolean=10, max_attempts_other=12,
+                          ability_spread=0.0, difficulty_spread=4.0, seed=2), None)
+    # Two-digit padded student and question ids.
+    @example(CohortConfig(n_students=12, n_questions=15, grade_counts=(2, 2, 2, 3, 3),
+                          seed=3), "run-config: x")
+    def test_same_bytes_as_general_writers(self, config, header_comment):
+        self.assert_writes_general_bytes(config, header_comment)
+
+    @pytest.mark.parametrize("header_comment", [None, "run-config: x"])
+    def test_same_bytes_on_default_cohort(self, header_comment):
+        self.assert_writes_general_bytes(CohortConfig(seed=42), header_comment)
+
+    def test_synth_builds_no_event_objects(self, tmp_path, monkeypatch):
+        built = []
+        init = SubmissionEvent.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SubmissionEvent, "__init__", counting_init)
+        assert main(["synth", "--students", "5", "--questions", "8",
+                     "--grade-counts", "1,1,1,1,1", "--out-dir", str(tmp_path)]) == 0
+        assert built == []
+        events, _ = generate_cohort(CohortConfig(n_students=5, n_questions=8,
+                                                 grade_counts=(1, 1, 1, 1, 1)))
+        assert len(events) == len(built) > 0     # the count sees generate_cohort's events
