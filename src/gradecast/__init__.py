@@ -6,11 +6,12 @@ thresholds, train small from-scratch classifiers, and score them with
 leave-one-out cross-validation.  A seeded synthetic-cohort generator
 provides desk-scale data with a known grade distribution.
 """
-from .evaluation import EvalReport, LooPrediction, loocv, render_report, summarize
+from .evaluation import (EvalReport, LooPrediction, loocv, render_report, summarize,
+                         threshold_sweep)
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade, StudentRecord, SubmissionEvent, load_dataset
 from .models import ModelSpec, PredictionOutcome, train
-from .selection import apply_variance_threshold, threshold_sweep
+from .selection import variance_mask
 from .synth import CohortConfig, generate_cohort, write_cohort
 
 __version__ = "0.1.0"
@@ -26,7 +27,6 @@ __all__ = [
     "PredictionOutcome",
     "StudentRecord",
     "SubmissionEvent",
-    "apply_variance_threshold",
     "assemble_feature_matrix",
     "generate_cohort",
     "load_dataset",
@@ -35,6 +35,7 @@ __all__ = [
     "summarize",
     "threshold_sweep",
     "train",
+    "variance_mask",
     "write_cohort",
     "__version__",
 ]

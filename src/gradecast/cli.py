@@ -106,13 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     hyper.add_argument("--k", type=int, default=_UNSET, help="KNN neighbours (default 5)")
     hyper.add_argument("--epsilon", type=float, default=_UNSET,
                        help="SVR insensitive-tube width (default 0.1)")
-    hyper.add_argument("--thresholds", type=_thresholds_arg, default=_UNSET,
-                       help="variance cutoffs t_perf,t_subs (default 0.02,0.05)")
     hyper.add_argument("--normalize", action="store_true", default=_UNSET,
                        help="min-max normalize kept columns per fold")
-    hyper.add_argument("--global-prep", action="store_true", default=_UNSET,
-                       help="fit selection/normalization once on all rows "
-                            "instead of per fold")
     hyper.add_argument("--jobs", type=int, default=_UNSET,
                        help="worker threads for the folds of linreg, nb, knn "
                             "and the baselines, which fit fold by fold on their "
@@ -124,6 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", type=_models_arg, default=_UNSET,
                         help="comma-separated subset of "
                              f"{', '.join(MODEL_CHOICES)} (default all)")
+    # sweep picks its own thresholds and always prepares each fold on its rows.
+    p_eval.add_argument("--thresholds", type=_thresholds_arg, default=_UNSET,
+                        help="variance cutoffs t_perf,t_subs (default 0.02,0.05)")
+    p_eval.add_argument("--global-prep", action="store_true", default=_UNSET,
+                        help="fit selection/normalization once on all rows "
+                             "instead of per fold")
 
     p_sweep = sub.add_parser("sweep", parents=[common, inputs, hyper],
                              help="variance-threshold sweep for one model")
@@ -311,7 +312,7 @@ def cmd_extract(settings: _Settings) -> int:
 def cmd_evaluate(settings: _Settings) -> int:
     dataset = _load_inputs(settings)
     names = settings.get("model", ALL_MODELS, _as_models)
-    thresholds = settings.get("thresholds", (0.02, 0.05), _as_thresholds)
+    thresholds = settings.get("thresholds", evaluation.DEFAULT_THRESHOLDS, _as_thresholds)
     normalize = settings.get("normalize", False, _as_bool)
     global_prep = settings.get("global_prep", False, _as_bool)
     jobs = _jobs(settings)
@@ -331,10 +332,8 @@ def cmd_evaluate(settings: _Settings) -> int:
     for name in names:
         sink: list[str] = []
         try:
-            preds = evaluation.loocv_matrix(
-                matrix, y, specs[name], thresholds=thresholds, normalize=normalize,
-                global_prep=global_prep, jobs=jobs, preprocessors=preprocessors,
-                warning_sink=sink)
+            preds = evaluation.loocv_matrix(matrix, y, specs[name], preprocessors,
+                                            jobs=jobs, warning_sink=sink)
             reports[name] = evaluation.summarize(preds)
         except Exception as exc:
             failures[name] = f"{type(exc).__name__}: {exc}"
@@ -378,8 +377,8 @@ def cmd_sweep(settings: _Settings) -> int:
     matrix = assemble_feature_matrix(dataset)
     y = np.array([int(rec.final_grade) for rec in dataset.students])
     try:
-        result = selection.threshold_sweep(matrix, y, spec, normalize=normalize, jobs=jobs)
-    except selection.SweepFailure as exc:
+        result = evaluation.threshold_sweep(matrix, y, spec, normalize=normalize, jobs=jobs)
+    except evaluation.SweepFailure as exc:
         print(f"sweep failed at thresholds {exc.thresholds}: {exc.__cause__}",
               file=sys.stderr)
         return EXIT_MODEL_FAILURE
@@ -398,9 +397,9 @@ def cmd_sweep(settings: _Settings) -> int:
         print(f"t_perf={combo[0]:.2f} t_subs={combo[1]:.2f} "
               f"accuracy={100.0 * acc:.1f}%{star}")
 
-    mask = selection.apply_variance_threshold(matrix, *result.winner)
+    kept = selection.variance_mask(matrix.values, matrix.groups, *result.winner)
     mask_path = os.path.join(out_dir, "mask.json")
-    selection.write_mask_json(mask, matrix.names, mask_path)
+    selection.write_mask_json(kept, result.winner, matrix.names, mask_path)
     print(f"wrote {csv_path} and {mask_path}")
     return EXIT_OK
 

@@ -1,15 +1,18 @@
-"""Leave-one-out evaluation: harness, metrics, and report rendering.
+"""Leave-one-out evaluation: fold preparation, harness, threshold sweep,
+metrics, and report rendering.
 
 Each fold holds out one student.  Feature selection and normalization
 statistics are fitted on the remaining rows only, the model is retrained,
 and the held-out row is transformed with the fold's own statistics before
 prediction, so nothing about the held-out student leaks into fold
-preparation.  All folds' statistics come from one vectorized pass
-(``selection.fit_fold_preprocessors``), equal bit for bit to a fit on each
-fold's own rows.  ``global_prep=True`` switches to the fit-once alternative
-for comparison.  Folds are independent and deterministic: each derives its
-own seed from (master seed, fold index), so thread count cannot change
-results.
+preparation.  ``prepare_fold_preprocessors`` is the one place that turns
+settings into per-fold preprocessors, all fitted in one vectorized pass
+(``selection.fit_fold_preprocessors``) and equal bit for bit to a fit on
+each fold's own rows; ``global_prep=True`` switches to the fit-once
+alternative for comparison.  ``loocv_matrix`` takes its output, and
+``loocv`` and ``threshold_sweep`` call both.  Folds are independent and
+deterministic: each derives its own seed from (master seed, fold index),
+so thread count cannot change results.
 
 Every model runs through one engine.  Folds are grouped by equal fitted
 preprocessor, and each group transforms all rows once (``_FoldGroups``);
@@ -26,11 +29,11 @@ import numpy as np
 
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
-from .models import ModelSpec, PredictionOutcome, predict_held_out
+from .models import N_GRADES, ModelSpec, PredictionOutcome, predict_held_out
 from .selection import Preprocessor, fit_fold_preprocessors, fit_preprocessor
 
-N_GRADES = 5
 DEFAULT_THRESHOLDS = (0.02, 0.05)
+SWEEP_THRESHOLDS = ((0.00, 0.00), (0.02, 0.05), (0.03, 0.07), (0.04, 0.10))
 
 # Report rows follow the conventional comparison-table order.
 MODEL_ORDER = ("svm", "linreg", "svr", "tree", "nb", "knn", "random", "majority")
@@ -64,6 +67,20 @@ class EvalReport:
     f1_micro: float
     distance_histogram: tuple[int, int, int, int, int]
     auroc_degenerate: bool = False
+
+
+@dataclass(frozen=True)
+class ThresholdSweepResult:
+    accuracies: dict[tuple[float, float], float]
+    winner: tuple[float, float]
+
+
+class SweepFailure(RuntimeError):
+    """A model-training failure during the sweep, tagged with its combination."""
+
+    def __init__(self, thresholds: tuple[float, float], cause: BaseException):
+        super().__init__(f"threshold combination {thresholds}: {cause}")
+        self.thresholds = thresholds
 
 
 def prepare_fold_preprocessors(matrix: FeatureMatrix,
@@ -108,20 +125,19 @@ class _FoldGroups:
 
 
 def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
-                 thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
-                 normalize: bool = False, global_prep: bool = False,
-                 jobs: int = 1, preprocessors: list[Preprocessor] | None = None,
+                 preprocessors: list[Preprocessor], jobs: int = 1,
                  warning_sink: list | None = None) -> list[LooPrediction]:
+    """Leave-one-out predictions, fold i prepared by ``preprocessors[i]``."""
     values = matrix.values
     y = np.asarray(y, dtype=int)
     n = values.shape[0]
     if n < 2:
         raise ValueError("leave-one-out needs at least 2 rows")
-    preps = preprocessors
-    if preps is None:
-        preps = prepare_fold_preprocessors(matrix, thresholds, normalize, global_prep)
+    if len(preprocessors) != n:
+        raise ValueError(f"leave-one-out needs one preprocessor per row: "
+                         f"got {len(preprocessors)} for {n} rows")
 
-    groups = _FoldGroups(values, y, preps)
+    groups = _FoldGroups(values, y, preprocessors)
     folds = [None] * n
     for members, outcomes in zip(groups.members, predict_held_out(spec, groups, jobs)):
         for i, (outcome, warnings) in zip(members, outcomes):
@@ -139,9 +155,29 @@ def loocv(dataset: Dataset, spec: ModelSpec,
           jobs: int = 1, warning_sink: list | None = None) -> list[LooPrediction]:
     matrix = assemble_feature_matrix(dataset)
     y = np.array([int(rec.final_grade) for rec in dataset.students])
-    return loocv_matrix(matrix, y, spec, thresholds=thresholds,
-                        normalize=normalize, global_prep=global_prep,
-                        jobs=jobs, warning_sink=warning_sink)
+    preprocessors = prepare_fold_preprocessors(matrix, thresholds, normalize, global_prep)
+    return loocv_matrix(matrix, y, spec, preprocessors, jobs=jobs,
+                        warning_sink=warning_sink)
+
+
+def threshold_sweep(matrix: FeatureMatrix, y: np.ndarray, model_spec: ModelSpec,
+                    normalize: bool = False, jobs: int = 1) -> ThresholdSweepResult:
+    """Leave-one-out accuracy for each fixed threshold combination, every
+    fold prepared on its own rows.
+
+    The winner is the combination with the highest accuracy; exact ties go
+    to the lexicographically smaller (t_perf, t_subs) pair.
+    """
+    accuracies: dict[tuple[float, float], float] = {}
+    for combo in SWEEP_THRESHOLDS:
+        try:
+            preprocessors = prepare_fold_preprocessors(matrix, combo, normalize)
+            preds = loocv_matrix(matrix, y, model_spec, preprocessors, jobs=jobs)
+        except Exception as exc:
+            raise SweepFailure(combo, exc) from exc
+        accuracies[combo] = accuracy(preds)
+    winner = min(accuracies, key=lambda combo: (-accuracies[combo], combo))
+    return ThresholdSweepResult(accuracies, winner)
 
 
 def _correct_count(preds) -> int:

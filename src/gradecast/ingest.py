@@ -270,16 +270,6 @@ class Dataset:
         return {rec.student_id: i for i, rec in enumerate(self.students)}
 
     @cached_property
-    def _events_by_student(self) -> dict[str, tuple[SubmissionEvent, ...]]:
-        grouped: dict[str, list[SubmissionEvent]] = {}
-        for ev in self.events:
-            grouped.setdefault(ev.student_id, []).append(ev)
-        return {sid: tuple(evs) for sid, evs in grouped.items()}
-
-    def events_for(self, student_id: str) -> tuple[SubmissionEvent, ...]:
-        return self._events_by_student.get(student_id, ())
-
-    @cached_property
     def sessions(self) -> SessionIndex:
         """The session index, built on first use; every session view reads it."""
         log = self.log

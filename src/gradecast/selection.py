@@ -6,6 +6,12 @@ submission-count column iff it strictly exceeds t_subs.  The 13 summary
 columns are always kept.  Variances are computed on raw, pre-normalization
 values; normalization (optional) comes after masking.
 
+``variance_mask`` is the one place a column mask is built:
+``fit_preprocessor`` masks the rows it is given, and the sweep's
+``mask.json`` is the mask of all rows at the winning thresholds.  The
+leave-one-out harness and the threshold sweep live in ``evaluation``,
+which imports this module; this module imports nothing from it.
+
 ``fit_fold_preprocessors`` fits the preprocessor of every leave-one-out
 fold in one vectorized pass, each bit-identical to ``fit_preprocessor`` on
 the fold's own rows: variances from all-row column sums less the held-out
@@ -20,23 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .features import GROUP_PERF, GROUP_SUBS, FeatureMatrix
-
-SWEEP_THRESHOLDS = ((0.00, 0.00), (0.02, 0.05), (0.03, 0.07), (0.04, 0.10))
-
-
-class SweepFailure(RuntimeError):
-    """A model-training failure during the sweep, tagged with its combination."""
-
-    def __init__(self, thresholds: tuple[float, float], cause: BaseException):
-        super().__init__(f"threshold combination {thresholds}: {cause}")
-        self.thresholds = thresholds
-
-
-@dataclass(frozen=True, eq=False)
-class SelectionMask:
-    kept: np.ndarray                    # bool flag per original column
-    thresholds: tuple[float, float]     # (t_perf, t_subs)
+from .features import GROUP_PERF, GROUP_SUBS
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,12 +70,6 @@ def variance_mask(values: np.ndarray, groups, t_perf: float, t_subs: float) -> n
     kept[perf] = variances[perf] > t_perf
     kept[subs] = variances[subs] > t_subs
     return kept
-
-
-def apply_variance_threshold(matrix: FeatureMatrix, t_perf: float,
-                             t_subs: float) -> SelectionMask:
-    kept = variance_mask(matrix.values, matrix.groups, t_perf, t_subs)
-    return SelectionMask(kept=kept, thresholds=(float(t_perf), float(t_subs)))
 
 
 def fit_preprocessor(values: np.ndarray, groups, t_perf: float, t_subs: float,
@@ -184,38 +168,12 @@ def _exact_multiples(k: np.ndarray, m: int) -> np.ndarray:
     return (odd <= (2 ** 53 - 1) // m) & (np.abs(k) <= np.finfo(float).max / m)
 
 
-@dataclass(frozen=True)
-class ThresholdSweepResult:
-    accuracies: dict[tuple[float, float], float]
-    winner: tuple[float, float]
-
-
-def threshold_sweep(matrix: FeatureMatrix, y: np.ndarray, model_spec,
-                    normalize: bool = False, jobs: int = 1) -> ThresholdSweepResult:
-    """Leave-one-out accuracy for each fixed threshold combination.
-
-    The winner is the combination with the highest accuracy; exact ties go
-    to the lexicographically smaller (t_perf, t_subs) pair.
-    """
-    from .evaluation import accuracy, loocv_matrix
-
-    accuracies: dict[tuple[float, float], float] = {}
-    for combo in SWEEP_THRESHOLDS:
-        try:
-            preds = loocv_matrix(matrix, y, model_spec, thresholds=combo,
-                                 normalize=normalize, jobs=jobs)
-        except Exception as exc:
-            raise SweepFailure(combo, exc) from exc
-        accuracies[combo] = accuracy(preds)
-    winner = min(accuracies, key=lambda combo: (-accuracies[combo], combo))
-    return ThresholdSweepResult(accuracies, winner)
-
-
-def write_mask_json(mask: SelectionMask, names, path) -> None:
+def write_mask_json(kept: np.ndarray, thresholds: tuple[float, float], names,
+                    path) -> None:
     payload = {
-        "t_perf": mask.thresholds[0],
-        "t_subs": mask.thresholds[1],
-        "kept": [n for n, k in zip(names, mask.kept) if k],
+        "t_perf": float(thresholds[0]),
+        "t_subs": float(thresholds[1]),
+        "kept": [n for n, k in zip(names, kept) if k],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)

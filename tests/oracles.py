@@ -32,7 +32,7 @@ from gradecast.ingest import (
     _numbered_rows,
 )
 from gradecast.rng import substream
-from gradecast.selection import SelectionMask, fit_preprocessor
+from gradecast.selection import fit_preprocessor
 
 
 # ---------------------------------------------------------------- SVM dual
@@ -433,8 +433,7 @@ def reference_fold_preprocessors(values, groups, t_perf, t_subs, normalize):
     return preps
 
 
-def apply_mask(matrix: FeatureMatrix, mask: SelectionMask) -> FeatureMatrix:
-    kept = mask.kept
+def apply_mask(matrix: FeatureMatrix, kept: np.ndarray) -> FeatureMatrix:
     return FeatureMatrix(
         matrix.row_ids,
         tuple(n for n, k in zip(matrix.names, kept) if k),
@@ -443,14 +442,8 @@ def apply_mask(matrix: FeatureMatrix, mask: SelectionMask) -> FeatureMatrix:
     )
 
 
-def minmax_normalize(matrix: FeatureMatrix,
-                     mask: SelectionMask | None = None) -> FeatureMatrix:
-    """Rescale every column to [0, 1]; constant columns map to 0.
-
-    If a mask is given it is applied first, so only kept columns are scaled.
-    """
-    if mask is not None:
-        matrix = apply_mask(matrix, mask)
+def minmax_normalize(matrix: FeatureMatrix) -> FeatureMatrix:
+    """Rescale every column to [0, 1]; constant columns map to 0."""
     values = matrix.values
     mins = values.min(axis=0)
     ranges = values.max(axis=0) - mins

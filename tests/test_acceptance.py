@@ -29,7 +29,7 @@ from gradecast.ingest import build_dataset
 from gradecast.models import ModelSpec, train
 from gradecast.models.svm import rbf_kernel, smo
 from gradecast.rng import mix_seed
-from gradecast.selection import apply_variance_threshold
+from gradecast.selection import variance_mask
 from gradecast.synth import CohortConfig, generate_cohort
 
 from conftest import ACCEPTANCE_VERDICTS
@@ -212,7 +212,7 @@ def test_criterion_06_variance_selection_against_oracle():
         t_perf = float(rng.choice([0.0, 0.02, 0.03, 0.04, rng.random() * 0.3]))
         t_subs = float(rng.choice([0.0, 0.05, 0.07, 0.10, rng.random() * 0.3]))
 
-        kept = apply_variance_threshold(matrix, t_perf, t_subs).kept
+        kept = variance_mask(matrix.values, matrix.groups, t_perf, t_subs)
         variances = variance_oracle(values)
         for j in range(d):
             if groups[j] == "perf":
@@ -224,7 +224,7 @@ def test_criterion_06_variance_selection_against_oracle():
             if bool(kept[j]) != want:
                 mismatches += 1
 
-        tighter = apply_variance_threshold(matrix, t_perf + 0.01, t_subs + 0.01).kept
+        tighter = variance_mask(matrix.values, matrix.groups, t_perf + 0.01, t_subs + 0.01)
         if np.any(tighter & ~kept):
             monotonicity_breaks += 1
     ok = mismatches == 0 and monotonicity_breaks == 0
@@ -256,7 +256,7 @@ def test_criterion_07_feature_invariants_on_random_cohorts():
             failures.append(f"case {case}: solved question with no submissions")
 
         for rec in records:
-            student_events = dataset.events_for(rec.student_id)
+            student_events = [ev for ev in dataset.events if ev.student_id == rec.student_id]
             n_events = len(student_events)
             n_sessions = 0
             session_events = 0

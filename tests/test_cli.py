@@ -411,6 +411,18 @@ class TestSweep:
         assert set(mask) == {"t_perf", "t_subs", "kept"}
         assert all(isinstance(name, str) for name in mask["kept"])
 
+    @pytest.mark.parametrize("flag", [["--thresholds", "9,9"], ["--global-prep"]],
+                             ids=["thresholds", "global-prep"])
+    def test_evaluate_only_flags_rejected(self, cohort_dir, tmp_path, flag, capsys):
+        # The sweep picks its own thresholds and prepares every fold on its rows.
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *inputs(cohort_dir), "--model", "knn", *flag,
+                  "--out-dir", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_takes_one_model(self, cohort_dir, tmp_path, capsys):
         code = main(["sweep", *inputs(cohort_dir), "--model", "all",
                      "--out-dir", str(tmp_path)])

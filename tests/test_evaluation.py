@@ -14,6 +14,7 @@ from gradecast.evaluation import (
     auroc_correct,
     distance_histogram,
     f1_micro,
+    loocv,
     loocv_matrix,
     micro_average_precision,
     mse,
@@ -28,6 +29,7 @@ import gradecast.models as models
 from gradecast.models import (ModelSpec, PredictionOutcome, dual, predict_held_out,
                               train, tree)
 from gradecast.rng import mix_seed
+from gradecast.selection import fit_preprocessor
 from oracles import auroc_oracle, average_precision_oracle
 
 
@@ -49,6 +51,12 @@ def toy_matrix(values, group="score"):
     )
 
 
+def loo(matrix, y, spec, thresholds=DEFAULT_THRESHOLDS, normalize=False, **kwargs):
+    """``loocv_matrix`` with every fold prepared on its own rows."""
+    preps = prepare_fold_preprocessors(matrix, thresholds, normalize)
+    return loocv_matrix(matrix, y, spec, preps, **kwargs)
+
+
 def random_preds(rng, n):
     out = []
     for i in range(n):
@@ -62,22 +70,40 @@ class TestLoocvHarness:
     def test_two_rows_majority_predicts_the_other(self):
         matrix = toy_matrix([[0.0], [1.0]])
         y = np.array([5, 1])
-        preds = loocv_matrix(matrix, y, ModelSpec(kind="majority"),
-                             thresholds=(0.0, 0.0))
+        preds = loo(matrix, y, ModelSpec(kind="majority"), thresholds=(0.0, 0.0))
         assert [p.outcome.grade for p in preds] == [1, 5]
         assert [p.true_grade for p in preds] == [5, 1]
 
     def test_one_fold_per_row(self):
         matrix = toy_matrix(np.random.default_rng(3).random((7, 2)))
         y = np.array([1, 2, 3, 4, 5, 1, 2])
-        preds = loocv_matrix(matrix, y, ModelSpec(kind="knn", k=1))
+        preds = loo(matrix, y, ModelSpec(kind="knn", k=1))
         assert [p.fold_index for p in preds] == list(range(7))
         assert [p.student_id for p in preds] == list(matrix.row_ids)
 
     def test_single_row_rejected(self):
         matrix = toy_matrix([[1.0]])
+        prep = fit_preprocessor(matrix.values, matrix.groups, 0.0, 0.0, False)
         with pytest.raises(ValueError):
-            loocv_matrix(matrix, np.array([3]), ModelSpec(kind="majority"))
+            loocv_matrix(matrix, np.array([3]), ModelSpec(kind="majority"), [prep])
+
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["one-short", "one-long"])
+    def test_preprocessor_count_must_match_rows(self, extra):
+        matrix = toy_matrix(np.random.default_rng(6).random((5, 2)))
+        preps = prepare_fold_preprocessors(matrix, (0.0, 0.0), normalize=False)
+        preps = preps[:extra] if extra < 0 else preps + preps[:extra]
+        with pytest.raises(ValueError, match=f"got {5 + extra} for 5 rows"):
+            loocv_matrix(matrix, np.array([1, 2, 3, 4, 5]), ModelSpec(kind="majority"),
+                         preps)
+
+    def test_loocv_prepares_each_fold_then_runs_the_engine(self, small_cohort, small_matrix):
+        matrix, y = small_matrix
+        spec = ModelSpec(kind="knn")
+        got = loocv(small_cohort, spec, normalize=True)
+        want = loo(matrix, y, spec, normalize=True)
+        assert ([(p.student_id, p.outcome.grade, p.outcome.class_scores.tobytes()) for p in got]
+                == [(p.student_id, p.outcome.grade, p.outcome.class_scores.tobytes())
+                    for p in want])
 
     def test_fold_preprocessor_drops_locally_constant_column(self):
         # Column 0 varies only through row 0: with row 0 held out its
@@ -106,16 +132,15 @@ class TestLoocvHarness:
     def test_fold_seeds_differ_for_random_model(self):
         matrix = toy_matrix(np.zeros((30, 1)))
         y = np.tile(np.arange(1, 6), 6)
-        preds = loocv_matrix(matrix, y, ModelSpec(kind="random", seed=0),
-                             thresholds=(0.0, 0.0))
+        preds = loo(matrix, y, ModelSpec(kind="random", seed=0), thresholds=(0.0, 0.0))
         assert len({p.outcome.grade for p in preds}) > 1
 
     def test_thread_count_does_not_change_results(self):
         rng = np.random.default_rng(5)
         matrix = toy_matrix(rng.random((12, 4)))
         y = rng.integers(1, 6, size=12)
-        serial = loocv_matrix(matrix, y, ModelSpec(kind="knn"), jobs=1)
-        threaded = loocv_matrix(matrix, y, ModelSpec(kind="knn"), jobs=4)
+        serial = loo(matrix, y, ModelSpec(kind="knn"), jobs=1)
+        threaded = loo(matrix, y, ModelSpec(kind="knn"), jobs=4)
         for a, b in zip(serial, threaded):
             assert a.outcome.grade == b.outcome.grade
             assert np.array_equal(a.outcome.class_scores, b.outcome.class_scores)
@@ -130,8 +155,7 @@ class TestLoocvHarness:
         monkeypatch.setitem(models._FITTERS, "majority", lambda spec, X, y: Stub())
         matrix = toy_matrix([[0.0], [1.0], [2.0]])
         sink = []
-        loocv_matrix(matrix, np.array([1, 2, 3]), ModelSpec(kind="majority"),
-                     warning_sink=sink)
+        loo(matrix, np.array([1, 2, 3]), ModelSpec(kind="majority"), warning_sink=sink)
         assert sink == [f"fold {i}: synthetic warning" for i in range(3)]
 
     def test_warning_order_does_not_depend_on_threads(self, small_matrix, monkeypatch):
@@ -140,8 +164,7 @@ class TestLoocvHarness:
         sinks = {}
         for jobs in (1, 4):
             sinks[jobs] = []
-            loocv_matrix(matrix, y, ModelSpec(kind="svm"), jobs=jobs,
-                         warning_sink=sinks[jobs])
+            loo(matrix, y, ModelSpec(kind="svm"), jobs=jobs, warning_sink=sinks[jobs])
         assert len(sinks[1]) >= y.size
         folds = [int(line.split(":")[0].split()[1]) for line in sinks[1]]
         assert folds == sorted(folds)
@@ -209,8 +232,8 @@ class TestBatchedFoldEngine:
         sets, preps = fold_training_sets(values, y, normalize, group="perf")
         assert len({p.key() for p in preps}) > 1
         for spec in ALL_SPECS:
-            preds = loocv_matrix(toy_matrix(values, "perf"), y, spec,
-                                 thresholds=(0.0, 0.0), normalize=normalize)
+            preds = loo(toy_matrix(values, "perf"), y, spec,
+                        thresholds=(0.0, 0.0), normalize=normalize)
             for i, ((X, y_fold), prep) in enumerate(zip(sets, preps)):
                 fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
                 alone = train(fold_spec, X, y_fold).predict(
@@ -261,7 +284,7 @@ def loo_fold_duals(monkeypatch, matrix, y, spec, normalize):
 
     with monkeypatch.context() as patch:
         patch.setattr(dual, "solve_groups", recording)
-        loocv_matrix(matrix, y, spec, normalize=normalize)
+        loo(matrix, y, spec, normalize=normalize)
     return [duals[i] for i in range(y.size)]
 
 
@@ -308,7 +331,7 @@ def svm_plans(monkeypatch, matrix, y, normalize):
     with monkeypatch.context() as patch:
         patch.setattr(dual, "solve_groups", recording_groups)
         patch.setattr(dual, "solve", recording_solve)
-        preds = loocv_matrix(matrix, y, ModelSpec(kind="svm"), normalize=normalize)
+        preds = loo(matrix, y, ModelSpec(kind="svm"), normalize=normalize)
     return plans, solved, preds
 
 
@@ -383,7 +406,7 @@ def loo_trees(monkeypatch, matrix, y, normalize):
 
     with monkeypatch.context() as patch:
         patch.setattr(tree.Grower, "tree", recording)
-        preds = loocv_matrix(matrix, y, ModelSpec(kind="tree"), normalize=normalize)
+        preds = loo(matrix, y, ModelSpec(kind="tree"), normalize=normalize)
     return [tree_nodes(trees[i].root) for i in range(y.size)], preds
 
 
@@ -476,7 +499,7 @@ def loo_fold_models(monkeypatch, matrix, y, spec, normalize):
 
     with monkeypatch.context() as patch:
         patch.setitem(models._FITTERS, key, recording)
-        loocv_matrix(matrix, y, spec, normalize=normalize)
+        loo(matrix, y, spec, normalize=normalize)
     return [model_bits(fitted[i]) for i in range(y.size)]
 
 

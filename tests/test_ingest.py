@@ -391,7 +391,7 @@ class TestBuildDataset:
         ds = dataset_from([event(student="s1")],
                           [record(student="s1"), record(student="s2")])
         assert len(ds.students) == 2
-        assert ds.events_for("s2") == ()
+        assert [ev for ev in ds.events if ev.student_id == "s2"] == []
 
     def test_catalog_ordinals_are_dense(self):
         events = [event(student="s1", question=f"q{i:03d}",

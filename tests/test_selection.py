@@ -4,17 +4,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import gradecast.models
+from gradecast.evaluation import SWEEP_THRESHOLDS, SweepFailure, threshold_sweep
 from gradecast.features import assemble_feature_matrix
 from gradecast.ingest import build_dataset
 from gradecast.models import ModelSpec
 from gradecast.selection import (
-    SWEEP_THRESHOLDS,
     Preprocessor,
-    SweepFailure,
-    apply_variance_threshold,
     fit_fold_preprocessors,
     fit_preprocessor,
-    threshold_sweep,
     variance_mask,
     write_mask_json,
 )
@@ -56,27 +53,26 @@ class TestVariance:
 class TestThresholding:
     def test_all_ones_removed_even_at_zero(self):
         fm = matrix_of([[1, 0], [1, 1]], ["perf", "perf"])
-        mask = apply_variance_threshold(fm, 0.0, 0.0)
-        assert mask.kept.tolist() == [False, True]
+        assert variance_mask(fm.values, fm.groups, 0.0, 0.0).tolist() == [False, True]
 
     def test_binary_p99_removed_at_002(self):
         column = [[1.0]] * 99 + [[0.0]]
         fm = matrix_of(column, ["perf"])
         assert abs(column_variance(fm.values, 0) - 0.0099) < 1e-12
-        assert apply_variance_threshold(fm, 0.02, 0.0).kept.tolist() == [False]
-        assert apply_variance_threshold(fm, 0.0, 0.0).kept.tolist() == [True]
+        assert variance_mask(fm.values, fm.groups, 0.02, 0.0).tolist() == [False]
+        assert variance_mask(fm.values, fm.groups, 0.0, 0.0).tolist() == [True]
 
     def test_only_performance_and_submission_blocks_filtered(self):
         fm = matrix_of([[1, 1, 1, 1, 1]] * 3,
                        ["perf", "subs", "rt", "sess", "score"])
-        mask = apply_variance_threshold(fm, 0.9, 0.9)
-        assert mask.kept.tolist() == [False, False, True, True, True]
+        kept = variance_mask(fm.values, fm.groups, 0.9, 0.9)
+        assert kept.tolist() == [False, False, True, True, True]
 
     def test_blocks_use_their_own_thresholds(self):
         # variance of [1,0] is 0.25: keep iff threshold < 0.25, strictly.
         fm = matrix_of([[1, 1], [0, 0]], ["perf", "subs"])
-        assert apply_variance_threshold(fm, 0.25, 0.2).kept.tolist() == [False, True]
-        assert apply_variance_threshold(fm, 0.2, 0.25).kept.tolist() == [True, False]
+        assert variance_mask(fm.values, fm.groups, 0.25, 0.2).tolist() == [False, True]
+        assert variance_mask(fm.values, fm.groups, 0.2, 0.25).tolist() == [True, False]
 
     def test_monotone_in_thresholds(self):
         rng = np.random.default_rng(77)
@@ -118,9 +114,10 @@ class TestNormalization:
         fm = matrix_of(values, groups)
         perm = rng.permutation(8)
         fm_perm = matrix_of(values[perm], groups)
-        direct = minmax_normalize(apply_mask(fm, apply_variance_threshold(fm, 0.01, 0.01)))
-        swapped = minmax_normalize(apply_mask(fm_perm,
-                                              apply_variance_threshold(fm_perm, 0.01, 0.01)))
+        direct = minmax_normalize(
+            apply_mask(fm, variance_mask(fm.values, fm.groups, 0.01, 0.01)))
+        swapped = minmax_normalize(
+            apply_mask(fm_perm, variance_mask(fm_perm.values, fm_perm.groups, 0.01, 0.01)))
         assert np.array_equal(direct.values[perm], swapped.values)
 
 
@@ -298,19 +295,18 @@ class TestSweep:
 
         y = np.array([int(r.final_grade) for r in ds.students])
         result = threshold_sweep(fm, y, ModelSpec(kind="majority"))
-        mask = apply_variance_threshold(fm, *result.winner)
-        kept = int(mask.kept.sum())
-        assert kept < 2 * n_questions
+        mask = variance_mask(fm.values, fm.groups, *result.winner)
+        assert int(mask.sum()) < 2 * n_questions
 
         variances = variance_oracle(fm.values)
         t_perf, t_subs = result.winner
         for j, (g, v) in enumerate(zip(fm.groups, variances)):
             if g == "perf":
-                assert mask.kept[j] == (v > t_perf)
+                assert mask[j] == (v > t_perf)
             elif g == "subs":
-                assert mask.kept[j] == (v > t_subs)
+                assert mask[j] == (v > t_subs)
             else:
-                assert mask.kept[j]
+                assert mask[j]
 
 
 class TestMaskJson:
@@ -318,11 +314,11 @@ class TestMaskJson:
         import json
 
         fm = assemble_feature_matrix(small_cohort)
-        mask = apply_variance_threshold(fm, 0.02, 0.05)
+        kept = variance_mask(fm.values, fm.groups, 0.02, 0.05)
         out = tmp_path / "mask.json"
-        write_mask_json(mask, fm.names, out)
+        write_mask_json(kept, (0.02, 0.05), fm.names, out)
         payload = json.loads(out.read_text())
         assert set(payload) == {"t_perf", "t_subs", "kept"}
         assert payload["t_perf"] == 0.02
         assert payload["t_subs"] == 0.05
-        assert payload["kept"] == [n for n, k in zip(fm.names, mask.kept) if k]
+        assert payload["kept"] == [n for n, k in zip(fm.names, kept) if k]
