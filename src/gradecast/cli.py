@@ -1,11 +1,12 @@
 """Command-line front end: synth, extract, evaluate, sweep.
 
 Exit codes: 0 all requested work completed; 2 argument or input-parsing
-failure; 3 a model failed during evaluation (partial results are still
-written).  Warnings go to stderr.  Every CSV artifact starts with a
-``# run-config:`` comment and report.md with an HTML comment carrying the
-resolved settings, so any output is reproducible from its own header.
-The header omits the thread count, which cannot affect results.
+failure, or an output directory that cannot be created; 3 a model failed
+during evaluation (partial results are still written).  Warnings go to
+stderr.  Every CSV artifact starts with a ``# run-config:`` comment and
+report.md with an HTML comment carrying the resolved settings, so any
+output is reproducible from its own header.  The header omits the thread
+count, which cannot affect results.
 """
 from __future__ import annotations
 
@@ -19,13 +20,14 @@ import numpy as np
 from . import evaluation, selection
 from .features import assemble_feature_matrix, write_features_csv
 from .ingest import IngestError, load_dataset
-from .models import ModelSpec
+from .models import KINDS, ModelSpec
 from .synth import CohortConfig, InfeasibleConfig, write_cohort
 
-MODEL_CHOICES = ("svm", "linreg", "svr", "tree", "nb", "knn",
-                 "random", "majority", "all")
+MODEL_CHOICES = (*KINDS, "all")
 # "all" expands to the standard comparison set; svr stays opt-in.
-ALL_MODELS = ("svm", "linreg", "tree", "nb", "knn", "random", "majority")
+ALL_MODELS = tuple(kind for kind in KINDS if kind != "svr")
+# The hyperparameters each model takes; the others keep ModelSpec's defaults.
+_HYPERPARAMETERS = {"svm": ("C",), "svr": ("C", "epsilon"), "knn": ("k",)}
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -255,40 +257,45 @@ def _jobs(settings: _Settings) -> int:
     return jobs
 
 
-def _model_spec(name: str, settings: _Settings, seed: int) -> ModelSpec:
-    c = settings.get("c", 1.0, _as_float)
-    k = settings.get("k", 5, _as_int)
-    epsilon = settings.get("epsilon", 0.1, _as_float)
-    params = {
-        "svm": dict(kind="svm", C=c),
-        "linreg": dict(kind="regression", regression_backend="least_squares"),
-        "svr": dict(kind="regression", regression_backend="epsilon_svr", C=c, epsilon=epsilon),
-        "tree": dict(kind="tree"),
-        "nb": dict(kind="nb"),
-        "knn": dict(kind="knn", k=k),
-        "random": dict(kind="random"),
-        "majority": dict(kind="majority"),
-    }[name]
+def _out_dir(settings: _Settings) -> str:
+    """The output directory, created if it does not exist yet."""
+    out_dir = settings.get("out_dir", ".", _as_text) or "."
     try:
-        return ModelSpec(**params, seed=seed)
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:          # a file in the way, no permission
+        raise UsageError(f"cannot write output: {exc}") from exc
+    return out_dir
+
+
+def _model_spec(name: str, settings: _Settings, seed: int) -> ModelSpec:
+    values = {"C": settings.get("c", ModelSpec.C, _as_float),
+              "k": settings.get("k", ModelSpec.k, _as_int),
+              "epsilon": settings.get("epsilon", ModelSpec.epsilon, _as_float)}
+    params = {key: values[key] for key in _HYPERPARAMETERS.get(name, ())}
+    try:
+        return ModelSpec(name, **params, seed=seed)
     except ValueError as exc:
         raise UsageError(f"{name}: {exc}") from None
 
 
 def cmd_synth(settings: _Settings) -> int:
-    out_dir = settings.get("out_dir", ".", _as_text) or "."
     try:
         config = CohortConfig(
-            n_students=settings.get("students", 249, _as_int),
-            n_questions=settings.get("questions", 409, _as_int),
-            boolean_question_fraction=settings.get("boolean_fraction", 0.2, _as_float),
-            ability_spread=settings.get("ability_spread", 1.5, _as_float),
-            difficulty_spread=settings.get("difficulty_spread", 1.0, _as_float),
-            grade_counts=settings.get("grade_counts", (26, 10, 22, 72, 119), _as_grade_counts),
+            n_students=settings.get("students", CohortConfig.n_students, _as_int),
+            n_questions=settings.get("questions", CohortConfig.n_questions, _as_int),
+            boolean_question_fraction=settings.get(
+                "boolean_fraction", CohortConfig.boolean_question_fraction, _as_float),
+            ability_spread=settings.get(
+                "ability_spread", CohortConfig.ability_spread, _as_float),
+            difficulty_spread=settings.get(
+                "difficulty_spread", CohortConfig.difficulty_spread, _as_float),
+            grade_counts=settings.get(
+                "grade_counts", CohortConfig.grade_counts, _as_grade_counts),
             seed=settings.get("seed", 0, _as_int),
         )
     except InfeasibleConfig as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = _out_dir(settings)
     header = settings.header("synth")
     sub_path, gb_path = write_cohort(config, out_dir, header_comment=header)
     print(f"wrote {sub_path} and {gb_path} "
@@ -298,10 +305,9 @@ def cmd_synth(settings: _Settings) -> int:
 
 def cmd_extract(settings: _Settings) -> int:
     dataset = _load_inputs(settings)
-    out_dir = settings.get("out_dir", ".", _as_text) or "."
+    out_dir = _out_dir(settings)
     settings.get("seed", 0, _as_int)
     matrix = assemble_feature_matrix(dataset)
-    os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "features.csv")
     write_features_csv(matrix, out_path, header_comment=settings.header("extract"))
     rows, cols = matrix.values.shape
@@ -317,10 +323,9 @@ def cmd_evaluate(settings: _Settings) -> int:
     global_prep = settings.get("global_prep", False, _as_bool)
     jobs = _jobs(settings)
     seed = settings.get("seed", 0, _as_int)
-    out_dir = settings.get("out_dir", ".", _as_text) or "."
     specs = {name: _model_spec(name, settings, seed) for name in names}
+    out_dir = _out_dir(settings)
     header = settings.header("evaluate")
-    os.makedirs(out_dir, exist_ok=True)
 
     matrix = assemble_feature_matrix(dataset)
     y = np.array([int(rec.final_grade) for rec in dataset.students])
@@ -370,8 +375,8 @@ def cmd_sweep(settings: _Settings) -> int:
     normalize = settings.get("normalize", False, _as_bool)
     jobs = _jobs(settings)
     seed = settings.get("seed", 0, _as_int)
-    out_dir = settings.get("out_dir", ".", _as_text) or "."
     spec = _model_spec(names[0], settings, seed)
+    out_dir = _out_dir(settings)
     header = settings.header("sweep")
 
     matrix = assemble_feature_matrix(dataset)
@@ -383,7 +388,6 @@ def cmd_sweep(settings: _Settings) -> int:
               file=sys.stderr)
         return EXIT_MODEL_FAILURE
 
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")

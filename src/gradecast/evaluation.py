@@ -29,14 +29,14 @@ import numpy as np
 
 from .features import FeatureMatrix, assemble_feature_matrix
 from .ingest import Dataset, Grade
-from .models import N_GRADES, ModelSpec, PredictionOutcome, predict_held_out
+from .models import KINDS, N_GRADES, ModelSpec, PredictionOutcome, predict_held_out
 from .selection import Preprocessor, fit_fold_preprocessors, fit_preprocessor
 
 DEFAULT_THRESHOLDS = (0.02, 0.05)
 SWEEP_THRESHOLDS = ((0.00, 0.00), (0.02, 0.05), (0.03, 0.07), (0.04, 0.10))
 
 # Report rows follow the conventional comparison-table order.
-MODEL_ORDER = ("svm", "linreg", "svr", "tree", "nb", "knn", "random", "majority")
+MODEL_ORDER = KINDS
 DISPLAY_NAMES = {
     "svm": "SVM",
     "linreg": "Lin. Reg",

@@ -171,7 +171,9 @@ def write_features_csv(matrix: FeatureMatrix, path,
                        header_comment: str | None = None) -> None:
     """Write the matrix as CSV: a header of names, then one line per student.
 
-    Each value is written as ``repr(float(v))``, which round-trips exactly.
+    A student id is quoted, with its quotes doubled, only if it holds a
+    comma, a quote or a line break, as ``csv.writer`` quotes a field.  Each
+    value is written as ``repr(float(v))``, which round-trips exactly.
     Rows go out in blocks of CSV_BLOCK_ROWS: the distinct bit patterns of a
     block (so ``-0.0``, ``0.0`` and each NaN stay apart) are each formatted
     once, and every line joins the formatted values it looks up.
@@ -187,4 +189,12 @@ def write_features_csv(matrix: FeatureMatrix, path,
             text = [repr(v) for v in bits.view(np.float64).tolist()]
             for sid, row in zip(matrix.row_ids[lo:lo + CSV_BLOCK_ROWS],
                                 codes.reshape(block.shape).tolist()):
-                fh.write(",".join((sid, *map(text.__getitem__, row))) + "\n")
+                fh.write(",".join((_csv_field(sid), *map(text.__getitem__, row))) + "\n")
+
+
+def _csv_field(text: str) -> str:
+    # Lines are joined by hand: csv.writer, which checks every value of a
+    # 2Q+14-field row for quoting, writes them several times slower.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -20,14 +20,14 @@ import numpy as np
 
 from ..rng import mix_seed
 from . import baselines, bayes, dual, neighbors, regression, svm, tree
-from .base import (KINDS, N_GRADES, REGRESSION_BACKENDS, DimensionMismatch,
-                   ModelSpec, PredictionOutcome, argmax_lower_grade)
+from .base import (KINDS, N_GRADES, DimensionMismatch, ModelSpec, PredictionOutcome,
+                   argmax_lower_grade)
 
-# One training set's fitter, by model kind or, for regression, by backend.
+# One training set's fitter, by model kind.
 _FITTERS = {
     "svm": svm.fit,
-    "least_squares": regression.fit_least_squares,
-    "epsilon_svr": regression.fit_svr,
+    "linreg": regression.fit_least_squares,
+    "svr": regression.fit_svr,
     "tree": tree.fit,
     "nb": bayes.fit,
     "knn": neighbors.fit,
@@ -36,13 +36,9 @@ _FITTERS = {
 }
 
 
-def _model(spec: ModelSpec) -> str:
-    return spec.regression_backend if spec.kind == "regression" else spec.kind
-
-
 def train(spec: ModelSpec, X, y):
     """Fit the model named by ``spec.kind`` on grade-labeled rows."""
-    return _FITTERS[_model(spec)](spec, X, y)
+    return _FITTERS[spec.kind](spec, X, y)
 
 
 def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
@@ -59,14 +55,13 @@ def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
     one, on ``jobs`` threads when jobs > 1; fold i's spec carries its own
     seed, so the thread count cannot change a result.
     """
-    model = _model(spec)
-    if model == "svm":
+    if spec.kind == "svm":
         return svm.predict_held_out(spec, groups)
-    if model == "epsilon_svr":
+    if spec.kind == "svr":
         return regression.predict_svr_held_out(spec, groups)
-    if model == "tree":
+    if spec.kind == "tree":
         return tree.predict_held_out(groups)
-    return _fold_by_fold(spec, _FITTERS[model], groups, jobs)
+    return _fold_by_fold(spec, _FITTERS[spec.kind], groups, jobs)
 
 
 def _fold_by_fold(spec: ModelSpec, fit, groups, jobs: int) -> Iterator[list]:
@@ -89,7 +84,7 @@ def _fold_by_fold(spec: ModelSpec, fit, groups, jobs: int) -> Iterator[list]:
 
 
 __all__ = [
-    "KINDS", "N_GRADES", "REGRESSION_BACKENDS", "DimensionMismatch",
+    "KINDS", "N_GRADES", "DimensionMismatch",
     "ModelSpec", "PredictionOutcome", "argmax_lower_grade",
     "predict_held_out", "train",
     "baselines", "bayes", "dual", "neighbors", "regression", "svm", "tree",

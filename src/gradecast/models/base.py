@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-KINDS = ("svm", "regression", "tree", "nb", "knn", "random", "majority")
-REGRESSION_BACKENDS = ("least_squares", "epsilon_svr")
+# Every model, by the name the CLI and the report use, in report order.
+KINDS = ("svm", "linreg", "svr", "tree", "nb", "knn", "random", "majority")
 N_GRADES = 5
 
 # Finite stand-in score for grades absent from the training set; argmax can
@@ -23,15 +23,14 @@ class DimensionMismatch(ValueError):
 class ModelSpec:
     """Which model to train plus its hyperparameters.
 
-    Defaults: RBF-kernel SVM settings C=1.0 with gamma = 1 / n_features,
-    k=5 neighbors, least-squares regression backend, epsilon=0.1 for the
-    SVR backend.  ``seed`` only matters for the random baseline.
+    ``kind`` is one of KINDS.  Defaults: C=1.0 for the SVM and the SVR
+    (the SVM's RBF kernel has gamma = 1 / n_features), k=5 neighbors,
+    epsilon=0.1 for the SVR.  ``seed`` only matters for the random baseline.
     """
 
     kind: str
     C: float = 1.0
     k: int = 5
-    regression_backend: str = "least_squares"
     epsilon: float = 0.1
     seed: int = 0
 
@@ -42,8 +41,6 @@ class ModelSpec:
             raise ValueError(f"C must be positive, got {self.C!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k!r}")
-        if self.regression_backend not in REGRESSION_BACKENDS:
-            raise ValueError(f"unknown regression backend {self.regression_backend!r}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
 

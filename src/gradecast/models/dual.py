@@ -5,16 +5,16 @@ Both models reduce to the LIBSVM dual
     min 1/2 a'Qa + p'a   subject to   s'a = 0,  0 <= a <= C,
 
 with signs s_i = +-1 and a signed kernel matrix Q_ij = s_i s_j K[r_i, r_j]
-over rows r of a kernel matrix K.  Each iteration moves one pair of
-variables: i is the maximal violator in the "up" set and j the "low"-set
-index with the largest second-order gain (Fan, Chen & Lin, "Working set
-selection using second order information", JMLR 2005; Chang & Lin,
-"LIBSVM: a library for support vector machines", ACM TIST 2011).  A
-problem stops once its maximal violation m(a) - M(a) drops below TOL, or
-after MAX_ITER pair updates, in which case the best-so-far point is
-returned with converged=False.
+over rows r of the problem's kernel matrix K.  Each iteration moves one
+pair of variables: i is the maximal violator in the "up" set and j the
+"low"-set index with the largest second-order gain (Fan, Chen & Lin,
+"Working set selection using second order information", JMLR 2005;
+Chang & Lin, "LIBSVM: a library for support vector machines", ACM TIST
+2011).  A problem stops once its maximal violation m(a) - M(a) drops
+below TOL, or after MAX_ITER pair updates, in which case the best-so-far
+point is returned with converged=False.
 
-``solve`` advances a whole batch of independent problems in lock-step:
+``solve`` advances a flat list of independent problems in lock-step:
 every step is the same elementwise arithmetic over a padded (problem,
 variable) array, so each problem's result is bit-identical to solving it
 alone, whatever else is in the batch.  ``solve_groups`` feeds it the
@@ -26,7 +26,6 @@ once for all of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -39,8 +38,9 @@ BLOCK_BYTES = 256 << 10   # padded solver state of one batch: problems x variabl
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """One dual over the rows ``rows`` of its kernel matrix."""
+    """One dual over the rows ``rows`` of the kernel matrix ``K``."""
 
+    K: np.ndarray       # kernel matrix; problems may share one
     rows: np.ndarray    # kernel row of each variable
     s: np.ndarray       # +-1 per variable
     p: np.ndarray       # linear term per variable
@@ -50,31 +50,29 @@ class Problem:
 Solution = tuple[np.ndarray, float, bool, int]    # (a, rho, converged, iterations)
 
 
-def solve(kernels: Sequence[np.ndarray],
-          problems: Sequence[Sequence[Problem]]) -> list[list[Solution]]:
-    """Minimize every dual from a = 0; ``problems[k]`` are the duals on ``kernels[k]``.
+def solve(problems: Sequence[Problem]) -> list[Solution]:
+    """Minimize every dual from a = 0.
 
-    Returns the same nesting of (a, rho, converged, iterations); the fitted
-    decision function of a problem is sum_i a_i s_i K(x_{r_i}, x) - rho.
+    Returns each problem's (a, rho, converged, iterations), in order; the
+    fitted decision function of a problem is sum_i a_i s_i K(x_{r_i}, x) - rho.
     """
-    flat_problems = [(k, prob) for k, probs in enumerate(problems) for prob in probs]
-    sizes = np.array([prob.s.size for _, prob in flat_problems], dtype=np.intp)
+    sizes = np.array([prob.s.size for prob in problems], dtype=np.intp)
     B, N = sizes.size, int(sizes.max(initial=0))
-    # Q rows are gathered from one flat copy of the kernels: Q_ij is
-    # s_i s_j K_flat[rowbase_i + col_j].  Padding has s = 0, so it is in
+    # Q rows are gathered from one flat copy of the distinct kernels: Q_ij
+    # is s_i s_j K_flat[rowbase_i + col_j].  Padding has s = 0, so it is in
     # neither working set and its Q entries are zero.
-    flat = np.concatenate([np.asarray(K, dtype=float).ravel() for K in kernels]
-                          or [np.zeros(1)])
-    offsets = np.cumsum([0] + [np.shape(K)[0] ** 2 for K in kernels])
+    kernels = {id(prob.K): prob.K for prob in problems}
+    offsets = dict(zip(kernels, np.cumsum([0, *(K.size for K in kernels.values())])))
+    flat = np.concatenate([K.ravel() for K in kernels.values()] or [np.zeros(1)])
     s = np.zeros((B, N))
     G = np.zeros((B, N))     # gradient Q a + p
     col = np.zeros((B, N), dtype=np.intp)
     rowbase = np.zeros((B, N), dtype=np.intp)
     C = np.empty(B)
-    for b, (k, prob) in enumerate(flat_problems):
-        n, m = prob.s.size, np.shape(kernels[k])[0]
+    for b, prob in enumerate(problems):
+        n = prob.s.size
         s[b, :n], G[b, :n], col[b, :n] = prob.s, prob.p, prob.rows
-        rowbase[b] = offsets[k] + col[b] * m
+        rowbase[b] = offsets[id(prob.K)] + col[b] * prob.K.shape[0]
         C[b] = prob.C
     QD = flat[rowbase + col]    # s_i^2 K_ii = K_ii
     a = np.zeros((B, N))
@@ -95,7 +93,7 @@ def solve(kernels: Sequence[np.ndarray],
         done = converged | (iterations == max_iter)
         if done.any():
             for b in np.flatnonzero(done):
-                prob = flat_problems[ids[b]][1]
+                prob = problems[ids[b]]
                 n = prob.s.size
                 a_b = a[b, :n].copy()
                 results[ids[b]] = (a_b, rho(a_b, prob.s, G[b, :n], prob.C),
@@ -135,34 +133,30 @@ def solve(kernels: Sequence[np.ndarray],
             up[r, k] = np.where(sk > 0, grow, shrink)
             low[r, k] = np.where(sk > 0, shrink, grow)
         iterations += 1
-    out, start = [], 0
-    for probs in problems:
-        out.append(results[start:start + len(probs)])
-        start += len(probs)
-    return out
+    return results
 
 
 def solve_groups(groups: Iterable, plan: Callable) -> Iterator[tuple]:
     """Solve the duals of every fold of every group in lock-step batches.
 
-    ``plan(group)`` returns (K, problems, note): the group's kernel K and,
-    per fold, the list of that fold's duals on K.  Folds of a group may hold
-    the same ``Problem`` object: each distinct problem of a group is solved
-    once, and every fold that holds it gets the same ``Solution``.  Yields,
-    per group in order, (note, K, solutions), with ``solutions[f]`` the
-    solutions of fold f's duals.  Folds join a batch until its padded solver
-    state (distinct problems times the widest one's variables, 8 bytes each)
-    reaches BLOCK_BYTES, so one group's folds may span batches; a problem
-    solved in an earlier batch is not queued again.  A group's kernel and
-    duals are kept until the group is yielded, and the rest of what ``plan``
-    reads can be freed as soon as it returns.
+    ``plan(group)`` returns (problems, note): per fold, the list of that
+    fold's duals.  Folds of a group may hold the same ``Problem`` object:
+    each distinct problem of a group is solved once, and every fold that
+    holds it gets the same ``Solution``.  Yields, per group in order,
+    (note, solutions), with ``solutions[f]`` the solutions of fold f's
+    duals.  Folds join a batch until its padded solver state (distinct
+    problems times the widest one's variables, 8 bytes each) reaches
+    BLOCK_BYTES, so one group's folds may span batches; a problem solved in
+    an earlier batch is not queued again.  A group's duals, and so their
+    kernels, are kept until the group is yielded, and the rest of what
+    ``plan`` reads can be freed as soon as it returns.
     """
     planned: list[_Group] = []
     batch: list[tuple[_Group, Problem]] = []     # distinct problems not solved yet
     width = 0
     for group in groups:
-        K, problems, note = plan(group)
-        planned.append(_Group(note, K, problems, {}))
+        problems, note = plan(group)
+        planned.append(_Group(note, problems, {}))
         for probs in problems:
             for prob in probs:
                 if prob not in planned[-1].solved:
@@ -184,7 +178,6 @@ def solve_groups(groups: Iterable, plan: Callable) -> Iterator[tuple]:
 @dataclass(eq=False)
 class _Group:
     note: object
-    K: np.ndarray
     problems: list[list[Problem]]               # per fold
     solved: dict[Problem, Solution | None]      # each distinct problem, once queued
 
@@ -192,18 +185,13 @@ class _Group:
         return None not in self.solved.values()
 
     def result(self) -> tuple:
-        return self.note, self.K, [[self.solved[prob] for prob in probs]
-                                   for probs in self.problems]
+        return self.note, [[self.solved[prob] for prob in probs] for probs in self.problems]
 
 
 def _solve_batch(batch: list[tuple[_Group, Problem]]) -> None:
-    """Solve the problems (group, problem) of ``batch`` in one call, one
-    kernel per group."""
-    runs = [(group, [prob for _, prob in entries])
-            for group, entries in groupby(batch, key=lambda entry: entry[0])]
-    solved = solve([group.K for group, _ in runs], [probs for _, probs in runs])
-    for (group, probs), solutions in zip(runs, solved):
-        group.solved.update(zip(probs, solutions))
+    """Solve the problems (group, problem) of ``batch`` in one call."""
+    for (group, prob), solution in zip(batch, solve([prob for _, prob in batch])):
+        group.solved[prob] = solution
 
 
 def rho(a: np.ndarray, s: np.ndarray, G: np.ndarray, C: float) -> float:

@@ -1,26 +1,28 @@
 """Regression-to-grade: fit a numeric predictor, then snap to a grade.
 
-Two interchangeable backends:
+Two models, each fitted to a RegressionModel whose ``backend`` names it:
 
-* least_squares (default): linear least squares with an unpenalized
-  intercept, fitted as ridge regression on the centered data with damping
-  RIDGE_DAMPING = 1e-6 (the feature count can exceed the row count, which
-  leaves the plain normal equations singular).  One direct solve in the
-  smaller space: the n-by-n dual w = Xc'(Xc Xc' + damping I)^-1 yc when
-  there are no more rows than features, the d-by-d primal otherwise; both
-  give the same estimator.  The weights match an SVD solution to rounding,
-  except where the centered rows (dual) or columns (primal) are exactly
-  dependent: there the system's condition is about |Xc|^2 / damping and
-  about 1e-7 of relative accuracy remains.
-* epsilon_svr: linear epsilon-insensitive support vector regression.  Its
-  dual over the 2n variables (alpha; alpha*) goes to the shared solver in
-  ``dual`` with signs s = (1; -1) and linear term (epsilon - y; epsilon + y)
-  on the linear kernel X X' (``base.linear_kernel``), the duals of every
-  training fold in lock-step batches; the weights are X' beta with
-  beta = alpha - alpha*.  Leave-one-out folds that share a transform share
-  one kernel on all rows of the group's matrix, and fold i's dual uses its
-  rows other than i (``predict_svr_held_out``).  A fit that reaches the
-  solver's iteration cap keeps its best-so-far beta and carries a warning.
+* linreg (``fit_least_squares``, backend "least_squares"): linear least
+  squares with an unpenalized intercept, fitted as ridge regression on the
+  centered data with damping RIDGE_DAMPING = 1e-6 (the feature count can
+  exceed the row count, which leaves the plain normal equations singular).
+  One direct solve in the smaller space: the n-by-n dual
+  w = Xc'(Xc Xc' + damping I)^-1 yc when there are no more rows than
+  features, the d-by-d primal otherwise; both give the same estimator.
+  The weights match an SVD solution to rounding, except where the centered
+  rows (dual) or columns (primal) are exactly dependent: there the
+  system's condition is about |Xc|^2 / damping and about 1e-7 of relative
+  accuracy remains.
+* svr (``fit_svr``, backend "epsilon_svr"): linear epsilon-insensitive
+  support vector regression.  Its dual over the 2n variables
+  (alpha; alpha*) goes to the shared solver in ``dual`` with signs
+  s = (1; -1) and linear term (epsilon - y; epsilon + y) on the linear
+  kernel X X' (``base.linear_kernel``), the duals of every training fold
+  in lock-step batches; the weights are X' beta with beta = alpha - alpha*.
+  Leave-one-out folds that share a transform share one kernel on all rows
+  of the group's matrix, and fold i's dual uses its rows other than i
+  (``predict_svr_held_out``).  A fit that reaches the solver's iteration
+  cap keeps its best-so-far beta and carries a warning.
 
 Prediction for both: clamp the numeric estimate to [1, 5], round half away
 from zero; class_scores[g] = -|estimate - g|.
@@ -61,11 +63,12 @@ def _ridge_weights(Xc: np.ndarray, yc: np.ndarray, damping: float) -> np.ndarray
     return np.linalg.solve(gram, Xc.T @ yc)
 
 
-def _svr_problem(rows: np.ndarray, y: np.ndarray, C: float, epsilon: float) -> dual.Problem:
+def _svr_problem(K: np.ndarray, rows: np.ndarray, y: np.ndarray, C: float,
+                 epsilon: float) -> dual.Problem:
     """The doubled dual over (alpha; alpha*) of the rows ``rows`` of y: both
-    halves index those rows of the kernel."""
+    halves index those rows of the kernel K."""
     t = y[rows]
-    return dual.Problem(np.tile(rows, 2), np.repeat([1.0, -1.0], rows.size),
+    return dual.Problem(K, np.tile(rows, 2), np.repeat([1.0, -1.0], rows.size),
                         np.concatenate([epsilon - t, epsilon + t]), C)
 
 
@@ -99,20 +102,20 @@ def fit_least_squares(spec: ModelSpec, X, y) -> RegressionModel:
 
 
 def _svr_plan(spec: ModelSpec, X, y, held):
-    """The linear kernel of one matrix and the dual of each fold on it, for
-    ``dual.solve_groups``: fold f trains on every row but ``held[f]``, or on
-    every row when that is None."""
+    """The dual of each fold on the linear kernel of one matrix, and the
+    note ``held``, for ``dual.solve_groups``: fold f trains on every row but
+    ``held[f]``, or on every row when that is None."""
     X, y = validate_training_data(X, y)
-    rows, yf = np.arange(y.size), y.astype(float)
-    problems = [[_svr_problem(rows if r is None else np.delete(rows, r), yf,
+    K, rows, yf = linear_kernel(X, X), np.arange(y.size), y.astype(float)
+    problems = [[_svr_problem(K, rows if r is None else np.delete(rows, r), yf,
                               spec.C, spec.epsilon)] for r in held]
-    return linear_kernel(X, X), problems, held
+    return problems, held
 
 
 def _svr_fits(spec: ModelSpec, groups) -> Iterator[list]:
     """Per group (X, y, held) of ``groups``, each fold's (held row, beta,
     intercept, warnings); the fold's weights are X' beta over its rows."""
-    for held, _, solutions in dual.solve_groups(groups, lambda g: _svr_plan(spec, *g)):
+    for held, solutions in dual.solve_groups(groups, lambda g: _svr_plan(spec, *g)):
         fits = []
         for r, [(a, rho, converged, _)] in zip(held, solutions):
             n = a.size // 2

@@ -55,13 +55,13 @@ def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
 def smo(K: np.ndarray, y: np.ndarray, C: float) -> tuple[np.ndarray, float, bool, int]:
     """Solve one binary soft-margin dual.  Returns (alpha, b, converged, iterations)."""
     y = np.asarray(y, dtype=float)
-    [[(alpha, rho, converged, iterations)]] = dual.solve(
-        [K], [[_pair_problem(np.arange(y.size), y, C)]])
+    [(alpha, rho, converged, iterations)] = dual.solve(
+        [_pair_problem(K, np.arange(y.size), y, C)])
     return alpha, -rho, converged, iterations
 
 
-def _pair_problem(rows: np.ndarray, y: np.ndarray, C: float) -> dual.Problem:
-    return dual.Problem(rows, y, np.full(y.size, -1.0), C)
+def _pair_problem(K: np.ndarray, rows: np.ndarray, y: np.ndarray, C: float) -> dual.Problem:
+    return dual.Problem(K, rows, y, np.full(y.size, -1.0), C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +116,9 @@ class PairwiseSvm:
 
 
 def _plan(spec: ModelSpec, X, y, held):
-    """The kernel of one matrix and the pair duals of each fold on it, for
-    ``dual.solve_groups``: fold f trains on every row but ``held[f]``, or on
-    every row when that is None.
+    """The pair duals of each fold on the kernel of one matrix, and the note
+    (kernel, folds), for ``dual.solve_groups``: fold f trains on every row
+    but ``held[f]``, or on every row when that is None.
 
     The dual of pair (l, u) on every row is built once, and every fold whose
     held-out grade is neither l nor u holds that same ``Problem``.  A fold
@@ -134,7 +134,7 @@ def _plan(spec: ModelSpec, X, y, held):
         for upper in present[a_pos + 1:]:
             rows = np.flatnonzero((y == lower) | (y == upper))
             s = np.where(y[rows] == lower, 1.0, -1.0)
-            shared[lower, upper] = (rows, s, _pair_problem(rows, s, spec.C))
+            shared[lower, upper] = (rows, s, _pair_problem(K, rows, s, spec.C))
     folds, problems = [], []
     for r in held:
         grade = None if r is None else int(y[r])
@@ -146,19 +146,19 @@ def _plan(spec: ModelSpec, X, y, held):
                 if grade in (lower, upper):
                     keep = rows != r
                     rows, s = rows[keep], s[keep]
-                    prob = _pair_problem(rows, s, spec.C)
+                    prob = _pair_problem(K, rows, s, spec.C)
                 pairs.append((lower, upper, rows, s))
                 probs.append(prob)
         folds.append((r, classes, pairs))
         problems.append(probs)
-    return K, problems, folds
+    return problems, (K, folds)
 
 
 def _fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
     """Per group (X, y, held) of ``groups``, its kernel and, per fold, (held
     row, classes, pair machines, warnings).  Folds that share a dual share
     its machine."""
-    for folds, K, solutions in dual.solve_groups(groups, lambda g: _plan(spec, *g)):
+    for (K, folds), solutions in dual.solve_groups(groups, lambda g: _plan(spec, *g)):
         machine_of = {}
         fits = []
         for (r, classes, pairs), sols in zip(folds, solutions):

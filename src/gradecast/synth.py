@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import SUBMISSIONS_HEADER, Grade, StudentRecord, SubmissionEvent, write_gradebook
+from .ingest import (N_ASSIGNMENTS, SUBMISSIONS_HEADER, Grade, StudentRecord, SubmissionEvent,
+                     write_gradebook)
 from .rng import substream
 
 DEFAULT_GRADE_COUNTS = (26, 10, 22, 72, 119)   # F, D, C, B, A
@@ -65,7 +66,6 @@ def _logistic(x):
 class CohortConfig:
     n_students: int = 249
     n_questions: int = 409
-    n_assignments: int = 4
     boolean_question_fraction: float = 0.2
     max_attempts_boolean: int = 1
     max_attempts_other: int = 3
@@ -77,9 +77,7 @@ class CohortConfig:
     def __post_init__(self):
         if self.n_students < 1:
             raise InfeasibleConfig("n_students must be at least 1")
-        if self.n_assignments != 4:
-            raise InfeasibleConfig("exactly 4 assignments are supported")
-        if self.n_questions < self.n_assignments:
+        if self.n_questions < N_ASSIGNMENTS:
             raise InfeasibleConfig("need at least one question per assignment")
         if not 0.0 <= self.boolean_question_fraction <= 1.0:
             raise InfeasibleConfig("boolean_question_fraction must lie in [0, 1]")
@@ -113,7 +111,7 @@ def _pad_ids(prefix: str, count: int) -> list[str]:
 def question_bank(config: CohortConfig) -> tuple[QuestionInfo, ...]:
     """Latent difficulties and attempt caps, keyed off the config seed."""
     ids = _pad_ids("q", config.n_questions)
-    blocks = np.array_split(np.arange(config.n_questions), config.n_assignments)
+    blocks = np.array_split(np.arange(config.n_questions), N_ASSIGNMENTS)
     assignment_of = np.empty(config.n_questions, dtype=int)
     for a, block in enumerate(blocks, start=1):
         assignment_of[block] = a
@@ -153,7 +151,7 @@ def _cohort_columns(config: CohortConfig):
     caps = np.array([info.max_attempts for info in bank])
     assignment_of = np.array([info.assignment_id for info in bank])
     # question_bank gives each assignment one block of consecutive questions.
-    edges = np.searchsorted(assignment_of, np.arange(1, config.n_assignments + 2))
+    edges = np.searchsorted(assignment_of, np.arange(1, N_ASSIGNMENTS + 2))
     width = max(config.max_attempts_boolean, config.max_attempts_other)
     allowed = np.arange(width) < caps[:, None]     # (question, try) within its cap
 

@@ -50,7 +50,7 @@ def svr_dual(K, y, C, epsilon):
     sum(beta) = 0.
     """
     n = y.size
-    problem = dual.Problem(np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
+    problem = dual.Problem(K, np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
                            np.concatenate([epsilon - y, epsilon + y]), C)
-    [[(a, rho, converged, iterations)]] = dual.solve([K], [[problem]])
+    [(a, rho, converged, iterations)] = dual.solve([problem])
     return a[:n] - a[n:], -rho, converged, iterations

@@ -7,6 +7,7 @@ the package's own algorithms.
 """
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -678,13 +679,15 @@ def reference_feature_values(dataset) -> np.ndarray:
 
 def reference_write_features_csv(matrix: FeatureMatrix, path,
                                  header_comment: str | None = None) -> None:
-    """The per-cell writer that the value-table writer replaced: one repr per cell."""
+    """The per-cell writer that the value-table writer replaced: one repr per
+    cell, each row written by ``csv.writer``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         if header_comment is not None:
             fh.write(f"# {header_comment}\n")
-        fh.write(",".join(("student_id", *matrix.names)) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("student_id", *matrix.names))
         for sid, row in zip(matrix.row_ids, matrix.values):
-            fh.write(",".join((sid, *[repr(float(v)) for v in row])) + "\n")
+            writer.writerow((sid, *[repr(float(v)) for v in row]))
 
 
 def reference_session_order(dataset) -> np.ndarray:
@@ -716,13 +719,13 @@ def _reference_attempt_outcomes(p_success: float, rolls, cap: int) -> list[bool]
 def reference_generate_cohort(config):
     bank = synth.question_bank(config)
     student_ids = synth._pad_ids("s", config.n_students)
-    by_assignment: dict[int, list[int]] = {a: [] for a in range(1, config.n_assignments + 1)}
+    by_assignment: dict[int, list[int]] = {a: [] for a in range(1, N_ASSIGNMENTS + 1)}
     for q, info in enumerate(bank):
         by_assignment[info.assignment_id].append(q)
     width = max(config.max_attempts_boolean, config.max_attempts_other)
 
     events: list[SubmissionEvent] = []
-    hw_scores = np.zeros((config.n_students, config.n_assignments))
+    hw_scores = np.zeros((config.n_students, N_ASSIGNMENTS))
     test_scores = np.zeros(config.n_students)
 
     for s, sid in enumerate(student_ids):
@@ -732,7 +735,7 @@ def reference_generate_cohort(config):
         rolls = rng.random((config.n_questions, width))
         test_scores[s] = 100.0 * float(synth._logistic(ability + noise))
 
-        for a in range(1, config.n_assignments + 1):
+        for a in range(1, N_ASSIGNMENTS + 1):
             question_indices = by_assignment[a]
             attempt_plan = []   # (question index, correct flags)
             for q in question_indices:

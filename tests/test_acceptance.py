@@ -179,7 +179,7 @@ def test_criterion_05_models_beat_majority(default_matrix, fold_preps,
     base = majority_report.accuracy
     accs = {}
     for name, spec in [("svm", ModelSpec(kind="svm")),
-                       ("linreg", ModelSpec(kind="regression")),
+                       ("linreg", ModelSpec(kind="linreg")),
                        ("tree", ModelSpec(kind="tree")),
                        ("nb", ModelSpec(kind="nb")),
                        ("knn", ModelSpec(kind="knn"))]:
@@ -278,7 +278,7 @@ def test_criterion_08_no_leakage_from_held_out_row():
     rng = np.random.default_rng(808)
     fast_specs = [ModelSpec(kind="knn"), ModelSpec(kind="nb"),
                   ModelSpec(kind="tree"), ModelSpec(kind="majority"),
-                  ModelSpec(kind="regression")]
+                  ModelSpec(kind="linreg")]
     failures = 0
     for trial in range(50):
         n = 10

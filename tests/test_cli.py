@@ -266,6 +266,25 @@ def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, k
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command", ["synth", "extract", "evaluate", "sweep"])
+def test_out_dir_that_cannot_be_created_exits_usage(cohort_dir, tmp_path, capsys,
+                                                    command, under):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "out" if under else taken
+    args = {"synth": COHORT_ARGS,
+            "extract": inputs(cohort_dir),
+            "evaluate": [*inputs(cohort_dir), "--model", "majority"],
+            "sweep": [*inputs(cohort_dir), "--model", "majority"]}[command]
+    code = main([command, *args, "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(out) in err
+    assert taken.read_text() == "a file\n"
+
+
 class TestColumnarPath:
     def test_extract_and_evaluate_build_no_event_objects(self, cohort_dir, tmp_path,
                                                          monkeypatch):

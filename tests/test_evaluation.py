@@ -171,12 +171,17 @@ class TestLoocvHarness:
         assert sinks[4] == sinks[1]
 
 
-KERNEL_SPECS = (ModelSpec(kind="svm"),
-                ModelSpec(kind="regression", regression_backend="epsilon_svr"))
-FOLD_BY_FOLD_SPECS = (ModelSpec(kind="regression"), ModelSpec(kind="nb"),
+KERNEL_SPECS = (ModelSpec(kind="svm"), ModelSpec(kind="svr"))
+FOLD_BY_FOLD_SPECS = (ModelSpec(kind="linreg"), ModelSpec(kind="nb"),
                       ModelSpec(kind="knn"), ModelSpec(kind="random", seed=7),
                       ModelSpec(kind="majority"))
 ALL_SPECS = KERNEL_SPECS + (ModelSpec(kind="tree"),) + FOLD_BY_FOLD_SPECS
+
+
+def spec_id(spec):
+    """A spec's test id: its kind, or for linreg and svr the ``backend`` of
+    the fitted RegressionModel."""
+    return {"linreg": "least_squares", "svr": "epsilon_svr"}.get(spec.kind, spec.kind)
 
 
 def fold_training_sets(values, y, normalize, group="score"):
@@ -193,7 +198,7 @@ def fold_training_sets(values, y, normalize, group="score"):
 class TestBatchedFoldEngine:
     """Every model predicts its held-out rows through ``predict_held_out``."""
 
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=models._model)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=spec_id)
     def test_held_out_row_does_not_reach_its_fold_model(self, small_matrix, spec):
         # Every fold's training set is its own group, and a probe is the row
         # each group holds out, so the duals of all folds meet in lock-step
@@ -238,9 +243,9 @@ class TestBatchedFoldEngine:
                 fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
                 alone = train(fold_spec, X, y_fold).predict(
                     prep.transform(values[i:i + 1])[0])
-                assert preds[i].outcome.grade == alone.grade, (models._model(spec), i)
+                assert preds[i].outcome.grade == alone.grade, (spec.kind, i)
                 assert (preds[i].outcome.class_scores.tobytes()
-                        == alone.class_scores.tobytes()), (models._model(spec), i)
+                        == alone.class_scores.tobytes()), (spec.kind, i)
 
     @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
     def test_artifacts_do_not_depend_on_jobs(self, tmp_path, extra):
@@ -271,16 +276,16 @@ def loo_fold_duals(monkeypatch, matrix, y, spec, normalize):
         planned = []
 
         def planning(group):
-            K, problems, note = plan(group)
+            problems, note = plan(group)
             planned.append((group[2], problems))
-            return K, problems, note
+            return problems, note
 
-        for g, (note, K, solutions) in enumerate(solve_groups(groups, planning)):
+        for g, (note, solutions) in enumerate(solve_groups(groups, planning)):
             for i, problems, sols in zip(*planned[g], solutions):
                 duals[i] = [(prob.rows.tolist(), prob.s.tobytes(), prob.p.tobytes(), prob.C,
                              a.tobytes(), rho, converged, iterations)
                             for prob, (a, rho, converged, iterations) in zip(problems, sols)]
-            yield note, K, solutions
+            yield note, solutions
 
     with monkeypatch.context() as patch:
         patch.setattr(dual, "solve_groups", recording)
@@ -292,7 +297,7 @@ class TestKernelFoldGroups:
     """SVM and SVR folds with equal transforms share one kernel on all rows."""
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=models._model)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=spec_id)
     def test_held_out_row_does_not_reach_its_fold_duals(self, small_matrix, spec,
                                                         normalize, monkeypatch):
         # Row i sits in its group's kernel, but fold i's duals and their
@@ -319,14 +324,14 @@ def svm_plans(monkeypatch, matrix, y, normalize):
 
     def recording_groups(groups, plan):
         def planning(group):
-            K, problems, note = plan(group)
-            plans.append((np.asarray(group[1]), note, problems))
-            return K, problems, note
+            problems, (K, folds) = plan(group)
+            plans.append((np.asarray(group[1]), folds, problems))
+            return problems, (K, folds)
         return solve_groups(groups, planning)
 
-    def recording_solve(kernels, problems):
-        solved.extend(prob for probs in problems for prob in probs)
-        return solve(kernels, problems)
+    def recording_solve(problems):
+        solved.extend(problems)
+        return solve(problems)
 
     with monkeypatch.context() as patch:
         patch.setattr(dual, "solve_groups", recording_groups)
@@ -489,8 +494,7 @@ def loo_fold_models(monkeypatch, matrix, y, spec, normalize):
     fitted fold by fold, by held-out row (told apart by the fold's seed)."""
     fold_of = {mix_seed(spec.seed, i): i for i in range(y.size)}
     assert len(fold_of) == y.size
-    key = models._model(spec)
-    fit = models._FITTERS[key]
+    fit = models._FITTERS[spec.kind]
     fitted = {}
 
     def recording(fold_spec, X, y_fold):
@@ -498,7 +502,7 @@ def loo_fold_models(monkeypatch, matrix, y, spec, normalize):
         return model
 
     with monkeypatch.context() as patch:
-        patch.setitem(models._FITTERS, key, recording)
+        patch.setitem(models._FITTERS, spec.kind, recording)
         loo(matrix, y, spec, normalize=normalize)
     return [model_bits(fitted[i]) for i in range(y.size)]
 
@@ -508,7 +512,7 @@ class TestFoldByFoldGroups:
     without row i."""
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-    @pytest.mark.parametrize("spec", FOLD_BY_FOLD_SPECS, ids=models._model)
+    @pytest.mark.parametrize("spec", FOLD_BY_FOLD_SPECS, ids=spec_id)
     def test_held_out_row_does_not_reach_its_fold_model(self, small_matrix, spec,
                                                         normalize, monkeypatch):
         # Row i sits in its group's matrix, but fold i's model must not
@@ -524,7 +528,7 @@ class TestFoldByFoldGroups:
             before, after = (loo_fold_models(monkeypatch, m, y, spec, normalize)
                              for m in (matrix, mutated))
             assert before[i] == after[i]
-            if spec.kind in ("regression", "nb", "knn"):
+            if spec.kind in ("linreg", "nb", "knn"):
                 assert sum(a != b for a, b in zip(before, after)) > y.size // 2
 
 

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -279,3 +280,18 @@ class TestCsvExport:
         reference_write_features_csv(fm, expected, header_comment="x")
         assert got.read_bytes() == expected.read_bytes()
         assert got.read_text().splitlines()[2].split(",")[1:4] == ["-0.0", "0.0", "nan"]
+
+    def test_ids_with_commas_and_quotes_read_back(self, tmp_path):
+        ids = ["a,b", 'say "hi"', '",', "plain"]
+        events = [event(student=sid, question=q, timestamp=100 * k + j)
+                  for k, sid in enumerate(ids) for j, q in enumerate(("q1", "q2", "q3"))]
+        fm = assemble_feature_matrix(dataset_from(events, [record(sid) for sid in ids]))
+        assert sorted(fm.row_ids) == sorted(ids)
+        for write in (write_features_csv, reference_write_features_csv):
+            out = tmp_path / f"{write.__name__}.csv"
+            write(fm, out)
+            with open(out, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert all(len(row) == 2 * 3 + 14 for row in rows)
+            assert [row[0] for row in rows[1:]] == list(fm.row_ids)
+        assert out.read_bytes() == (tmp_path / "write_features_csv.csv").read_bytes()

@@ -29,7 +29,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="knn", k=0)
         with pytest.raises(ValueError):
-            ModelSpec(kind="regression", regression_backend="gradient")
+            ModelSpec(kind="regression")
 
     def test_training_data_validation(self):
         with pytest.raises(ValueError):
@@ -336,7 +336,7 @@ class TestDecisionTree:
 class TestRegression:
     @staticmethod
     def least_squares_vs_oracle(X, y):
-        model = train(ModelSpec(kind="regression"), X, y)
+        model = train(ModelSpec(kind="linreg"), X, y)
         w, b = ridge_oracle(X, y, RIDGE_DAMPING)
         return model, w, b
 
@@ -378,7 +378,7 @@ class TestRegression:
     def test_exact_fit_when_overdetermined(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         y = np.array([1, 2, 3, 4, 5])
-        model = train(ModelSpec(kind="regression"), X, y)
+        model = train(ModelSpec(kind="linreg"), X, y)
         for xi, yi in zip(X, y):
             assert model.numeric_estimate(xi) == pytest.approx(yi, abs=1e-6)
             assert model.predict(xi).grade == yi
@@ -386,7 +386,7 @@ class TestRegression:
     def test_constant_labels_give_constant_estimate(self):
         X = np.array([[3.0, 1.0], [5.0, 2.0], [100.0, -4.0]])
         y = np.array([3, 3, 3])
-        model = train(ModelSpec(kind="regression"), X, y)
+        model = train(ModelSpec(kind="linreg"), X, y)
         for x in (np.zeros(2), np.array([1e6, -1e6])):
             assert model.numeric_estimate(x) == pytest.approx(3.0, abs=1e-8)
             assert model.predict(x).grade == 3
@@ -418,8 +418,7 @@ class TestRegression:
     def test_svr_backend_fits_linear_data(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [4.0]])
         y = np.array([1, 2, 3, 4, 5])
-        model = train(ModelSpec(kind="regression",
-                                regression_backend="epsilon_svr"), X, y)
+        model = train(ModelSpec(kind="svr"), X, y)
         for xi, yi in zip(X, y):
             assert model.predict(xi).grade == yi
             assert abs(model.numeric_estimate(xi) - yi) <= 0.1 + 1e-6

@@ -245,7 +245,7 @@ class TestSolverMatchesReference:
         if np.all(s == s[0]):
             s[0] = -s[0]
         C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
-        return K, dual.Problem(rows, s, np.full(rows.size, -1.0), C)
+        return dual.Problem(K, rows, s, np.full(rows.size, -1.0), C)
 
     @staticmethod
     def svr_problem(rng):
@@ -254,22 +254,16 @@ class TestSolverMatchesReference:
         y = rng.integers(1, 6, size=n).astype(float)
         epsilon = float(rng.choice([0.05, 0.1, 0.5]))
         C = float(rng.choice([0.05, 0.5, 1.0, 10.0]))
-        return X @ X.T, dual.Problem(np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
-                                     np.concatenate([epsilon - y, epsilon + y]), C)
+        return dual.Problem(X @ X.T, np.tile(np.arange(n), 2), np.repeat([1.0, -1.0], n),
+                            np.concatenate([epsilon - y, epsilon + y]), C)
 
     def mixed(self, rng, count):
         return [(self.svm_pair_problem if k % 2 else self.svr_problem)(rng)
                 for k in range(count)]
 
     @staticmethod
-    def solve(problems):
-        """One batch, one kernel per problem."""
-        return [sols[0] for sols in dual.solve([K for K, _ in problems],
-                                               [[prob] for _, prob in problems])]
-
-    @staticmethod
-    def reference(K, prob, max_iter):
-        Q = prob.s[:, None] * prob.s[None, :] * K[np.ix_(prob.rows, prob.rows)]
+    def reference(prob, max_iter):
+        Q = prob.s[:, None] * prob.s[None, :] * prob.K[np.ix_(prob.rows, prob.rows)]
         return dual_solve_reference(Q, prob.s, prob.p, prob.C, dual.TOL, max_iter,
                                     dual._TAU)
 
@@ -281,10 +275,10 @@ class TestSolverMatchesReference:
     def test_bit_identical_on_random_problems(self):
         rng = np.random.default_rng(60)
         problems = self.mixed(rng, 240)
-        results = self.solve(problems)
+        results = dual.solve(problems)
         at_zero = at_c = size_two = 0
-        for (K, prob), got in zip(problems, results):
-            self.assert_same(got, self.reference(K, prob, dual.MAX_ITER))
+        for prob, got in zip(problems, results):
+            self.assert_same(got, self.reference(prob, dual.MAX_ITER))
             a, _, converged, _ = got
             assert converged
             at_zero += bool(np.any(a == 0.0))
@@ -300,37 +294,37 @@ class TestSolverMatchesReference:
             problems = self.mixed(rng, 10)
             cap = int(rng.integers(1, 6))
             monkeypatch.setattr(dual, "MAX_ITER", cap)
-            for (K, prob), got in zip(problems, self.solve(problems)):
-                self.assert_same(got, self.reference(K, prob, cap))
+            for prob, got in zip(problems, dual.solve(problems)):
+                self.assert_same(got, self.reference(prob, cap))
                 capped += not got[2]
         assert capped >= 30
 
     def test_result_does_not_depend_on_batch_order_or_company(self):
         rng = np.random.default_rng(62)
         problems = self.mixed(rng, 40)
-        alone = [self.solve([problem])[0] for problem in problems]
-        together = self.solve(problems)
+        alone = [dual.solve([problem])[0] for problem in problems]
+        together = dual.solve(problems)
         order = rng.permutation(len(problems))
-        permuted = self.solve([problems[k] for k in order])
+        permuted = dual.solve([problems[k] for k in order])
         for k in range(len(problems)):
             self.assert_same(together[k], alone[k])
             self.assert_same(permuted[int(np.flatnonzero(order == k)[0])], alone[k])
 
     def test_problems_sharing_a_kernel(self):
-        # The pair duals of one fold all index rows of the same kernel matrix.
+        # The pair duals of one fold all index rows of the same kernel
+        # matrix; the batch interleaves the problems of five kernels.
         rng = np.random.default_rng(63)
-        kernels, batch = [], []
+        problems = []
         for _ in range(5):
             K, y = random_problem(rng, n_max=12)
             pos, neg = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
-            kernels.append(K)
-            batch.append([dual.Problem(rows, y[rows], np.full(rows.size, -1.0), 1.0)
-                          for rows in (np.arange(y.size), np.concatenate([neg, pos[:1]]))])
-        solved = dual.solve(kernels, batch)
-        assert [len(sols) for sols in solved] == [2] * 5
-        for K, probs, sols in zip(kernels, batch, solved):
-            for prob, got in zip(probs, sols):
-                self.assert_same(got, self.reference(K, prob, dual.MAX_ITER))
+            problems.append([dual.Problem(K, rows, y[rows], np.full(rows.size, -1.0), 1.0)
+                             for rows in (np.arange(y.size), np.concatenate([neg, pos[:1]]))])
+        batch = [prob for pair in zip(*problems) for prob in pair]
+        solved = dual.solve(batch)
+        assert len(solved) == 10
+        for prob, got in zip(batch, solved):
+            self.assert_same(got, self.reference(prob, dual.MAX_ITER))
 
 
 def test_iteration_cap_keeps_best_so_far_and_warns(monkeypatch):
@@ -339,7 +333,7 @@ def test_iteration_cap_keeps_best_so_far_and_warns(monkeypatch):
     y = np.tile([1, 5], 10)
     monkeypatch.setattr(dual, "MAX_ITER", 2)
 
-    svr = train(ModelSpec(kind="regression", regression_backend="epsilon_svr"), X, y)
+    svr = train(ModelSpec(kind="svr"), X, y)
     assert svr.warnings == ("svr: iteration cap reached",)
     beta, b, converged, iterations = svr_dual(linear_kernel(X, X), y.astype(float), 1.0, 0.1)
     assert not converged and iterations == 2

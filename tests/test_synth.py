@@ -39,10 +39,6 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             CohortConfig(n_students=10, grade_counts=(1, 1, 1, 1, 1))
 
-    def test_only_four_assignments_supported(self):
-        with pytest.raises(InfeasibleConfig):
-            CohortConfig(n_assignments=5)
-
     def test_questions_must_cover_assignments(self):
         with pytest.raises(InfeasibleConfig):
             CohortConfig(n_students=5, n_questions=3,
