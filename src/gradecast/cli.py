@@ -1,9 +1,9 @@
 """Command-line front end: synth, extract, evaluate, sweep.
 
 Exit codes: 0 all requested work completed; 2 argument or input-parsing
-failure, or an output directory that cannot be created; 3 a model failed
-during evaluation (partial results are still written).  Warnings go to
-stderr.  Every CSV artifact starts with a ``# run-config:`` comment and
+failure, or an output that cannot be written; 3 a model failed during
+evaluation (partial results are still written).  Warnings go to stderr.
+Every CSV artifact starts with a ``# run-config:`` comment and
 report.md with an HTML comment carrying the resolved settings, so any
 output is reproducible from its own header.  The header omits the thread
 count, which cannot affect results.
@@ -260,10 +260,7 @@ def _jobs(settings: _Settings) -> int:
 def _out_dir(settings: _Settings) -> str:
     """The output directory, created if it does not exist yet."""
     out_dir = settings.get("out_dir", ".", _as_text) or "."
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:          # a file in the way, no permission
-        raise UsageError(f"cannot write output: {exc}") from exc
+    os.makedirs(out_dir, exist_ok=True)
     return out_dir
 
 
@@ -424,6 +421,12 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](settings)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    # Every input is read under a handler of its own, so an OSError that
+    # gets here came from writing: a file in the way, a directory where a
+    # file goes, no permission, a full disk.
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

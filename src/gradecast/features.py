@@ -13,9 +13,8 @@ student's submissions within one assignment where adjacent timestamps are
 at most two hours apart; response times are the gaps between adjacent
 submissions inside a session, so they never exceed two hours.
 
-Every family is computed from the dataset's columns and its one session
-index (``Dataset.sessions``); ``segment_sessions`` and ``response_times``
-read the same index.
+Every family is computed from the dataset's columns; the session and
+response-time families read its one session index (``Dataset.sessions``).
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import N_ASSIGNMENTS, SESSION_GAP_SECONDS, Dataset, SubmissionEvent
+from .ingest import N_ASSIGNMENTS, Dataset
 
 QUICK_RESPONSE_SECONDS = 12.0    # faster than 5 submissions per minute
 CSV_BLOCK_ROWS = 32              # features.csv rows whose distinct values are formatted together
@@ -37,13 +36,6 @@ GROUP_SCORE = "score"
 RT_FEATURE_NAMES = ("rt:long_n", "rt:quick_n", "rt:long_f", "rt:quick_f")
 SESSION_FEATURE_NAMES = tuple(f"sess:a{a}" for a in range(1, 5))
 SCORE_FEATURE_NAMES = ("score:hw1", "score:hw2", "score:hw3", "score:hw4", "score:test1")
-
-
-@dataclass(frozen=True)
-class Session:
-    student_id: str
-    assignment_id: int
-    events: tuple[SubmissionEvent, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,39 +69,10 @@ def submissions_per_question(dataset: Dataset) -> np.ndarray:
     return counts.reshape(n, q).astype(float)
 
 
-def segment_sessions(dataset: Dataset, student_id: str,
-                     assignment_id: int) -> list[Session]:
-    """Greedy time-ordered session segmentation for one student-assignment.
-
-    A gap of exactly SESSION_GAP_SECONDS still belongs to the same session;
-    only a strictly larger gap starts a new one.  Only assignments
-    1..N_ASSIGNMENTS have sessions.
-    """
-    row = dataset.student_rows[student_id]
-    if not 1 <= assignment_id <= N_ASSIGNMENTS:
-        return []
-    index = dataset.sessions
-    key = row * N_ASSIGNMENTS + assignment_id - 1
-    lo, hi = np.searchsorted(index.key, [key, key + 1])
-    events = dataset.events
-    bounds = index.bounds[lo:hi + 1].tolist()
-    return [Session(student_id, assignment_id,
-                    tuple(events[i] for i in index.order[start:stop].tolist()))
-            for start, stop in zip(bounds, bounds[1:])]
-
-
 def sessions_per_assignment(dataset: Dataset) -> np.ndarray:
     n = len(dataset.students)
     counts = np.bincount(dataset.sessions.key, minlength=n * N_ASSIGNMENTS)
     return counts.reshape(n, N_ASSIGNMENTS).astype(float)
-
-
-def response_times(dataset: Dataset, student_id: str) -> list[int]:
-    """Within-session gaps between the student's adjacent submissions."""
-    row = dataset.student_rows[student_id]
-    index = dataset.sessions
-    lo, hi = np.searchsorted(index.gap_row, [row, row + 1])
-    return index.gaps[lo:hi].tolist()
 
 
 def response_time_features(dataset: Dataset) -> np.ndarray:

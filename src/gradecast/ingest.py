@@ -3,10 +3,9 @@
 Turns the two course export files (``submissions.csv`` and ``gradebook.csv``)
 into one immutable in-memory dataset shared by feature extraction and
 evaluation.  The submission log is held as columns (``EventLog``), from the
-parse to the feature matrix; ``SubmissionEvent`` objects are built only when
-a caller asks for them.  Input rows may arrive in any order; parsing
-canonicalizes the ordering, so the same set of rows always produces the
-same dataset.
+parse to the feature matrix, and the program reads it through those columns
+alone.  Input rows may arrive in any order; parsing canonicalizes the
+ordering, so the same set of rows always produces the same dataset.
 
 A submission log in the form ``write_submissions`` writes is read columnar:
 numpy finds its lines and fields and converts whole columns, in blocks of
@@ -200,15 +199,6 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.student)
 
-    @cached_property
-    def events(self) -> tuple[SubmissionEvent, ...]:
-        """The log as event objects, built on first use."""
-        return tuple(map(SubmissionEvent,
-                         [self.student_ids[c] for c in self.student.tolist()],
-                         [self.question_ids[c] for c in self.question.tolist()],
-                         self.assignment.tolist(), self.timestamp.tolist(),
-                         self.attempt.tolist(), self.correct.tolist()))
-
 
 @dataclass(frozen=True)
 class StudentRecord:
@@ -220,21 +210,18 @@ class StudentRecord:
 
 @dataclass(frozen=True)
 class SessionIndex:
-    """Every student's submissions cut into sessions, in one set of arrays.
+    """Every student's submissions cut into sessions, in three arrays.
 
     A session is a maximal run of one student's submissions to one
     assignment (1..N_ASSIGNMENTS) whose adjacent timestamps are at most
-    SESSION_GAP_SECONDS apart.  ``order`` lists the events of those
-    assignments sorted by (student row, assignment, timestamp, question_id,
-    attempt_number), stream order breaking ties; session k is
-    ``order[bounds[k]:bounds[k + 1]]`` and ``key[k]`` is its
-    ``row * N_ASSIGNMENTS + assignment - 1``, which never decreases.
-    ``gaps`` are the within-session gaps between adjacent events in that
-    same order, and ``gap_row`` the student row of each.
+    SESSION_GAP_SECONDS apart, taken in (student row, assignment,
+    timestamp, question_id, attempt_number) order, stream order breaking
+    ties.  ``key`` holds each session's ``row * N_ASSIGNMENTS + assignment
+    - 1`` and never decreases.  ``gaps`` are the within-session gaps
+    between adjacent submissions in that same order, and ``gap_row`` the
+    student row of each, so one student's gaps are a contiguous slice.
     """
 
-    order: np.ndarray
-    bounds: np.ndarray
     key: np.ndarray
     gaps: np.ndarray
     gap_row: np.ndarray
@@ -261,17 +248,9 @@ class Dataset:
     def n_questions(self) -> int:
         return len(self.question_catalog)
 
-    @property
-    def events(self) -> tuple[SubmissionEvent, ...]:
-        return self.log.events
-
-    @cached_property
-    def student_rows(self) -> dict[str, int]:
-        return {rec.student_id: i for i, rec in enumerate(self.students)}
-
     @cached_property
     def sessions(self) -> SessionIndex:
-        """The session index, built on first use; every session view reads it."""
+        """The session index, built on first use; the timing features read it."""
         log = self.log
         graded = np.flatnonzero((log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS))
         order = graded[_stable_order(col[graded] for col in (
@@ -284,9 +263,7 @@ class Dataset:
         within = (key[1:] == key[:-1]) & (gap <= SESSION_GAP_SECONDS)
         start = np.ones(order.size, dtype=bool)
         start[1:] = ~within
-        starts = np.flatnonzero(start)
-        return SessionIndex(order, np.append(starts, order.size), key[starts],
-                            gap[within].astype(np.int64), row[1:][within])
+        return SessionIndex(key[start], gap[within].astype(np.int64), row[1:][within])
 
 
 def _numbered_rows(path) -> Iterator[tuple[int, list[str]]]:

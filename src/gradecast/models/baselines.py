@@ -28,26 +28,22 @@ class MajorityBaseline:
 class RandomBaseline:
     """Uniform guess over the five grades.
 
-    Draws come from a counter-based stream keyed by (seed, prediction
-    index).  ``predict`` uses index 0; callers that need a sequence of
-    independent draws either use ``predict_at`` with explicit indices or
-    give each prediction its own seed (the cross-validation harness derives
-    one per fold).
+    The draw comes from a counter-based stream keyed by the seed, so every
+    prediction of one model is the same; callers that need independent
+    draws give each prediction its own seed (the cross-validation harness
+    derives one per fold with ``mix_seed``).
     """
 
     seed: int
     n_features: int
     warnings: tuple[str, ...] = ()
 
-    def predict_at(self, x, index: int) -> PredictionOutcome:
+    def predict(self, x) -> PredictionOutcome:
         check_dim(x, self.n_features)
         # argmax of five i.i.d. uniforms is itself a uniform draw over the
         # grades, and it keeps grade consistent with class_scores.
-        scores = substream(self.seed, _PREDICT_STREAM, index).random(N_GRADES)
+        scores = substream(self.seed, _PREDICT_STREAM, 0).random(N_GRADES)
         return PredictionOutcome(argmax_lower_grade(scores), scores)
-
-    def predict(self, x) -> PredictionOutcome:
-        return self.predict_at(x, 0)
 
 
 def fit_majority(spec: ModelSpec, X, y) -> MajorityBaseline:

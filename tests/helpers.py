@@ -33,12 +33,29 @@ def log_bits(log):
                log.correct)))
 
 
+def events_of(log):
+    """An EventLog's rows as SubmissionEvents, in log order."""
+    return tuple(map(SubmissionEvent,
+                     [log.student_ids[c] for c in log.student.tolist()],
+                     [log.question_ids[c] for c in log.question.tolist()],
+                     log.assignment.tolist(), log.timestamp.tolist(),
+                     log.attempt.tolist(), log.correct.tolist()))
+
+
+def gaps_of(dataset, student_id):
+    """One student's response times: their slice of ``dataset.sessions.gaps``."""
+    row = [rec.student_id for rec in dataset.students].index(student_id)
+    index = dataset.sessions
+    lo, hi = np.searchsorted(index.gap_row, [row, row + 1])
+    return index.gaps[lo:hi].tolist()
+
+
 def dataset_from(events, records):
     return build_dataset(tuple(events), tuple(records))
 
 
 def write_dataset(dataset, submissions_path, gradebook_path, header_comment=None):
-    write_submissions(dataset.events, submissions_path, header_comment)
+    write_submissions(events_of(dataset.log), submissions_path, header_comment)
     write_gradebook(dataset.students, gradebook_path, header_comment)
 
 

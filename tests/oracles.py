@@ -17,9 +17,10 @@ from functools import cached_property
 import numpy as np
 
 from gradecast import synth
-from gradecast.features import QUICK_RESPONSE_SECONDS, SESSION_GAP_SECONDS, FeatureMatrix, Session
+from gradecast.features import QUICK_RESPONSE_SECONDS, FeatureMatrix
 from gradecast.ingest import (
     N_ASSIGNMENTS,
+    SESSION_GAP_SECONDS,
     SUBMISSIONS_HEADER,
     DuplicateStudent,
     EmptyLog,
@@ -492,6 +493,13 @@ def average_precision_oracle(scores, labels, n_positive):
 # that differ only in assignment come out in file order.
 
 @dataclass(frozen=True)
+class Session:
+    student_id: str
+    assignment_id: int
+    events: tuple[SubmissionEvent, ...]
+
+
+@dataclass(frozen=True)
 class ReferenceDataset:
     events: tuple[SubmissionEvent, ...]
     students: tuple[StudentRecord, ...]
@@ -691,11 +699,34 @@ def reference_write_features_csv(matrix: FeatureMatrix, path,
 
 
 def reference_session_order(dataset) -> np.ndarray:
-    """``Dataset.sessions.order`` by the five-key lexsort the packed sort replaced."""
+    """The events of a Dataset's sessions in session order, by the five-key
+    lexsort that the packed sort replaced."""
     log = dataset.log
     graded = np.flatnonzero((log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS))
     return graded[np.lexsort(tuple(col[graded] for col in (
         log.attempt, log.question, log.timestamp, log.assignment, dataset.row)))]
+
+
+def reference_session_index(dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Dataset.sessions`` as (key, gaps, gap_row): one Python loop over
+    ``reference_session_order`` with the 2-hour rule, in exact integers."""
+    keys: list[int] = []
+    gaps: list[int] = []
+    gap_rows: list[int] = []
+    previous = None
+    for i in reference_session_order(dataset).tolist():
+        row = int(dataset.row[i])
+        key = row * N_ASSIGNMENTS + int(dataset.log.assignment[i]) - 1
+        timestamp = int(dataset.log.timestamp[i])
+        if (previous is not None and previous[0] == key
+                and timestamp - previous[1] <= SESSION_GAP_SECONDS):
+            gaps.append(timestamp - previous[1])
+            gap_rows.append(row)
+        else:
+            keys.append(key)
+        previous = key, timestamp
+    return (np.array(keys, dtype=np.int64), np.array(gaps, dtype=np.int64),
+            np.array(gap_rows, dtype=np.int64))
 
 
 # ------------------------------------------------------------------- synth

@@ -20,11 +20,7 @@ from gradecast.evaluation import (
     prepare_fold_preprocessors,
     summarize,
 )
-from gradecast.features import (
-    assemble_feature_matrix,
-    response_times,
-    segment_sessions,
-)
+from gradecast.features import SESSION_FEATURE_NAMES, assemble_feature_matrix
 from gradecast.ingest import build_dataset
 from gradecast.models import ModelSpec, train
 from gradecast.models.svm import rbf_kernel, smo
@@ -255,22 +251,19 @@ def test_criterion_07_feature_invariants_on_random_cohorts():
         if np.any((perf == 1.0) & (subs < 1.0)):
             failures.append(f"case {case}: solved question with no submissions")
 
-        for rec in records:
-            student_events = [ev for ev in dataset.events if ev.student_id == rec.student_id]
-            n_events = len(student_events)
-            n_sessions = 0
-            session_events = 0
-            for a in range(1, 5):
-                sessions = segment_sessions(dataset, rec.student_id, a)
-                n_sessions += len(sessions)
-                session_events += sum(len(s.events) for s in sessions)
-            if session_events != n_events:
-                failures.append(f"case {case}: sessions lost events")
-            if len(response_times(dataset, rec.student_id)) != n_events - n_sessions:
-                failures.append(f"case {case}: response-time count identity broke")
+        # Every event opens a session or follows a within-session gap.
+        n_events = Counter(ev.student_id for ev in events)
+        sessions = matrix.values[:, [matrix.names.index(name)
+                                     for name in SESSION_FEATURE_NAMES]].sum(axis=1)
+        n_gaps = np.bincount(dataset.sessions.gap_row, minlength=n)
+        for row, rec in enumerate(dataset.students):
+            if n_events[rec.student_id] != sessions[row] + n_gaps[row]:
+                failures.append(f"case {case}: {rec.student_id} has "
+                                f"{n_events[rec.student_id]} events, {sessions[row]:g} "
+                                f"sessions and {n_gaps[row]} within-session gaps")
     ok = not failures
     verdict(7, ok, "100 random cohorts: column count 2Q+13, solved=>submitted, "
-                   "session and response-time counting identities"
+                   "per student events = sessions + within-session gaps"
                    + (f"; first failure: {failures[0]}" if failures else ""))
 
 

@@ -9,8 +9,9 @@ import pytest
 
 import gradecast
 from gradecast.cli import main
-from gradecast.ingest import SubmissionEvent, load_dataset
+from gradecast.ingest import SubmissionEvent
 from gradecast.models import tree
+from gradecast.synth import CohortConfig, generate_cohort
 
 COHORT_ARGS = ["--students", "20", "--questions", "16",
                "--grade-counts", "2,2,4,5,7", "--seed", "11"]
@@ -285,6 +286,26 @@ def test_out_dir_that_cannot_be_created_exits_usage(cohort_dir, tmp_path, capsys
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command, output", [("synth", "submissions.csv"),
+                                             ("extract", "features.csv"),
+                                             ("evaluate", "report.md"),
+                                             ("sweep", "mask.json")])
+def test_output_file_that_is_a_directory_exits_usage(cohort_dir, tmp_path, capsys,
+                                                     command, output):
+    blocked = tmp_path / output
+    blocked.mkdir()
+    args = {"synth": COHORT_ARGS,
+            "extract": inputs(cohort_dir),
+            "evaluate": [*inputs(cohort_dir), "--model", "majority"],
+            "sweep": [*inputs(cohort_dir), "--model", "majority"]}[command]
+    code = main([command, *args, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(blocked) in err
+    assert blocked.is_dir() and not any(blocked.iterdir())
+
+
 class TestColumnarPath:
     def test_extract_and_evaluate_build_no_event_objects(self, cohort_dir, tmp_path,
                                                          monkeypatch):
@@ -300,8 +321,8 @@ class TestColumnarPath:
         assert main(["evaluate", *inputs(cohort_dir), "--model", "all",
                      "--out-dir", str(tmp_path)]) == 0
         assert built == []
-        dataset, _ = load_dataset(cohort_dir / "submissions.csv", cohort_dir / "gradebook.csv")
-        assert len(dataset.events) == len(built) > 0     # the count sees lazy events
+        events, _ = generate_cohort(CohortConfig(n_students=5, grade_counts=(1, 1, 1, 1, 1)))
+        assert len(events) == len(built) > 0     # the count sees events being built
 
 
 class TestConfigFile:

@@ -2,7 +2,6 @@ import csv
 import math
 
 import numpy as np
-import pytest
 
 from gradecast.features import (
     CSV_BLOCK_ROWS,
@@ -15,15 +14,13 @@ from gradecast.features import (
     assemble_feature_matrix,
     per_question_performance,
     response_time_features,
-    response_times,
     score_features,
-    segment_sessions,
     sessions_per_assignment,
     submissions_per_question,
     write_features_csv,
 )
 from gradecast.ingest import N_ASSIGNMENTS, SessionIndex, build_dataset
-from helpers import dataset_from, event, record
+from helpers import dataset_from, event, events_of, gaps_of, record
 from oracles import reference_write_features_csv
 
 
@@ -46,7 +43,7 @@ class TestPerformanceAndSubmissions:
                event(student="s2", question="q2", correct=False)]
         ds = dataset_from(evs, [record(student="s1"), record(student="s2")])
         col_q2 = ds.question_catalog["q2"][1]
-        row_s1 = ds.student_rows["s1"]
+        row_s1 = 0                  # rows follow the records' order
         assert per_question_performance(ds)[row_s1, col_q2] == 0.0
         assert submissions_per_question(ds)[row_s1, col_q2] == 0.0
 
@@ -61,15 +58,15 @@ class TestPerformanceAndSubmissions:
 class TestSessions:
     def test_two_hour_gap_is_inclusive(self):
         ds = dataset_from(events_at([0, 1800, 9000]), [record()])
-        assert len(segment_sessions(ds, "s1", 1)) == 1
+        assert sessions_per_assignment(ds)[0, 0] == 1
 
     def test_gap_just_over_two_hours_splits(self):
         ds = dataset_from(events_at([0, 7201]), [record()])
-        assert len(segment_sessions(ds, "s1", 1)) == 2
+        assert sessions_per_assignment(ds)[0, 0] == 2
 
     def test_no_events_is_zero_sessions(self):
         ds = dataset_from(events_at([0]), [record()])
-        assert len(segment_sessions(ds, "s1", 3)) == 0
+        assert sessions_per_assignment(ds)[0, 2] == 0
 
     def test_one_burst_per_assignment(self):
         evs = []
@@ -92,13 +89,8 @@ class TestSessions:
     def test_int64_extremes_split_without_overflow(self):
         top = 2**63 - 1
         ds = dataset_from(events_at([-top - 1, top - 1, top]), [record()])
-        assert [len(s.events) for s in segment_sessions(ds, "s1", 1)] == [1, 2]
-        assert response_times(ds, "s1") == [1]
-
-    def test_unknown_student_raises(self):
-        ds = dataset_from(events_at([0]), [record()])
-        with pytest.raises(KeyError):
-            segment_sessions(ds, "nobody", 1)
+        assert sessions_per_assignment(ds).tolist() == [[2, 0, 0, 0]]
+        assert gaps_of(ds, "s1") == [1]
 
 
 class TestSessionIndex:
@@ -106,15 +98,12 @@ class TestSessionIndex:
         ds = build_dataset(small_cohort.log, small_cohort.students)
         assert ds.sessions is ds.sessions
         assert sessions_per_assignment(ds).any() and response_time_features(ds).any()
-        sid = ds.students[0].student_id
-        assert segment_sessions(ds, sid, 1) and response_times(ds, sid)
-        # An index with no sessions: every view must now see none.
+        assert gaps_of(ds, ds.students[0].student_id)
+        # An index with no sessions: every reader must now see none.
         none = np.zeros(0, dtype=np.int64)
-        ds.__dict__["sessions"] = SessionIndex(none, np.zeros(1, dtype=np.int64), none, none, none)
+        ds.__dict__["sessions"] = SessionIndex(none, none, none)
         for rec in ds.students:
-            assert response_times(ds, rec.student_id) == []
-            for a in range(1, 5):
-                assert segment_sessions(ds, rec.student_id, a) == []
+            assert gaps_of(ds, rec.student_id) == []
         assert not sessions_per_assignment(ds).any()
         assert not response_time_features(ds).any()
 
@@ -123,9 +112,8 @@ class TestSessionIndex:
                *events_at([30], student="s2", question="q2", assignment=N_ASSIGNMENTS + 1)]
         ds = dataset_from(evs, [record(), record(student="s2")])
         index = ds.sessions
-        assert index.order.size == index.key.size == index.gaps.size == index.gap_row.size == 0
-        assert index.bounds.tolist() == [0]
-        assert response_times(ds, "s1") == [] and segment_sessions(ds, "s2", 1) == []
+        assert index.key.size == index.gaps.size == index.gap_row.size == 0
+        assert gaps_of(ds, "s1") == [] and not sessions_per_assignment(ds).any()
         fm = assemble_feature_matrix(ds)
         timing = [j for j, name in enumerate(fm.names) if name.startswith(("rt:", "sess:"))]
         assert len(timing) == 8 and not fm.values[:, timing].any()
@@ -134,23 +122,22 @@ class TestSessionIndex:
 class TestResponseTimes:
     def test_gaps_within_session(self):
         ds = dataset_from(events_at([0, 60, 70]), [record()])
-        assert response_times(ds, "s1") == [60, 10]
+        assert gaps_of(ds, "s1") == [60, 10]
 
     def test_single_event_session_is_empty(self):
         ds = dataset_from(events_at([0]), [record()])
-        assert response_times(ds, "s1") == []
+        assert gaps_of(ds, "s1") == []
 
     def test_session_opening_gap_excluded(self):
         ds = dataset_from(events_at([0, 8000]), [record()])
-        assert response_times(ds, "s1") == []
+        assert gaps_of(ds, "s1") == []
 
     def test_quick_counts_with_remote_threshold(self):
         # Population stats here make mu+2sigma far above both gaps.
         evs = events_at([0, 10, 21], student="s1") + events_at(
             [0, 5000, 10000], student="s2", question="q2")
         ds = dataset_from(evs, [record(student="s1"), record(student="s2")])
-        row = ds.student_rows["s1"]
-        long_n, quick_n, long_f, quick_f = response_time_features(ds)[row]
+        long_n, quick_n, long_f, quick_f = response_time_features(ds)[0]     # s1
         assert [long_n, quick_n] == [0, 2]
         assert long_f == 0.0
         assert quick_f == 1.0
@@ -158,8 +145,7 @@ class TestResponseTimes:
     def test_no_response_times_gives_zero_row(self):
         evs = events_at([0, 60]) + [event(student="s2", question="q2")]
         ds = dataset_from(evs, [record(student="s1"), record(student="s2")])
-        row = ds.student_rows["s2"]
-        assert response_time_features(ds)[row].tolist() == [0, 0, 0, 0]
+        assert response_time_features(ds)[1].tolist() == [0, 0, 0, 0]     # s2
 
     def test_exact_boundary_is_not_long(self):
         # Times {10,10,10,10,1000}: mean 208, population sigma 396, so the
@@ -177,7 +163,7 @@ class TestResponseTimes:
             t += gap
             evs.append(event(timestamp=t, attempt=i + 2))
         ds = dataset_from(evs, [record()])
-        assert sorted(response_times(ds, "s1")) == sorted(times)
+        assert sorted(gaps_of(ds, "s1")) == sorted(times)
         long_n, quick_n, long_f, quick_f = response_time_features(ds)[0]
         assert long_n == 0.0
         assert quick_n == 4.0
@@ -222,7 +208,7 @@ class TestAssembledMatrix:
 
     def test_permuting_students_permutes_rows(self, small_cohort):
         fm = assemble_feature_matrix(small_cohort)
-        reversed_ds = build_dataset(small_cohort.events,
+        reversed_ds = build_dataset(events_of(small_cohort.log),
                                     tuple(reversed(small_cohort.students)))
         fm_rev = assemble_feature_matrix(reversed_ds)
         assert fm_rev.row_ids == tuple(reversed(fm.row_ids))
@@ -230,7 +216,7 @@ class TestAssembledMatrix:
 
     def test_event_order_does_not_matter(self, small_cohort):
         fm = assemble_feature_matrix(small_cohort)
-        shuffled = build_dataset(tuple(small_cohort.events[::-1]),
+        shuffled = build_dataset(events_of(small_cohort.log)[::-1],
                                  small_cohort.students)
         # Catalog ordinals differ, so compare by column name.
         fm2 = assemble_feature_matrix(shuffled)

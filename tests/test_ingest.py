@@ -24,8 +24,8 @@ from gradecast.ingest import (
     parse_submissions,
     write_submissions,
 )
-from helpers import dataset_from, event, log_bits, record, write_dataset
-from oracles import reference_session_order
+from helpers import dataset_from, event, events_of, log_bits, record, write_dataset
+from oracles import reference_session_index
 
 SUB_HEADER = "student_id,question_id,assignment_id,timestamp,attempt_number,correct\n"
 GB_HEADER = "student_id,hw1,hw2,hw3,hw4,test1,final_grade\n"
@@ -40,7 +40,7 @@ class TestParseSubmissions:
     def test_single_valid_row(self, tmp_path):
         p = write(tmp_path / "s.csv", SUB_HEADER + "s1,q1,1,100,1,0\n")
         log, warnings = parse_submissions(p)
-        events = log.events
+        events = events_of(log)
         assert events == (SubmissionEvent("s1", "q1", 1, 100, 1, False),)
         assert warnings == 0
 
@@ -48,7 +48,7 @@ class TestParseSubmissions:
         p = write(tmp_path / "s.csv",
                   SUB_HEADER + "s1,q1,1,100,1,0\ns1,q1,1,200,3,1\n")
         log, warnings = parse_submissions(p)
-        events = log.events
+        events = events_of(log)
         assert [e.attempt_number for e in events] == [1, 2]
         assert warnings == 1
         assert (warnings.dropped, warnings.renumbered) == (0, 1)
@@ -58,7 +58,7 @@ class TestParseSubmissions:
                   SUB_HEADER
                   + "s1,q1,1,100,1,1\ns1,q1,1,200,2,0\ns1,q1,1,300,3,0\n")
         log, warnings = parse_submissions(p)
-        events = log.events
+        events = events_of(log)
         assert len(events) == 1
         assert events[0].correct
         assert warnings == 2
@@ -70,7 +70,7 @@ class TestParseSubmissions:
         p = write(tmp_path / "s.csv",
                   SUB_HEADER + "s1,q1,1,100,1,1\ns1,q1,1,200,2,0\ns1,q2,1,300,2,0\n")
         log, warnings = parse_submissions(p)
-        events = log.events
+        events = events_of(log)
         assert [(e.question_id, e.attempt_number) for e in events] == [("q1", 1), ("q2", 1)]
         assert (warnings, warnings.dropped, warnings.renumbered) == (2, 1, 1)
         copied = pickle.loads(pickle.dumps(warnings))
@@ -106,7 +106,7 @@ class TestParseSubmissions:
         a = write(tmp_path / "a.csv", SUB_HEADER + "".join(rows))
         b = write(tmp_path / "b.csv", SUB_HEADER + "".join(reversed(rows)))
         (log_a, repairs_a), (log_b, repairs_b) = parse_submissions(a), parse_submissions(b)
-        assert log_a.events == log_b.events
+        assert events_of(log_a) == events_of(log_b)
         assert ((repairs_a.dropped, repairs_a.renumbered)
                 == (repairs_b.dropped, repairs_b.renumbered))
 
@@ -115,7 +115,7 @@ class TestParseSubmissions:
         a = write(tmp_path / "a.csv", SUB_HEADER + "".join(rows))
         b = write(tmp_path / "b.csv", SUB_HEADER + "".join(reversed(rows)))
         (log_a, repairs_a), (log_b, repairs_b) = parse_submissions(a), parse_submissions(b)
-        assert log_a.events == log_b.events == (SubmissionEvent("s1", "q1", 1, 100, 1, True),)
+        assert events_of(log_a) == events_of(log_b) == (SubmissionEvent("s1", "q1", 1, 100, 1, True),)
         assert (repairs_a.dropped, repairs_b.dropped) == (1, 1)
 
     def test_integer_outside_int64_is_malformed_at_its_line(self, tmp_path):
@@ -134,7 +134,7 @@ class TestParseSubmissions:
         p = write(tmp_path / "s.csv",
                   "# run-config: {}\n\n" + SUB_HEADER + "\ns1,q1,1,100,1,0\n")
         log, warnings = parse_submissions(p)
-        events = log.events
+        events = events_of(log)
         assert len(events) == 1 and warnings == 0
 
     def test_error_reports_physical_line_number(self, tmp_path):
@@ -154,7 +154,7 @@ class TestParseSubmissions:
         assert err.value.line_no == 9
         p.write_bytes("\r\n".join(lines[:-1]).encode() + b"\r\n")
         log, repairs = parse_submissions(p)
-        events = log.events
+        events = events_of(log)
         assert [e.timestamp for e in events] == [100, 200] and repairs == 0
 
         gradebook = ["# run-config: {}", GB_HEADER.strip(), "", "s1,90,85,70,100,88,A",
@@ -297,7 +297,11 @@ class TestColumnarReader:
                       for s, q in zip(rng.integers(0, 3, 60), rng.integers(0, 4, 60))]
             records = [record(student=sid) for sid in rng.permutation(students).tolist()]
             ds = build_dataset(events[:int(rng.integers(1, 61))], records)
-            assert np.array_equal(ds.sessions.order, reference_session_order(ds))
+            index = ds.sessions
+            key, gaps, gap_row = reference_session_index(ds)
+            assert np.array_equal(index.key, key)
+            assert np.array_equal(index.gaps, gaps)
+            assert np.array_equal(index.gap_row, gap_row)
 
     @pytest.mark.parametrize("block_bytes", [64, ingest.BLOCK_BYTES])
     def test_ids_across_word_boundaries_match_the_row_reader(self, tmp_path, block_bytes):
@@ -391,7 +395,7 @@ class TestBuildDataset:
         ds = dataset_from([event(student="s1")],
                           [record(student="s1"), record(student="s2")])
         assert len(ds.students) == 2
-        assert [ev for ev in ds.events if ev.student_id == "s2"] == []
+        assert [ev for ev in events_of(ds.log) if ev.student_id == "s2"] == []
 
     def test_catalog_ordinals_are_dense(self):
         events = [event(student="s1", question=f"q{i:03d}",
@@ -407,7 +411,7 @@ class TestRoundTrip:
         write_dataset(small_cohort, sub, gb, header_comment="round trip")
         loaded, warnings = load_dataset(sub, gb)
         assert warnings == 0
-        assert loaded.events == small_cohort.events
+        assert events_of(loaded.log) == events_of(small_cohort.log)
         assert loaded.students == small_cohort.students
         assert loaded.question_catalog == small_cohort.question_catalog
 

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gradecast import ingest
-from gradecast.features import assemble_feature_matrix, response_times, segment_sessions
+from gradecast.features import assemble_feature_matrix
 from gradecast.ingest import (
     SUBMISSIONS_HEADER,
     IngestError,
@@ -28,13 +28,12 @@ from gradecast.ingest import (
     write_gradebook,
     write_submissions,
 )
-from helpers import event, log_bits, record
+from helpers import event, events_of, gaps_of, log_bits, record
 from oracles import (
     reference_build_dataset,
     reference_feature_values,
     reference_parse_submissions,
     reference_response_times,
-    reference_segment_sessions,
 )
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
@@ -129,7 +128,7 @@ def test_parse_matches_reference(log):
             assert got == expected      # same exception, same message and physical line
             return
         sorted_path = write_log(Path(tmp) / "sorted.csv", by_assignment(body), ending, extra)
-        assert (summary(got[0].events, got[1])
+        assert (summary(events_of(got[0]), got[1])
                 == summary(*reference_parse_submissions(sorted_path)))
 
 
@@ -142,7 +141,7 @@ def test_shuffled_copy_parses_identically(log, rng):
     with tempfile.TemporaryDirectory() as tmp:
         a = parse_submissions(write_log(Path(tmp) / "a.csv", body, ending, extra))
         b = parse_submissions(write_log(Path(tmp) / "b.csv", shuffled, ending, not extra))
-    assert summary(a[0].events, a[1]) == summary(b[0].events, b[1])
+    assert summary(events_of(a[0]), a[1]) == summary(events_of(b[0]), b[1])
     for column in ("student", "question", "assignment", "timestamp", "attempt", "correct"):
         assert np.array_equal(getattr(a[0], column), getattr(b[0], column))
 
@@ -163,7 +162,7 @@ def test_features_match_reference(log, idle_students):
         sorted_sub = write_log(Path(tmp) / "sorted.csv", by_assignment(body), ending, extra)
         events, reference_repairs = reference_parse_submissions(sorted_sub)
         reference = reference_build_dataset(events, parse_gradebook(gb))
-    assert summary(dataset.events, repairs) == summary(events, reference_repairs)
+    assert summary(events_of(dataset.log), repairs) == summary(events, reference_repairs)
     assert dataset.question_catalog == reference.question_catalog
     values = assemble_feature_matrix(dataset).values
     expected = reference_feature_values(reference)
@@ -181,7 +180,7 @@ EVENTS = st.lists(st.builds(event, student=st.sampled_from(STUDENTS + ("ghost",)
 @FUZZ
 @given(EVENTS, st.booleans())
 def test_build_dataset_from_events_matches_reference(events, one_home):
-    """Event sequences in the order given: orphans, clashes and session views."""
+    """Event sequences in the order given: orphans, clashes, sessions and gaps."""
     if one_home:
         home = {q: 1 + i % 4 for i, q in enumerate(QUESTIONS)}
         events = [event(e.student_id, e.question_id, home[e.question_id], e.timestamp,
@@ -192,17 +191,12 @@ def test_build_dataset_from_events_matches_reference(events, one_home):
     if isinstance(expected, tuple):
         assert got == expected
         return
-    assert got.events == expected.events
+    assert events_of(got.log) == expected.events
     assert got.question_catalog == expected.question_catalog
     assert np.array_equal(assemble_feature_matrix(got).values,
                           reference_feature_values(expected))
     for sid in STUDENTS:
-        assert ([ev for ev in got.events if ev.student_id == sid]
-                == list(expected.events_for(sid)))
-        assert response_times(got, sid) == reference_response_times(expected, sid)
-        for assignment in range(1, 5):
-            assert (segment_sessions(got, sid, assignment)
-                    == reference_segment_sessions(expected, sid, assignment))
+        assert gaps_of(got, sid) == reference_response_times(expected, sid)
 
 
 

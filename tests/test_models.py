@@ -9,6 +9,7 @@ from gradecast.models import (
 from gradecast.models.regression import (RIDGE_DAMPING, RegressionModel,
                                          round_half_away_from_zero)
 from gradecast.models.tree import Grower
+from gradecast.rng import mix_seed
 from oracles import (gini, gini_split_oracle, knn_oracle_predict,
                      nb_oracle_predict, ridge_oracle, tree_oracle_predict)
 
@@ -73,42 +74,33 @@ class TestMajority:
 
 
 class TestRandom:
+    @staticmethod
+    def fold_draws(seed, n, X=np.zeros((2, 1)), y=grades("A", "B")):
+        """One prediction per fold seed ``mix_seed(seed, i)``, as the harness gives them."""
+        return [train(ModelSpec(kind="random", seed=mix_seed(seed, i)), X, y)
+                .predict(np.zeros(1)) for i in range(n)]
+
     def test_reproducible_given_seed(self):
         X = np.zeros((4, 1))
         y = grades("A", "B", "C", "D")
-        m1 = train(ModelSpec(kind="random", seed=7734), X, y)
-        m2 = train(ModelSpec(kind="random", seed=7734), X, y)
-        seq1 = [m1.predict_at(np.zeros(1), i).grade for i in range(50)]
-        seq2 = [m2.predict_at(np.zeros(1), i).grade for i in range(50)]
+        seq1 = [out.grade for out in self.fold_draws(7734, 50, X, y)]
+        seq2 = [out.grade for out in self.fold_draws(7734, 50, X, y)]
         assert seq1 == seq2
 
     def test_different_seeds_differ(self):
-        X, y = np.zeros((2, 1)), grades("A", "B")
-        seq = {}
-        for seed in (1, 2):
-            m = train(ModelSpec(kind="random", seed=seed), X, y)
-            seq[seed] = [m.predict_at(np.zeros(1), i).grade for i in range(40)]
+        seq = {seed: [out.grade for out in self.fold_draws(seed, 40)] for seed in (1, 2)}
         assert seq[1] != seq[2]
 
     def test_long_run_uniform_over_grades(self):
-        m = train(ModelSpec(kind="random", seed=99), np.zeros((2, 1)),
-                  grades("A", "A"))
-        draws = np.array([m.predict_at(np.zeros(1), i).grade
-                          for i in range(5000)])
+        draws = np.array([out.grade for out in
+                          self.fold_draws(99, 5000, y=grades("A", "A"))])
         freq = np.bincount(draws, minlength=6)[1:] / draws.size
         assert np.all(np.abs(freq - 0.2) < 0.03)
 
     def test_scores_are_five_uniforms_and_grade_is_argmax(self):
-        m = train(ModelSpec(kind="random", seed=5), np.zeros((2, 1)),
-                  grades("A", "B"))
-        out = m.predict_at(np.zeros(1), 3)
+        out = self.fold_draws(5, 4)[3]
         assert np.all((out.class_scores >= 0) & (out.class_scores < 1))
         assert out.grade == int(np.argmax(out.class_scores)) + 1
-
-    def test_plain_predict_is_index_zero(self):
-        m = train(ModelSpec(kind="random", seed=8), np.zeros((2, 1)),
-                  grades("A", "B"))
-        assert m.predict(np.zeros(1)).grade == m.predict_at(np.zeros(1), 0).grade
 
 
 class TestKnn:
