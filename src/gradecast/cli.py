@@ -111,10 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     hyper.add_argument("--normalize", action="store_true", default=_UNSET,
                        help="min-max normalize kept columns per fold")
     hyper.add_argument("--jobs", type=int, default=_UNSET,
-                       help="worker threads for the folds of linreg, nb, knn "
-                            "and the baselines, which fit fold by fold on their "
-                            "transform group's rows; the SVM, SVR and tree run "
-                            "every fold on the calling thread (default 1)")
+                       help="worker threads for the per-fold steps of linreg, "
+                            "nb and knn, which predict every fold from their "
+                            "transform group's shared work; the SVM, SVR, tree "
+                            "and baselines run every fold on the calling "
+                            "thread (default 1)")
 
     p_eval = sub.add_parser("evaluate", parents=[common, inputs, hyper],
                             help="leave-one-out evaluation -> report.md + predictions")

@@ -400,8 +400,6 @@ def _columnar_log(path) -> EventLog | None:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
-        return None
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -435,12 +433,15 @@ def _columnar_log(path) -> EventLog | None:
 
 
 def _past_header(data: bytes) -> int | None:
-    """The offset after the header line, or None if the first data line is not the header."""
+    """The offset after the header line, or None if the first data line is
+    not the header or a CR before it is outside a CRLF."""
     start = 0
     while start < len(data):
         end = data.find(b"\n", start)
         end = len(data) if end < 0 else end
         line = data[start:end].removesuffix(b"\r")
+        if b"\r" in line:
+            return None
         if line and not line.startswith(b"#"):
             return end + 1 if line == _HEADER_LINE else None
         start = end + 1
@@ -451,9 +452,14 @@ def _block_columns(buf: np.ndarray) -> list | None:
     """The columns of the data lines in ``buf``, whole lines of a file checked
     by ``_columnar_log``: [(distinct student ids, codes), (distinct question
     ids, codes), assignment, timestamp, attempt, correct].  An empty list if
-    it holds no data line, None if a data line is outside the form.
+    it holds no data line, None if a data line is outside the form or a CR
+    in ``buf`` is outside a CRLF.
     """
     newline = np.flatnonzero(buf == ord("\n"))
+    # Every CR ends a CRLF when there are as many CRs as CRLFs.
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(
+            buf[newline[newline > 0] - 1] == ord("\r")):
+        return None
     start = np.concatenate(([0], newline + 1))
     end = np.append(newline, buf.size)
     # Every CR ends a CRLF, so a line's last byte is CR only where the line

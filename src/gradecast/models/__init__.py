@@ -7,18 +7,16 @@ grade.
 
 ``predict_held_out(spec, groups, jobs)`` is leave-one-out for every model.
 A group holds one matrix X, its labels y, and the rows its folds hold out;
-fold i trains on every row of X but i and predicts row i.  Each fold is
+fold i trains on every row of X but i and predicts row i.  It dispatches
+to one group-level function per model, which does the work the folds of
+a group share once and predicts every fold from it.  Each fold is
 bit-identical to the model ``train`` fits on that fold's own rows.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from typing import Iterator
 
-import numpy as np
-
-from ..rng import mix_seed
 from . import baselines, bayes, dual, neighbors, regression, svm, tree
 from .base import (KINDS, N_GRADES, DimensionMismatch, ModelSpec, PredictionOutcome,
                    argmax_lower_grade)
@@ -48,12 +46,15 @@ def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
     X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
     (PredictionOutcome, warnings).
 
-    The SVM and the epsilon-SVR build one kernel per group and solve every
-    fold's duals in lock-step batches; the tree codes each group's matrix
-    once and grows every fold from it.  Both run on the calling thread.  The
-    other models fit fold by fold on the group's rows other than the held-out
-    one, on ``jobs`` threads when jobs > 1; fold i's spec carries its own
-    seed, so the thread count cannot change a result.
+    Every model predicts a group's folds from work it does once for the
+    group.  The SVM and the epsilon-SVR build one kernel per group and solve
+    every fold's duals in lock-step batches; the tree codes each group's
+    matrix once and grows every fold from it; the baselines read no
+    feature.  All of these run on the calling thread.  Linear regression
+    (one linear kernel), naive Bayes (per-grade statistics) and KNN (the
+    group matrix) run their per-fold steps on ``jobs`` threads when
+    jobs > 1; a fold's result depends only on its own rows, so the thread
+    count cannot change it.
     """
     if spec.kind == "svm":
         return svm.predict_held_out(spec, groups)
@@ -61,26 +62,29 @@ def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
         return regression.predict_svr_held_out(spec, groups)
     if spec.kind == "tree":
         return tree.predict_held_out(groups)
-    return _fold_by_fold(spec, _FITTERS[spec.kind], groups, jobs)
+    if spec.kind == "random":
+        return baselines.predict_random_held_out(spec, groups)
+    if spec.kind == "majority":
+        return baselines.predict_majority_held_out(groups)
+    return _on_threads(_PER_FOLD[spec.kind], spec, groups, jobs)
 
 
-def _fold_by_fold(spec: ModelSpec, fit, groups, jobs: int) -> Iterator[list]:
-    def run_fold(X, y, i):
-        model = fit(replace(spec, seed=mix_seed(spec.seed, i)),
-                    np.delete(X, i, axis=0), np.delete(y, i))
-        # np.delete keeps X's memory order, so the fold's rows are
-        # bit-identical to its own transformed rows.  The held-out row is
-        # made contiguous: a strided row of a Fortran-ordered X changes how
-        # a dot product sums it.
-        return model.predict(np.ascontiguousarray(X[i])), model.warnings
+# Group-level leave-one-out of the models whose folds map over threads.
+_PER_FOLD = {
+    "linreg": regression.predict_least_squares_held_out,
+    "nb": bayes.predict_held_out,
+    "knn": neighbors.predict_held_out,
+}
 
+
+def _on_threads(predict, spec: ModelSpec, groups, jobs: int) -> Iterator[list]:
+    """``predict(spec, groups, map_folds)``, where ``map_folds(fold, held)``
+    is ``[fold(i) for i in held]``, on ``jobs`` threads when jobs > 1."""
     if jobs <= 1:
-        for X, y, held in groups:
-            yield [run_fold(X, y, i) for i in held]
+        yield from predict(spec, groups, lambda fold, held: [fold(i) for i in held])
         return
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for X, y, held in groups:
-            yield list(pool.map(lambda i: run_fold(X, y, i), held))
+        yield from predict(spec, groups, lambda fold, held: list(pool.map(fold, held)))
 
 
 __all__ = [

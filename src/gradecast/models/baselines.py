@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from ..rng import substream
+from ..rng import mix_seed, substream
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
                    check_dim, validate_training_data)
 
@@ -40,20 +41,46 @@ class RandomBaseline:
 
     def predict(self, x) -> PredictionOutcome:
         check_dim(x, self.n_features)
-        # argmax of five i.i.d. uniforms is itself a uniform draw over the
-        # grades, and it keeps grade consistent with class_scores.
-        scores = substream(self.seed, _PREDICT_STREAM, 0).random(N_GRADES)
-        return PredictionOutcome(argmax_lower_grade(scores), scores)
+        return _random_outcome(self.seed)
+
+
+def _random_outcome(seed: int) -> PredictionOutcome:
+    # argmax of five i.i.d. uniforms is itself a uniform draw over the
+    # grades, and it keeps grade consistent with class_scores.
+    scores = substream(seed, _PREDICT_STREAM, 0).random(N_GRADES)
+    return PredictionOutcome(argmax_lower_grade(scores), scores)
+
+
+def _majority(counts: np.ndarray) -> tuple[int, np.ndarray]:
+    """The majority grade of training grade ``counts`` and their frequencies."""
+    # Frequency ties go to the higher grade.
+    return N_GRADES - int(np.argmax(counts[::-1])), counts / counts.sum()
 
 
 def fit_majority(spec: ModelSpec, X, y) -> MajorityBaseline:
     X, y = validate_training_data(X, y)
-    counts = np.bincount(y, minlength=N_GRADES + 1)[1:]
-    # Frequency ties go to the higher grade.
-    grade = N_GRADES - int(np.argmax(counts[::-1]))
-    return MajorityBaseline(grade, counts / y.size, X.shape[1])
+    return MajorityBaseline(*_majority(np.bincount(y, minlength=N_GRADES + 1)[1:]),
+                            X.shape[1])
 
 
 def fit_random(spec: ModelSpec, X, y) -> RandomBaseline:
     X, y = validate_training_data(X, y)
     return RandomBaseline(spec.seed, X.shape[1])
+
+
+def predict_majority_held_out(groups) -> Iterator[list]:
+    """The majority baseline's ``models.predict_held_out``: fold i counts
+    the group's grades less row i's."""
+    for X, y, held in groups:
+        X, y = validate_training_data(X, y)
+        counts = np.bincount(y, minlength=N_GRADES + 1)[1:]
+        less = np.eye(N_GRADES, dtype=counts.dtype)
+        yield [(PredictionOutcome(*_majority(counts - less[y[i] - 1])), ()) for i in held]
+
+
+def predict_random_held_out(spec: ModelSpec, groups) -> Iterator[list]:
+    """The random baseline's ``models.predict_held_out``: fold i draws from
+    its own seed ``mix_seed(spec.seed, i)``."""
+    for X, y, held in groups:
+        validate_training_data(X, y)
+        yield [(_random_outcome(mix_seed(spec.seed, i)), ()) for i in held]

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,23 +20,39 @@ class Knn:
 
     def predict(self, x) -> PredictionOutcome:
         x = check_dim(x, self.n_features)
-        d2 = np.sum((self.train_x - x) ** 2, axis=1)
-        # Stable sort: equal distances rank by lower training-row index.
-        order = np.argsort(d2, kind="stable")[:self.k]
-        votes = np.bincount(self.train_y[order], minlength=N_GRADES + 1)[1:]
-        scores = votes / self.k
-        top = votes.max()
-        tied = np.flatnonzero(votes == top) + 1
-        if tied.size == 1:
-            grade = int(tied[0])
-        else:
-            # Vote tie: the tied class owning the nearest neighbor wins.
-            tied_set = set(int(g) for g in tied)
-            grade = next(int(self.train_y[i]) for i in order
-                         if int(self.train_y[i]) in tied_set)
-        return PredictionOutcome(grade, scores)
+        return _vote(np.sum((self.train_x - x) ** 2, axis=1), self.train_y, self.k)
+
+
+def _vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> PredictionOutcome:
+    """The vote of the k training rows nearest by squared distances ``d2``."""
+    # Stable sort: equal distances rank by lower training-row index.
+    order = np.argsort(d2, kind="stable")[:k]
+    votes = np.bincount(train_y[order], minlength=N_GRADES + 1)[1:]
+    scores = votes / k
+    top = votes.max()
+    tied = np.flatnonzero(votes == top) + 1
+    if tied.size == 1:
+        grade = int(tied[0])
+    else:
+        # Vote tie: the tied class owning the nearest neighbor wins.
+        tied_set = set(int(g) for g in tied)
+        grade = next(int(train_y[i]) for i in order if int(train_y[i]) in tied_set)
+    return PredictionOutcome(grade, scores)
 
 
 def fit(spec: ModelSpec, X, y) -> Knn:
     X, y = validate_training_data(X, y)
     return Knn(X, y, min(spec.k, X.shape[0]), X.shape[1])
+
+
+def predict_held_out(spec: ModelSpec, groups, map_folds) -> Iterator[list]:
+    """KNN's ``models.predict_held_out``, folds mapped by ``map_folds``:
+    fold i's distances are those of the group's rows to row i, less its own."""
+    for X, y, held in groups:
+        X, y = validate_training_data(X, y)
+        k = min(spec.k, y.size - 1)
+
+        def fold(i):
+            d2 = np.sum((X - X[i]) ** 2, axis=1)
+            return _vote(np.delete(d2, i), np.delete(y, i), k), ()
+        yield map_folds(fold, held)

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +25,12 @@ from gradecast.evaluation import (
 )
 from gradecast.features import FeatureMatrix
 from gradecast.cli import main as cli_main
-import gradecast.models as models
 from gradecast.models import (ModelSpec, PredictionOutcome, dual, predict_held_out,
                               train, tree)
 from gradecast.rng import mix_seed
 from gradecast.selection import fit_preprocessor
-from oracles import auroc_oracle, average_precision_oracle
+from gradecast.models.regression import RIDGE_DAMPING
+from oracles import auroc_oracle, average_precision_oracle, ridge_oracle
 
 
 def pred(true, predicted, scores=None, sid="s1", fold=0):
@@ -145,18 +145,17 @@ class TestLoocvHarness:
             assert a.outcome.grade == b.outcome.grade
             assert np.array_equal(a.outcome.class_scores, b.outcome.class_scores)
 
-    def test_warning_sink_collects_model_warnings(self, monkeypatch):
-        class Stub:
-            warnings = ("synthetic warning",)
-
-            def predict(self, x):
-                return PredictionOutcome(3, np.array([0, 0, 1, 0, 0.0]))
-
-        monkeypatch.setitem(models._FITTERS, "majority", lambda spec, X, y: Stub())
-        matrix = toy_matrix([[0.0], [1.0], [2.0]])
+    def test_warning_sink_collects_model_warnings(self, small_matrix, monkeypatch):
+        # Every SVR fold hits the iteration cap.  Fold 24 is a transform
+        # group of its own, predicted after the group of all other folds,
+        # and its warning still joins the sink in fold order.
+        monkeypatch.setattr(dual, "MAX_ITER", 1)
+        matrix, y = small_matrix
+        preps = prepare_fold_preprocessors(matrix, DEFAULT_THRESHOLDS, False)
+        assert [p.key() for p in preps].count(preps[24].key()) == 1
         sink = []
-        loo(matrix, np.array([1, 2, 3]), ModelSpec(kind="majority"), warning_sink=sink)
-        assert sink == [f"fold {i}: synthetic warning" for i in range(3)]
+        loo(matrix, y, ModelSpec(kind="svr"), warning_sink=sink)
+        assert sink == [f"fold {i}: svr: iteration cap reached" for i in range(y.size)]
 
     def test_warning_order_does_not_depend_on_threads(self, small_matrix, monkeypatch):
         monkeypatch.setattr(dual, "MAX_ITER", 1)     # every SVM pair hits the cap
@@ -172,10 +171,9 @@ class TestLoocvHarness:
 
 
 KERNEL_SPECS = (ModelSpec(kind="svm"), ModelSpec(kind="svr"))
-FOLD_BY_FOLD_SPECS = (ModelSpec(kind="linreg"), ModelSpec(kind="nb"),
-                      ModelSpec(kind="knn"), ModelSpec(kind="random", seed=7),
-                      ModelSpec(kind="majority"))
-ALL_SPECS = KERNEL_SPECS + (ModelSpec(kind="tree"),) + FOLD_BY_FOLD_SPECS
+ALL_SPECS = KERNEL_SPECS + (ModelSpec(kind="tree"), ModelSpec(kind="linreg"),
+                            ModelSpec(kind="nb"), ModelSpec(kind="knn"),
+                            ModelSpec(kind="random", seed=7), ModelSpec(kind="majority"))
 
 
 def spec_id(spec):
@@ -193,6 +191,27 @@ def fold_training_sets(values, y, normalize, group="score"):
         keep = np.arange(y.size) != i
         sets.append((prep.transform(values[keep]), y[keep]))
     return sets, preps
+
+
+def small_cohort(n, d, seed):
+    """n rows of d features: half the columns small integers, half floats
+    on a large offset, the last constant but on row 0."""
+    rng = np.random.default_rng(seed)
+    values = np.hstack([rng.integers(0, 4, size=(n, d - d // 2)).astype(float),
+                        1e3 + rng.random((n, d // 2))])
+    values[:, -1] = 0.0
+    values[0, -1] = 1.0
+    return values
+
+
+SMALL_COHORTS = (
+    # One-row folds have no variance, so "perf" selection would drop every
+    # column; "score" columns are never selected out.
+    ("n2", small_cohort(2, 3, 2), np.array([1, 2]), "score"),
+    *((f"n{n}", small_cohort(n, 3, n), np.arange(n) % 5 + 1, "perf") for n in range(3, 7)),
+    ("single-row-grade", small_cohort(6, 8, 10), np.array([4, 4, 2, 5, 5, 4]), "perf"),
+    ("tied-majority", small_cohort(5, 2, 11), np.array([1, 3, 1, 3, 5]), "perf"),
+)
 
 
 class TestBatchedFoldEngine:
@@ -247,6 +266,25 @@ class TestBatchedFoldEngine:
                 assert (preds[i].outcome.class_scores.tobytes()
                         == alone.class_scores.tobytes()), (spec.kind, i)
 
+    @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
+    @pytest.mark.parametrize("case", SMALL_COHORTS, ids=[c[0] for c in SMALL_COHORTS])
+    def test_small_cohort_folds_equal_a_standalone_train(self, case, normalize):
+        # The edge cases of the group paths: one to five training rows, the
+        # primal and the dual linreg, a grade that leaves its only row's
+        # fold, KNN with more neighbors than rows, and tied majority counts.
+        _, values, y, group = case
+        sets, preps = fold_training_sets(values, y, normalize, group)
+        for spec in ALL_SPECS + (ModelSpec(kind="knn", k=9),):
+            preds = loo(toy_matrix(values, group), y, spec,
+                        thresholds=(0.0, 0.0), normalize=normalize)
+            for i, ((X, y_fold), prep) in enumerate(zip(sets, preps)):
+                fold_spec = replace(spec, seed=mix_seed(spec.seed, i))
+                alone = train(fold_spec, X, y_fold).predict(
+                    prep.transform(values[i:i + 1])[0])
+                assert preds[i].outcome.grade == alone.grade, (spec.kind, i)
+                assert (preds[i].outcome.class_scores.tobytes()
+                        == alone.class_scores.tobytes()), (spec.kind, i)
+
     @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
     def test_artifacts_do_not_depend_on_jobs(self, tmp_path, extra):
         assert cli_main(["synth", "--students", "20", "--questions", "12",
@@ -291,6 +329,28 @@ def loo_fold_duals(monkeypatch, matrix, y, spec, normalize):
         patch.setattr(dual, "solve_groups", recording)
         loo(matrix, y, spec, normalize=normalize)
     return [duals[i] for i in range(y.size)]
+
+
+class TestLeastSquaresFoldGroups:
+    @pytest.mark.parametrize("offset", [1e4, 1e6])
+    def test_fold_estimates_match_ridge_oracle_on_offset_columns(self, offset):
+        # Columns with large means give a linear kernel far larger than its
+        # centered form.  The group's kernel is taken on rows less a training
+        # row, so each fold's centered kernel keeps its digits.  The
+        # features are nearly orthogonal and the grades central, so every
+        # estimate lies inside the grade range and its class scores show it
+        # unclamped.
+        rng = np.random.default_rng(int(offset))
+        n, d = 40, 300
+        X = offset + rng.normal(size=(n, d))
+        y = rng.integers(2, 5, size=n)
+        [outcomes] = predict_held_out(ModelSpec(kind="linreg"), [(X, y, list(range(n)))])
+        for i, (outcome, _) in enumerate(outcomes):
+            keep = np.arange(n) != i
+            w, _ = ridge_oracle(X[keep], y[keep], RIDGE_DAMPING)
+            expected = float((X[i] - X[keep].mean(axis=0)) @ w + y[keep].mean())
+            assert 1.0 < expected < 5.0
+            assert abs((1.0 - outcome.class_scores[0]) - expected) <= 1e-6, i
 
 
 class TestKernelFoldGroups:
@@ -483,53 +543,38 @@ class TestSharedSubtrees:
         assert sum(splits.values()) < sum(len(t) for t in trees) // 2
 
 
-def model_bits(model):
-    """Every bit a fitted model holds, field by field."""
-    return [(np.asarray(value).dtype.str, np.asarray(value).tobytes())
-            for value in (getattr(model, f.name) for f in fields(model))]
-
-
-def loo_fold_models(monkeypatch, matrix, y, spec, normalize):
-    """The bits of every fold's model on the leave-one-out path of a model
-    fitted fold by fold, by held-out row (told apart by the fold's seed)."""
-    fold_of = {mix_seed(spec.seed, i): i for i in range(y.size)}
-    assert len(fold_of) == y.size
-    fit = models._FITTERS[spec.kind]
-    fitted = {}
-
-    def recording(fold_spec, X, y_fold):
-        fitted[fold_of[fold_spec.seed]] = model = fit(fold_spec, X, y_fold)
-        return model
-
-    with monkeypatch.context() as patch:
-        patch.setitem(models._FITTERS, spec.kind, recording)
-        loo(matrix, y, spec, normalize=normalize)
-    return [model_bits(fitted[i]) for i in range(y.size)]
-
-
 class TestFoldByFoldGroups:
-    """Linreg, nb, knn and the baselines fit fold i on its group's matrix
-    without row i."""
+    """Every model's fold i, each its own group with a probe row held out,
+    does not see row i."""
 
     @pytest.mark.parametrize("normalize", [False, True], ids=["raw", "normalized"])
-    @pytest.mark.parametrize("spec", FOLD_BY_FOLD_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
     def test_held_out_row_does_not_reach_its_fold_model(self, small_matrix, spec,
-                                                        normalize, monkeypatch):
-        # Row i sits in its group's matrix, but fold i's model must not
-        # change when it does; the other folds train on it, and the models
-        # that read the features change with it.
+                                                        normalize):
+        # The probe-row form of TestBatchedFoldEngine's test: mutating row i
+        # changes the other folds' training sets, never fold i's, so fold i's
+        # prediction of the probe (the mean row) must not change.  The
+        # models whose class scores move with the features show the other
+        # folds' changes; the votes of KNN and the tree's leaf frequencies
+        # at a fixed probe seldom move, and the baselines read no feature.
         matrix, y = small_matrix
         rng = np.random.default_rng(91)
+        values = matrix.values
+        probe = values.mean(axis=0)
         for i in (0, 13, 39):
-            values = matrix.values.copy()
-            values[i] = values[i] * rng.uniform(0.5, 2.0) + rng.normal(
+            mutated = values.copy()
+            mutated[i] = mutated[i] * rng.uniform(0.5, 2.0) + rng.normal(
                 scale=3.0, size=values.shape[1])
-            mutated = FeatureMatrix(matrix.row_ids, matrix.names, matrix.groups, values)
-            before, after = (loo_fold_models(monkeypatch, m, y, spec, normalize)
-                             for m in (matrix, mutated))
-            assert before[i] == after[i]
-            if spec.kind in ("linreg", "nb", "knn"):
-                assert sum(a != b for a, b in zip(before, after)) > y.size // 2
+            outputs = []
+            for source in (values, mutated):
+                sets, preps = fold_training_sets(source, y, normalize)
+                groups = [(np.vstack([X, p.transform(probe[None, :])]), np.append(y_fold, 1),
+                           [y_fold.size]) for (X, y_fold), p in zip(sets, preps)]
+                outputs.append([(outcome.grade, outcome.class_scores.tobytes())
+                                for [(outcome, _)] in predict_held_out(spec, groups)])
+            assert outputs[0][i] == outputs[1][i]
+            if spec.kind in ("svm", "svr", "linreg", "nb"):
+                assert sum(a != b for a, b in zip(*outputs)) > y.size // 2
 
 
 class TestBasicMetrics:

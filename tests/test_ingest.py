@@ -180,6 +180,8 @@ OUTSIDE_COLUMNAR_FORM = {
     "quoted-id": (SUB_HEADER + '"s1",q1,1,100,1,0\n' + ROW_B, None),
     "lone-cr-ending": (SUB_HEADER + ROW_A.replace("\n", "\r") + ROW_B, None),
     "lone-cr-in-id": (SUB_HEADER + "s\r1,q1,1,100,1,0\n" + ROW_B, (MalformedRow, 2)),
+    "lone-cr-in-comment": ("# note\rmore\n" + SUB_HEADER + ROW_A + ROW_B, (MalformedRow, 2)),
+    "cr-last-byte": (SUB_HEADER + ROW_A + ROW_B.replace("\n", "\r"), None),
     "nul": (SUB_HEADER + "s\x001,q1,1,100,1,0\n" + ROW_B, None),
     "non-utf8": ((SUB_HEADER + ROW_A).encode() + b"s\xff,q1,1,5,1,0\n",
                  (NotUtf8, 3)),

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-import gradecast.models
 from gradecast.evaluation import SWEEP_THRESHOLDS, SweepFailure, threshold_sweep
 from gradecast.features import assemble_feature_matrix
 from gradecast.ingest import build_dataset
@@ -260,14 +259,17 @@ class TestSweep:
         assert len(set(result.accuracies.values())) == 1
         assert result.winner == (0.00, 0.00)
 
-    def test_model_error_is_tagged_with_thresholds(self, small_matrix, monkeypatch):
-        def boom(spec, X, y):
-            raise RuntimeError("synthetic failure")
-
-        monkeypatch.setitem(gradecast.models._FITTERS, "majority", boom)
+    def test_model_error_is_tagged_with_thresholds(self, small_matrix):
+        # Selection reads no label, so a label outside the grades first
+        # fails in the model's training-data check.
+        matrix, y = small_matrix
+        y = y.copy()
+        y[5] = 6
         with pytest.raises(SweepFailure) as err:
-            threshold_sweep(*small_matrix, ModelSpec(kind="majority"))
+            threshold_sweep(matrix, y, ModelSpec(kind="majority"))
         assert err.value.thresholds == SWEEP_THRESHOLDS[0]
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "labels must be grades" in str(err.value)
 
     def test_near_constant_cohort_drops_below_2q(self):
         # 30% of questions are solved first-try by everyone, so both their
