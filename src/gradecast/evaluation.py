@@ -15,10 +15,12 @@ deterministic: each derives its own seed from (master seed, fold index),
 so thread count cannot change results.
 
 Every model runs through one engine.  Folds are grouped by equal fitted
-preprocessor, and each group transforms all rows once (``_FoldGroups``);
-fold i of a group trains on that matrix's rows other than i and predicts
-row i (``models.predict_held_out``).  Every fold is bit-identical to a model
-trained on its own transformed rows.
+preprocessor, and ``loocv_matrix`` hands the groups to
+``models.predict_held_out`` in one pass, each group's matrix (all rows,
+transformed by the group's preprocessor) built once as it is read; fold i
+of a group trains on that matrix's rows other than i and predicts row i.
+Every fold is bit-identical to a model trained on its own transformed
+rows.
 """
 from __future__ import annotations
 
@@ -104,26 +106,6 @@ def _folds_by_transform(preps: list[Preprocessor]) -> list[list[int]]:
     return list(groups.values())
 
 
-class _FoldGroups:
-    """Folds grouped by equal fitted preprocessor.  Group g is (X, y, members):
-    X is every row transformed by the group's preprocessor, built on each
-    access, and fold i of ``members`` trains on every row of X but i."""
-
-    def __init__(self, values: np.ndarray, y: np.ndarray, preps: list[Preprocessor]):
-        self.values, self.y, self.preps = values, y, preps
-        self.members = _folds_by_transform(preps)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, g: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        members = self.members[g]
-        return self.preps[members[0]].transform(self.values), self.y, members
-
-    def __iter__(self):
-        return (self[g] for g in range(len(self)))
-
-
 def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
                  preprocessors: list[Preprocessor], jobs: int = 1,
                  warning_sink: list | None = None) -> list[LooPrediction]:
@@ -137,10 +119,12 @@ def loocv_matrix(matrix: FeatureMatrix, y: np.ndarray, spec: ModelSpec,
         raise ValueError(f"leave-one-out needs one preprocessor per row: "
                          f"got {len(preprocessors)} for {n} rows")
 
-    groups = _FoldGroups(values, y, preprocessors)
+    members = _folds_by_transform(preprocessors)
+    # One group's matrix at a time, each transformed once.
+    groups = ((preprocessors[held[0]].transform(values), y, held) for held in members)
     folds = [None] * n
-    for members, outcomes in zip(groups.members, predict_held_out(spec, groups, jobs)):
-        for i, (outcome, warnings) in zip(members, outcomes):
+    for held, outcomes in zip(members, predict_held_out(spec, groups, jobs)):
+        for i, (outcome, warnings) in zip(held, outcomes):
             folds[i] = LooPrediction(matrix.row_ids[i], int(y[i]), outcome, i), warnings
     # Warnings join the sink in fold order, whatever order the threads finish in.
     if warning_sink is not None:

@@ -235,7 +235,8 @@ class Dataset:
     ``column`` hold each event's student row (index into ``students``) and
     question ordinal.  ``question_catalog`` maps question_id to
     (assignment_id, ordinal); the ordinal is the question's contiguous
-    0-based column index, issued by first appearance in the event stream.
+    0-based column index, issued in sorted (assignment_id, question_id)
+    order.
     """
 
     log: EventLog
@@ -674,9 +675,9 @@ def build_dataset(events: EventLog | Sequence[SubmissionEvent],
 
     ``events`` is an EventLog or a sequence of SubmissionEvents, taken in
     the order given.  Students with no submissions are kept: their activity
-    features are legitimately all zero.  Question ordinals follow first
-    appearance in the event stream.  An error names the first offending
-    event in stream order.
+    features are legitimately all zero.  Question ordinals follow sorted
+    (assignment_id, question_id) order, so no student's events decide a
+    column.  An error names the first offending event in stream order.
     """
     log = events if isinstance(events, EventLog) else EventLog.from_events(events)
     if not len(log) or not students:
@@ -696,11 +697,13 @@ def build_dataset(events: EventLog | Sequence[SubmissionEvent],
         if orphan[i]:
             raise OrphanEvent(log.student_ids[log.student[i]])
         raise InconsistentAssignment(log.question_ids[log.question[i]])
-    by_appearance = np.argsort(first)
-    ordinal = np.empty_like(by_appearance)
-    ordinal[by_appearance] = np.arange(by_appearance.size)
+    # Codes follow question_id order, so a stable sort by assignment gives
+    # (assignment_id, question_id) order.
+    by_column = np.argsort(first_assignment, kind="stable")
+    ordinal = np.empty_like(by_column)
+    ordinal[by_column] = np.arange(by_column.size)
     catalog = {log.question_ids[code]: (assignment, i) for i, (code, assignment) in
-               enumerate(zip(by_appearance.tolist(), first_assignment[by_appearance].tolist()))}
+               enumerate(zip(by_column.tolist(), first_assignment[by_column].tolist()))}
     return Dataset(log, tuple(students), catalog, row, ordinal[log.question])
 
 

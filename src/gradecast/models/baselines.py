@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -68,19 +67,15 @@ def fit_random(spec: ModelSpec, X, y) -> RandomBaseline:
     return RandomBaseline(spec.seed, X.shape[1])
 
 
-def predict_majority_held_out(groups) -> Iterator[list]:
-    """The majority baseline's ``models.predict_held_out``: fold i counts
-    the group's grades less row i's."""
-    for X, y, held in groups:
-        X, y = validate_training_data(X, y)
-        counts = np.bincount(y, minlength=N_GRADES + 1)[1:]
-        less = np.eye(N_GRADES, dtype=counts.dtype)
-        yield [(PredictionOutcome(*_majority(counts - less[y[i] - 1])), ()) for i in held]
+def majority_folds(spec: ModelSpec, X, y, held):
+    """The majority baseline's leave-one-out ``folds``: fold i counts the
+    group's grades less row i's."""
+    counts = np.bincount(y, minlength=N_GRADES + 1)[1:]
+    less = np.eye(N_GRADES, dtype=counts.dtype)
+    return lambda i: (PredictionOutcome(*_majority(counts - less[y[i] - 1])), ())
 
 
-def predict_random_held_out(spec: ModelSpec, groups) -> Iterator[list]:
-    """The random baseline's ``models.predict_held_out``: fold i draws from
-    its own seed ``mix_seed(spec.seed, i)``."""
-    for X, y, held in groups:
-        validate_training_data(X, y)
-        yield [(_random_outcome(mix_seed(spec.seed, i)), ()) for i in held]
+def random_folds(spec: ModelSpec, X, y, held):
+    """The random baseline's leave-one-out ``folds``: fold i draws from its
+    own seed ``mix_seed(spec.seed, i)``."""
+    return lambda i: (_random_outcome(mix_seed(spec.seed, i)), ())

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +34,7 @@ class GaussianNb:
 
 def fit(spec: ModelSpec, X, y) -> GaussianNb:
     X, y = validate_training_data(X, y)
-    return _model(_stats_by_grade(X, y), _smoothing(X), X.shape)
+    return _model(_stats_by_grade(X, y))
 
 
 def _stats_by_grade(X: np.ndarray, y: np.ndarray) -> dict:
@@ -47,46 +46,44 @@ def _grade_stats(rows: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     return rows.shape[0], rows.mean(axis=0), rows.var(axis=0)
 
 
-def _smoothing(X: np.ndarray) -> float:
-    # Smoothing keeps zero-variance features usable: add a fixed fraction of
-    # the largest single-feature variance over the whole training set.
-    max_var = float(np.var(X, axis=0).max())
-    return VAR_SMOOTHING * max_var if max_var > 0.0 else 1e-12
-
-
-def _model(stats: dict, smoothing: float, shape: tuple[int, int]) -> GaussianNb:
+def _model(stats: dict) -> GaussianNb:
     """The model of ``stats``, the ``_grade_stats`` of each training grade in
-    ascending order, on a training matrix of ``shape``."""
-    n, d = shape
-    log_priors = np.empty(len(stats))
-    means = np.empty((len(stats), d))
-    variances = np.empty_like(means)
-    for pos, (count, mean, var) in enumerate(stats.values()):
-        log_priors[pos] = np.log(count / n)
-        means[pos] = mean
-        variances[pos] = var + smoothing
-    return GaussianNb(tuple(stats), log_priors, means, variances, d)
+    ascending order.
+
+    Smoothing keeps zero-variance features usable: it adds a fixed fraction
+    of the largest single-feature variance over all training rows, taken
+    from the grades' statistics by the law of total variance.  When no
+    column varies (every grade's variance is 0 and every grade's mean the
+    same), it is 1e-12; the weighted mean would otherwise round a constant
+    column to a variance near 1e-40.
+    """
+    counts, means, variances = (np.array(col) for col in zip(*stats.values()))
+    weights = counts / counts.sum()
+    if variances.any() or (means != means[0]).any():
+        mean = weights @ means
+        max_var = float((weights @ (variances + (means - mean) ** 2)).max())
+    else:
+        max_var = 0.0
+    smoothing = VAR_SMOOTHING * max_var if max_var > 0.0 else 1e-12
+    return GaussianNb(tuple(stats), np.log(weights), means, variances + smoothing,
+                      means.shape[1])
 
 
-def predict_held_out(spec: ModelSpec, groups, map_folds) -> Iterator[list]:
-    """Naive Bayes's ``models.predict_held_out``, folds mapped by ``map_folds``.
+def folds(spec: ModelSpec, X, y, held):
+    """Naive Bayes's leave-one-out ``folds``.
 
     Fold i's rows of a grade other than row i's are the group's rows of that
     grade, in the same order, so a group computes each grade's statistics
     once.  Fold i recomputes those of row i's grade without it (a grade
-    whose only row is i leaves the fold) and the smoothing on its own rows.
+    whose only row is i leaves the fold), and its smoothing from its grades'
+    statistics.
     """
-    for X, y, held in groups:
-        X, y = validate_training_data(X, y)
-        stats = _stats_by_grade(X, y)
+    stats = _stats_by_grade(X, y)
 
-        def fold(i):
-            grade = int(y[i])
-            others = np.arange(y.size) != i
-            own = X[(y == grade) & others]
-            fold_stats = {g: _grade_stats(own) if g == grade else s
-                          for g, s in stats.items() if g != grade or own.shape[0]}
-            model = _model(fold_stats, _smoothing(np.delete(X, i, axis=0)),
-                           (y.size - 1, X.shape[1]))
-            return model.predict(X[i]), ()
-        yield map_folds(fold, held)
+    def fold(i):
+        grade = int(y[i])
+        own = X[(y == grade) & (np.arange(y.size) != i)]
+        fold_stats = {g: _grade_stats(own) if g == grade else s
+                      for g, s in stats.items() if g != grade or own.shape[0]}
+        return _model(fold_stats).predict(X[i]), ()
+    return fold

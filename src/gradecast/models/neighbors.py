@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -45,14 +44,12 @@ def fit(spec: ModelSpec, X, y) -> Knn:
     return Knn(X, y, min(spec.k, X.shape[0]), X.shape[1])
 
 
-def predict_held_out(spec: ModelSpec, groups, map_folds) -> Iterator[list]:
-    """KNN's ``models.predict_held_out``, folds mapped by ``map_folds``:
-    fold i's distances are those of the group's rows to row i, less its own."""
-    for X, y, held in groups:
-        X, y = validate_training_data(X, y)
-        k = min(spec.k, y.size - 1)
+def folds(spec: ModelSpec, X, y, held):
+    """KNN's leave-one-out ``folds``: fold i's distances are those of the
+    group's rows to row i, less its own."""
+    k = min(spec.k, y.size - 1)
 
-        def fold(i):
-            d2 = np.sum((X - X[i]) ** 2, axis=1)
-            return _vote(np.delete(d2, i), np.delete(y, i), k), ()
-        yield map_folds(fold, held)
+    def fold(i):
+        d2 = np.sum((X - X[i]) ** 2, axis=1)
+        return _vote(np.delete(d2, i), np.delete(y, i), k), ()
+    return fold

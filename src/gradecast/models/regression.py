@@ -24,17 +24,21 @@ Two models, each fitted to a RegressionModel whose ``backend`` names it:
   kernel of the group's matrix shifted by row 0 (by row 1 for fold 0,
   whose first training row it is): fold i solves on that kernel without
   row i and column i, and reads its estimate from column i
-  (``predict_least_squares_held_out``).
+  (``least_squares_folds``).
 * svr (``fit_svr``, backend "epsilon_svr"): linear epsilon-insensitive
   support vector regression.  Its dual over the 2n variables
   (alpha; alpha*) goes to the shared solver in ``dual`` with signs
   s = (1; -1) and linear term (epsilon - y; epsilon + y) on the linear
   kernel X X' (``base.linear_kernel``), the duals of every training fold
-  in lock-step batches; the weights are X' beta with beta = alpha - alpha*.
-  Leave-one-out folds that share a transform share one kernel on all rows
-  of the group's matrix, and fold i's dual uses its rows other than i
-  (``predict_svr_held_out``).  A fit that reaches the solver's iteration
-  cap keeps its best-so-far beta and carries a warning.
+  in lock-step batches.  The fit is a kernel expansion (``KernelSum``):
+  a row x is estimated as sum_j beta_j K(x_j, x) + b over the training
+  rows x_j, with beta = alpha - alpha* (Smola & Schoelkopf, Statistics
+  and Computing 2004).  The model also reports the weights X' beta, which
+  it does not predict with.  Leave-one-out folds that share a transform
+  share one kernel on all rows of the group's matrix: fold r's dual uses
+  its rows other than r, and it estimates from column r of that kernel
+  less entry r (``predict_svr_held_out``).  A fit that reaches the
+  solver's iteration cap keeps its best-so-far beta and carries a warning.
 
 Prediction for both: clamp the numeric estimate to [1, 5], round half away
 from zero; class_scores[g] = -|estimate - g|.
@@ -86,6 +90,19 @@ class KernelRidge:
                                   @ self.alpha)
 
 
+@dataclass(frozen=True, eq=False)
+class KernelSum:
+    """The SVR's kernel expansion sum_j beta_j K(x_j, x) + b over its
+    training rows x_j."""
+
+    beta: np.ndarray
+    b: float
+
+    def estimate(self, k: np.ndarray) -> float:
+        """The estimate of a row whose kernel column is ``k``."""
+        return float(self.beta @ k + self.b)
+
+
 def _svr_problem(K: np.ndarray, rows: np.ndarray, y: np.ndarray, C: float,
                  epsilon: float) -> dual.Problem:
     """The doubled dual over (alpha; alpha*) of the rows ``rows`` of y: both
@@ -110,16 +127,17 @@ class RegressionModel:
     n_features: int
     backend: str
     warnings: tuple[str, ...] = ()
-    # A dual least-squares fit estimates from its kernel, not its weights:
-    # (shift row, training rows less the shift row, KernelRidge).
-    dual: tuple[np.ndarray, np.ndarray, KernelRidge] | None = None
+    # A dual fit estimates from its kernel, not its weights: (shift row,
+    # training rows less the shift row, KernelRidge or KernelSum).  The SVR
+    # shifts by 0.0.
+    dual: tuple[np.ndarray | float, np.ndarray, KernelRidge | KernelSum] | None = None
 
     def numeric_estimate(self, x) -> float:
         x = check_dim(x, self.n_features)
         if self.dual is None:
             return float(x @ self.weights + self.intercept)
-        shift, rows, ridge = self.dual
-        return ridge.estimate(linear_kernel(rows, x - shift)[:, 0])
+        shift, rows, estimator = self.dual
+        return estimator.estimate(linear_kernel(rows, x - shift)[:, 0])
 
     def predict(self, x) -> PredictionOutcome:
         return _grade_outcome(self.numeric_estimate(x))
@@ -149,85 +167,77 @@ def _least_squares(X: np.ndarray, y: np.ndarray) -> RegressionModel:
                            dual=(shift, rows, ridge))
 
 
-def predict_least_squares_held_out(spec: ModelSpec, groups, map_folds) -> Iterator[list]:
-    """linreg's ``models.predict_held_out``, folds mapped by ``map_folds``.
+def least_squares_folds(spec: ModelSpec, X, y, held):
+    """linreg's leave-one-out ``folds``.
 
     A dual group builds the kernel of its rows less row 0, and less row 1
     if it holds out fold 0; each fold solves on its rows of one of them and
     copies no row of X.  A primal group fits fold by fold.
     """
-    for X, y, held in groups:
-        X, y = validate_training_data(X, y)
-        y = y.astype(float)
-        n, d = X.shape
-        if n - 1 > d:
-            def fold(i):
-                # np.delete keeps X's memory order, which decides how the
-                # primal's BLAS Gram sums, so the fold's rows are
-                # bit-identical to its own transformed rows.  The held-out
-                # row is made contiguous: a strided row of a Fortran-ordered
-                # X changes how a dot product sums it.
-                model = _least_squares(np.delete(X, i, axis=0), np.delete(y, i))
-                return model.predict(np.ascontiguousarray(X[i])), ()
-        else:
-            kernels = {}
-            for first in {int(i == 0) for i in held}:
-                rows = X - X[first]
-                kernels[first] = linear_kernel(rows, rows)
+    y = y.astype(float)
+    n, d = X.shape
+    if n - 1 > d:
+        def fold(i):
+            # np.delete keeps X's memory order, which decides how the
+            # primal's BLAS Gram sums, so the fold's rows are bit-identical
+            # to its own transformed rows.  The held-out row is made
+            # contiguous: a strided row of a Fortran-ordered X changes how a
+            # dot product sums it.
+            model = _least_squares(np.delete(X, i, axis=0), np.delete(y, i))
+            return model.predict(np.ascontiguousarray(X[i])), ()
+        return fold
+    kernels = {}
+    for first in {int(i == 0) for i in held}:
+        rows = X - X[first]
+        kernels[first] = linear_kernel(rows, rows)
 
-            def fold(i):
-                K = kernels[int(i == 0)]
-                keep = np.delete(np.arange(n), i)
-                ridge = KernelRidge.fit(K[np.ix_(keep, keep)], y[keep])
-                return _grade_outcome(ridge.estimate(K[keep, i])), ()
-        yield map_folds(fold, held)
+    def fold(i):
+        K = kernels[int(i == 0)]
+        keep = np.delete(np.arange(n), i)
+        ridge = KernelRidge.fit(K[np.ix_(keep, keep)], y[keep])
+        return _grade_outcome(ridge.estimate(K[keep, i])), ()
+    return fold
 
 
 def _svr_plan(spec: ModelSpec, X, y, held):
     """The dual of each fold on the linear kernel of one matrix, and the
-    note ``held``, for ``dual.solve_groups``: fold f trains on every row but
-    ``held[f]``, or on every row when that is None."""
+    note (kernel, ``held``), for ``dual.solve_groups``: fold f trains on
+    every row but ``held[f]``, or on every row when that is None."""
     X, y = validate_training_data(X, y)
     K, rows, yf = linear_kernel(X, X), np.arange(y.size), y.astype(float)
     problems = [[_svr_problem(K, rows if r is None else np.delete(rows, r), yf,
                               spec.C, spec.epsilon)] for r in held]
-    return problems, held
+    return problems, (K, held)
 
 
-def _svr_fits(spec: ModelSpec, groups) -> Iterator[list]:
-    """Per group (X, y, held) of ``groups``, each fold's (held row, beta,
-    intercept, warnings); the fold's weights are X' beta over its rows."""
-    for held, solutions in dual.solve_groups(groups, lambda g: _svr_plan(spec, *g)):
+def _svr_fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
+    """Per group (X, y, held) of ``groups``, its kernel and each fold's
+    (held row, KernelSum, warnings); the fold's beta is over its rows."""
+    for (K, held), solutions in dual.solve_groups(groups, lambda g: _svr_plan(spec, *g)):
         fits = []
         for r, [(a, rho, converged, _)] in zip(held, solutions):
             n = a.size // 2
             warnings = () if converged else ("svr: iteration cap reached",)
-            fits.append((r, a[:n] - a[n:], -rho, warnings))
-        yield fits
+            fits.append((r, KernelSum(a[:n] - a[n:], -rho), warnings))
+        yield K, fits
 
 
 def fit_svr(spec: ModelSpec, X, y) -> RegressionModel:
     """One epsilon-SVR on every row of X."""
-    [[(_, beta, b, warnings)]] = _svr_fits(spec, [(X, y, [None])])
-    X = np.asarray(X, dtype=float)
-    return RegressionModel(X.T @ beta, b, X.shape[1], "epsilon_svr", warnings)
+    X, y = validate_training_data(X, y)
+    [(_, [(_, svr, warnings)])] = _svr_fits(spec, [(X, y, [None])])
+    return RegressionModel(X.T @ svr.beta, svr.b, X.shape[1], "epsilon_svr", warnings,
+                           dual=(0.0, X, svr))
 
 
 def predict_svr_held_out(spec: ModelSpec, groups) -> Iterator[list]:
     """Leave-one-out over groups of folds that share one matrix.
 
-    ``groups[g]`` is (X, y, held): fold f of group g trains on every row of X
-    but ``held[f]`` and predicts that row.  Yields, per group, each fold's
-    (PredictionOutcome, warnings).  A group builds one kernel for its solves;
-    its matrix is read once more, after them, for the fold weights.
+    ``groups`` yields (X, y, held): fold f of a group trains on every row of
+    X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
+    (PredictionOutcome, warnings).  A group builds one kernel, and fold r
+    estimates from its held-out row's column of it, less entry r.
     """
-    for g, fits in enumerate(_svr_fits(spec, groups)):
-        X = np.asarray(groups[g][0], dtype=float)
-        out = []
-        for r, beta, b, warnings in fits:
-            # np.delete keeps the matrix's memory order, so the weights are
-            # bit-identical to those of the fold's own training matrix.
-            model = RegressionModel(np.delete(X, r, axis=0).T @ beta, b, X.shape[1],
-                                    "epsilon_svr", warnings)
-            out.append((model.predict(np.ascontiguousarray(X[r])), warnings))
-        yield out
+    for K, fits in _svr_fits(spec, groups):
+        yield [(_grade_outcome(svr.estimate(np.delete(K[:, r], r))), warnings)
+               for r, svr, warnings in fits]

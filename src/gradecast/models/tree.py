@@ -15,10 +15,10 @@ LightGBM (Ke et al., NeurIPS 2017).  The counts are exact integers, so the
 tree equals the one a per-node sort of the rows would give.
 
 ``fit`` grows one tree on all rows of a matrix.  Leave-one-out folds that
-share a transform share one grower (``predict_held_out``): fold i grows on
-every row but i, from the full histogram minus row i's counts.  A code that
-only row i holds counts zero at every node of that tree, so no cut uses it,
-and nothing in fold i's tree depends on row i.  A subtree depends only on
+share a transform share one grower (``folds``): fold i grows on every row
+but i, from the full histogram minus row i's counts.  A code that only row
+i holds counts zero at every node of that tree, so no cut uses it, and
+nothing in fold i's tree depends on row i.  A subtree depends only on
 its rows and the grower's codes, so a grower keeps every subtree it grows,
 keyed by its rows: a fold whose node has the rows of one an earlier fold
 grew reuses that subtree and computes no histogram for it.
@@ -30,7 +30,6 @@ class proportions at the leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -194,20 +193,12 @@ def fit(spec: ModelSpec, X, y) -> DecisionTree:
     return Grower(X, y).tree()
 
 
-def predict_held_out(groups) -> Iterator[list]:
-    """Leave-one-out over groups of folds that share one matrix.
+def folds(spec: ModelSpec, X, y, held):
+    """The tree's leave-one-out ``folds``: a group codes its matrix once, in
+    one ``Grower``, and fold i grows on every row but i."""
+    grower = Grower(X, y)
 
-    ``groups`` yields (X, y, held): fold f of a group grows on every row of
-    X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
-    (PredictionOutcome, warnings).  A group codes its matrix once, in one
-    ``Grower``.  The folds run on the calling thread: the growers' small
-    per-node numpy calls hold the interpreter lock, and a thread pool only
-    slowed them down.
-    """
-    for X, y, held in groups:      # one group's codes at a time
-        grower = Grower(X, y)
-        out = []
-        for i in held:
-            model = grower.tree(without=i)
-            out.append((model.predict(X[i]), model.warnings))
-        yield out
+    def fold(i):
+        model = grower.tree(without=i)
+        return model.predict(X[i]), model.warnings
+    return fold

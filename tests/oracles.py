@@ -585,15 +585,15 @@ def reference_build_dataset(events, students) -> ReferenceDataset:
         if rec.student_id in seen:
             raise DuplicateStudent(rec.student_id)
         seen.add(rec.student_id)
-    catalog: dict[str, tuple[int, int]] = {}
+    assignment: dict[str, int] = {}
     for ev in events:
         if ev.student_id not in seen:
             raise OrphanEvent(ev.student_id)
-        known = catalog.get(ev.question_id)
-        if known is None:
-            catalog[ev.question_id] = (ev.assignment_id, len(catalog))
-        elif known[0] != ev.assignment_id:
+        if assignment.setdefault(ev.question_id, ev.assignment_id) != ev.assignment_id:
             raise InconsistentAssignment(ev.question_id)
+    # Columns follow sorted (assignment_id, question_id) order.
+    order = sorted(assignment, key=lambda q: (assignment[q], q))
+    catalog = {q: (assignment[q], i) for i, q in enumerate(order)}
     return ReferenceDataset(tuple(events), tuple(students), catalog)
 
 

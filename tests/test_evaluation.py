@@ -25,10 +25,10 @@ from gradecast.evaluation import (
 )
 from gradecast.features import FeatureMatrix
 from gradecast.cli import main as cli_main
-from gradecast.models import (ModelSpec, PredictionOutcome, dual, predict_held_out,
-                              train, tree)
+from gradecast.models import (KINDS, ModelSpec, PredictionOutcome, dual,
+                              predict_held_out, train, tree)
 from gradecast.rng import mix_seed
-from gradecast.selection import fit_preprocessor
+from gradecast.selection import Preprocessor, fit_preprocessor
 from gradecast.models.regression import RIDGE_DAMPING
 from oracles import auroc_oracle, average_precision_oracle, ridge_oracle
 
@@ -284,6 +284,20 @@ class TestBatchedFoldEngine:
                 assert preds[i].outcome.grade == alone.grade, (spec.kind, i)
                 assert (preds[i].outcome.class_scores.tobytes()
                         == alone.class_scores.tobytes()), (spec.kind, i)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_group_is_transformed_once(self, small_matrix, kind, monkeypatch):
+        matrix, y = small_matrix
+        preps = prepare_fold_preprocessors(matrix, DEFAULT_THRESHOLDS, False)
+        assert len({p.key() for p in preps}) > 1
+        calls, transform = Counter(), Preprocessor.transform
+
+        def counting(prep, values):
+            calls[prep.key()] += 1
+            return transform(prep, values)
+        monkeypatch.setattr(Preprocessor, "transform", counting)
+        loocv_matrix(matrix, y, ModelSpec(kind=kind), preps)
+        assert calls == Counter({p.key(): 1 for p in preps})
 
     @pytest.mark.parametrize("extra", [[], ["--normalize"]], ids=["raw", "normalized"])
     def test_artifacts_do_not_depend_on_jobs(self, tmp_path, extra):

@@ -399,6 +399,26 @@ class TestBuildDataset:
         assert len(ds.students) == 2
         assert [ev for ev in events_of(ds.log) if ev.student_id == "s2"] == []
 
+    def test_columns_follow_assignment_then_question_id(self):
+        events = [event(question="q2", assignment=1, timestamp=0),
+                  event(question="q1", assignment=2, timestamp=1),
+                  event(question="q3", assignment=1, timestamp=2)]
+        ds = dataset_from(events, [record()])
+        assert ds.question_catalog == {"q2": (1, 0), "q3": (1, 1), "q1": (2, 2)}
+
+    def test_no_student_decides_a_column(self, small_cohort):
+        # Dropping the lowest-id student's rows of the first column's
+        # question leaves every question in its column.
+        log = small_cohort.log
+        [first] = [q for q, (_, col) in small_cohort.question_catalog.items() if col == 0]
+        keep = (log.student != 0) | (log.question != log.question_ids.index(first))
+        assert not keep.all()
+        fewer = EventLog(log.student_ids, log.question_ids,
+                         *(col[keep] for col in (log.student, log.question, log.assignment,
+                                                 log.timestamp, log.attempt, log.correct)))
+        ds = build_dataset(fewer, small_cohort.students)
+        assert ds.question_catalog == small_cohort.question_catalog
+
     def test_catalog_ordinals_are_dense(self):
         events = [event(student="s1", question=f"q{i:03d}",
                         assignment=1 + i % 4, timestamp=i) for i in range(50)]

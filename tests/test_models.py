@@ -4,6 +4,8 @@ import pytest
 from gradecast.models import (
     DimensionMismatch,
     ModelSpec,
+    bayes,
+    predict_held_out,
     train,
 )
 from gradecast.models.regression import (RIDGE_DAMPING, RegressionModel,
@@ -171,6 +173,24 @@ class TestNaiveBayes:
         out = model.predict(np.array([1.0, 3.5]))
         assert np.all(np.isfinite(out.class_scores))
         assert out.grade == 5
+
+    def test_constant_matrix_smoothing_is_the_floor(self, monkeypatch):
+        # Every entry 7.0 and grade counts 1 and 2: the grades' weighted
+        # mean rounds to 6.999999999999999, and the total variance taken
+        # from it would give a smoothing near 1e-40.  Fold 0 leaves one
+        # grade, and every other fold has counts 1 and 2.
+        X = np.full((4, 3), 7.0)
+        y = grades("D", "C", "C", "C")
+        assert np.all(train(ModelSpec(kind="nb"), X[1:], y[[1, 0, 2]]).variances == 1e-12)
+        fitted, model = [], bayes.GaussianNb
+
+        def recording(*args):
+            fitted.append(model(*args))
+            return fitted[-1]
+        monkeypatch.setattr(bayes, "GaussianNb", recording)
+        [outcomes] = predict_held_out(ModelSpec(kind="nb"), [(X, y, [0, 1, 2, 3])])
+        assert len(outcomes) == len(fitted) == 4
+        assert all(np.all(m.variances == 1e-12) for m in fitted)
 
     def test_hand_computed_two_class_posterior(self):
         X = np.array([[0.0], [2.0], [6.0], [8.0]])
