@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,9 +42,13 @@ def _thresholds_arg(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated numbers, e.g. 0.02,0.05")
     try:
-        return float(parts[0]), float(parts[1])
+        thresholds = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    # No variance exceeds NaN or infinity, and JSON has no such numbers.
+    if not all(math.isfinite(t) for t in thresholds):
+        raise argparse.ArgumentTypeError(f"expected finite numbers, got {text!r}")
+    return thresholds
 
 
 def _grade_counts_arg(text: str) -> tuple[int, ...]:

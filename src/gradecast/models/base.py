@@ -26,6 +26,8 @@ class ModelSpec:
     ``kind`` is one of KINDS.  Defaults: C=1.0 for the SVM and the SVR
     (the SVM's RBF kernel has gamma = 1 / n_features), k=5 neighbors,
     epsilon=0.1 for the SVR.  ``seed`` only matters for the random baseline.
+    C must be positive, k at least 1 and epsilon finite and non-negative;
+    any other value, NaN included, raises ValueError.
     """
 
     kind: str
@@ -41,8 +43,10 @@ class ModelSpec:
             raise ValueError(f"C must be positive, got {self.C!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k!r}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:       # also NaN
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
+        if self.epsilon == np.inf:
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import mix_seed, substream
+from ..rng import mix_seed, uniforms
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
                    check_dim, validate_training_data)
 
@@ -31,7 +31,9 @@ class RandomBaseline:
     The draw comes from a counter-based stream keyed by the seed, so every
     prediction of one model is the same; callers that need independent
     draws give each prediction its own seed (the cross-validation harness
-    derives one per fold with ``mix_seed``).
+    derives one per fold with ``mix_seed``).  The five scores are
+    ``rng.uniforms``, computed in plain Python without importing
+    ``numpy.random``; they equal the draws of ``rng.substream`` bit for bit.
     """
 
     seed: int
@@ -46,7 +48,7 @@ class RandomBaseline:
 def _random_outcome(seed: int) -> PredictionOutcome:
     # argmax of five i.i.d. uniforms is itself a uniform draw over the
     # grades, and it keeps grade consistent with class_scores.
-    scores = substream(seed, _PREDICT_STREAM, 0).random(N_GRADES)
+    scores = np.array(uniforms(seed, _PREDICT_STREAM, 0, count=N_GRADES))
     return PredictionOutcome(argmax_lower_grade(scores), scores)
 
 

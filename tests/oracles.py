@@ -37,6 +37,23 @@ from gradecast.rng import substream
 from gradecast.selection import fit_preprocessor
 
 
+# ---------------------------------------------------------------- random streams
+
+_MASK64 = (1 << 64) - 1
+
+
+def seed_sequence_word(seed: int, index: int) -> int:
+    """numpy's first uint64 of ``SeedSequence([seed, index])``, both mod 2**64."""
+    ss = np.random.SeedSequence([seed & _MASK64, index & _MASK64])
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
+def philox_uniforms(seed: int, *path: int, count: int) -> list[float]:
+    """numpy's first ``count`` doubles of Philox keyed by ``SeedSequence([seed, *path])``."""
+    ss = np.random.SeedSequence([v & _MASK64 for v in (seed, *path)])
+    return np.random.Generator(np.random.Philox(ss)).random(count).tolist()
+
+
 # ---------------------------------------------------------------- SVM dual
 
 def svm_dual_objective(alpha, y, K):

@@ -216,6 +216,17 @@ class TestEvaluate:
                   "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", ["nan,0", "inf,0", "0.02,-inf"])
+    def test_non_finite_thresholds_rejected(self, cohort_dir, tmp_path, capsys, value):
+        # No variance exceeds NaN or infinity, so every column would go.
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", *inputs(cohort_dir), "--model", "majority",
+                  "--thresholds", value, "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --thresholds: expected finite numbers, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_header_omits_thread_count(self, cohort_dir, tmp_path):
         code = main(["evaluate", *inputs(cohort_dir), "--model", "majority",
                      "--jobs", "3", "--out-dir", str(tmp_path)])
@@ -227,21 +238,37 @@ class TestEvaluate:
     def test_evaluate_does_not_import_numpy_ma(self, cohort_dir, tmp_path):
         # numpy 2's np.unique without return_* arguments imports numpy.ma, a
         # cost of milliseconds paid by every process that calls it.
-        script = (
-            "import sys, numpy\n"
-            "if 'numpy.ma' in sys.modules: sys.exit(77)\n"
-            "from gradecast.cli import main\n"
-            "code = main(sys.argv[1:])\n"
-            "sys.exit(code or ('numpy.ma' in sys.modules and 'numpy.ma was imported'))\n")
-        src = str(Path(gradecast.__file__).parent.parent)
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run(
-            [sys.executable, "-c", script, "evaluate", *inputs(cohort_dir), "--model", "all",
-             "--out-dir", str(tmp_path)], env=env, capture_output=True, text=True)
-        if done.returncode == 77:
-            pytest.skip("importing numpy alone loads numpy.ma")
-        assert done.returncode == 0, done.stderr
+        fresh_run_skips_module(["evaluate", *inputs(cohort_dir), "--model", "all",
+                                "--out-dir", str(tmp_path)], "numpy.ma")
+
+    @pytest.mark.parametrize("args", [["extract"], ["evaluate", "--model", "all,svr"],
+                                      ["evaluate", "--model", "all,svr", "--normalize"]],
+                             ids=["extract", "evaluate", "evaluate-normalize"])
+    def test_does_not_import_numpy_random(self, cohort_dir, tmp_path, args):
+        # The random baseline draws in plain Python; only synth needs
+        # numpy.random, whose import costs milliseconds and megabytes.
+        fresh_run_skips_module([*args, *inputs(cohort_dir), "--out-dir", str(tmp_path)],
+                               "numpy.random")
+
+
+def fresh_run_skips_module(argv, module):
+    """Run ``gradecast argv`` in a new interpreter and check that it exits 0
+    without importing ``module``; the test process itself has imported it."""
+    script = (
+        "import sys, numpy\n"
+        "module = sys.argv.pop(1)\n"
+        "if module in sys.modules: sys.exit(77)\n"
+        "from gradecast.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.exit(code or (module in sys.modules and module + ' was imported'))\n")
+    src = str(Path(gradecast.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script, module, *argv],
+                          env=env, capture_output=True, text=True)
+    if done.returncode == 77:
+        pytest.skip(f"importing numpy alone loads {module}")
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -250,7 +277,9 @@ class TestEvaluate:
     ("C", "0", "svm", "svm: C must be positive, got 0.0"),
     ("C", "-1", "svr", "svr: C must be positive, got -1.0"),
     ("epsilon", "-1", "svr", "svr: epsilon must be non-negative, got -1.0"),
-], ids=["k-0", "C-0", "C-negative", "epsilon-negative"])
+    ("epsilon", "NaN", "svr", "svr: epsilon must be non-negative, got nan"),
+    ("epsilon", "Infinity", "svr", "svr: epsilon must be finite, got inf"),
+], ids=["k-0", "C-0", "C-negative", "epsilon-negative", "epsilon-nan", "epsilon-inf"])
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, key, value,
                                         model, message, source):
@@ -377,11 +406,16 @@ class TestConfigFile:
         ({"seed": 1.9}, "config key 'seed': invalid literal for int() with base 10: '1.9'"),
         ({"thresholds": ["a", "b"]},
          "config key 'thresholds': could not convert string to float: 'a'"),
+        ({"thresholds": ["nan", 0]},
+         "config key 'thresholds': expected finite numbers, got 'nan,0'"),
+        ({"thresholds": "0,inf"},
+         "config key 'thresholds': expected finite numbers, got '0,inf'"),
         ({"model": 5}, "config key 'model': unknown model '5'; choose from svm, linreg, svr, "
                        "tree, nb, knn, random, majority, all"),
         ({"normalize": "false"}, "config key 'normalize': expected true or false, got 'false'"),
         ({"out_dir": 5}, "config key 'out_dir': expected a string, got 5"),
-    ], ids=["jobs", "seed", "seed-float", "thresholds", "model", "normalize", "out_dir"])
+    ], ids=["jobs", "seed", "seed-float", "thresholds", "thresholds-nan", "thresholds-inf",
+            "model", "normalize", "out_dir"])
     def test_bad_config_value_exits_usage(self, cohort_dir, tmp_path, capsys, monkeypatch,
                                           config, message):
         monkeypatch.chdir(tmp_path)                     # the default out_dir
