@@ -7,13 +7,15 @@ grade.
 
 ``predict_held_out(spec, groups, jobs)`` is leave-one-out for every model.
 A group holds one matrix X, its labels y, and the rows its folds hold out;
-fold i trains on every row of X but i and predicts row i.  The SVM and the
-SVR solve every fold's duals in lock-step batches.  Every other model
+fold i trains on every row of X but i and predicts row i.  Every model
 supplies ``folds(spec, X, y, held)``, which does the work the folds of a
-group share once and returns ``fold(i) -> (PredictionOutcome, warnings)``;
-the engine here loops over the groups, validates each once and maps
-``fold`` over its held-out rows.  Each fold is bit-identical to the model
-``train`` fits on that fold's own rows.
+group share once and returns (duals, fold): ``duals[f]`` lists the
+``dual.Problem``s of the fold that holds out ``held[f]`` (none for a model
+that solves no dual), and ``fold(i, solutions)`` returns that fold's
+(PredictionOutcome, warnings) from its duals' solutions.  The engine here
+validates each group once, solves the duals of every group through
+``dual.solve_groups`` and maps ``fold`` over its held-out rows.  Each fold
+is bit-identical to the model ``train`` fits on that fold's own rows.
 """
 from __future__ import annotations
 
@@ -25,34 +27,25 @@ from . import baselines, bayes, dual, neighbors, regression, svm, tree
 from .base import (KINDS, N_GRADES, DimensionMismatch, ModelSpec, PredictionOutcome,
                    argmax_lower_grade, validate_training_data)
 
-# One training set's fitter, by model kind.
-_FITTERS = {
-    "svm": svm.fit,
-    "linreg": regression.fit_least_squares,
-    "svr": regression.fit_svr,
-    "tree": tree.fit,
-    "nb": bayes.fit,
-    "knn": neighbors.fit,
-    "random": baselines.fit_random,
-    "majority": baselines.fit_majority,
-}
-
-# Each fold-by-fold model's ``folds``, and whether its folds may run on
-# threads.  The tree's growers share a subtree cache, and a baseline fold is
-# too small for a thread to pay.
-_FOLDS = {
-    "linreg": (regression.least_squares_folds, True),
-    "tree": (tree.folds, False),
-    "nb": (bayes.folds, True),
-    "knn": (neighbors.folds, True),
-    "random": (baselines.random_folds, False),
-    "majority": (baselines.majority_folds, False),
+# Per model kind: the fitter of one training set, its leave-one-out
+# ``folds``, and whether its folds may run on threads.  The SVM and SVR
+# folds only read their solved duals, the tree's growers share a subtree
+# cache, and a baseline fold is too small for a thread to pay.
+_MODELS = {
+    "svm": (svm.fit, svm.folds, False),
+    "linreg": (regression.fit_least_squares, regression.least_squares_folds, True),
+    "svr": (regression.fit_svr, regression.svr_folds, False),
+    "tree": (tree.fit, tree.folds, False),
+    "nb": (bayes.fit, bayes.folds, True),
+    "knn": (neighbors.fit, neighbors.folds, True),
+    "random": (baselines.fit_random, baselines.random_folds, False),
+    "majority": (baselines.fit_majority, baselines.majority_folds, False),
 }
 
 
 def train(spec: ModelSpec, X, y):
     """Fit the model named by ``spec.kind`` on grade-labeled rows."""
-    return _FITTERS[spec.kind](spec, X, y)
+    return _MODELS[spec.kind][0](spec, X, y)
 
 
 def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
@@ -62,26 +55,25 @@ def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:
     trains on every row of X but ``held[f]`` and predicts that row.  Yields,
     per group, each fold's (PredictionOutcome, warnings).
 
-    The SVM and the SVR build one kernel per group and solve every fold's
-    duals in lock-step batches, on the calling thread.  Linear regression,
-    naive Bayes and KNN map their folds on ``jobs`` threads when jobs > 1;
-    a fold's result depends only on its own rows, so the thread count
-    cannot change it.
+    The duals of all groups are solved in lock-step batches on the calling
+    thread; a group without duals is yielded as soon as it is read.
+    Linear regression, naive Bayes and KNN map their folds on ``jobs``
+    threads when jobs > 1; a fold's result depends only on its own rows,
+    so the thread count cannot change it.
     """
-    if spec.kind == "svm":
-        return svm.predict_held_out(spec, groups)
-    if spec.kind == "svr":
-        return regression.predict_svr_held_out(spec, groups)
-    return _by_fold(spec, groups, jobs)
+    _, folds, threaded = _MODELS[spec.kind]
 
+    def plan(group):
+        X, y, held = group
+        duals, fold = folds(spec, *validate_training_data(X, y), held)
+        return duals, (held, fold)
 
-def _by_fold(spec: ModelSpec, groups, jobs: int) -> Iterator[list]:
-    """``predict_held_out`` of a model in ``_FOLDS``."""
-    folds, threaded = _FOLDS[spec.kind]
     with ThreadPoolExecutor(jobs) if threaded and jobs > 1 else nullcontext() as pool:
-        for X, y, held in groups:
-            X, y = validate_training_data(X, y)
-            yield list((pool.map if pool else map)(folds(spec, X, y, held), held))
+        for (held, fold), solutions in dual.solve_groups(groups, plan):
+            outcomes = list((pool.map if pool else map)(fold, held, solutions))
+            # Free this group's shared work before the next group is read.
+            del fold, solutions
+            yield outcomes
 
 
 __all__ = [

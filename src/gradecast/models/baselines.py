@@ -74,10 +74,11 @@ def majority_folds(spec: ModelSpec, X, y, held):
     group's grades less row i's."""
     counts = np.bincount(y, minlength=N_GRADES + 1)[1:]
     less = np.eye(N_GRADES, dtype=counts.dtype)
-    return lambda i: (PredictionOutcome(*_majority(counts - less[y[i] - 1])), ())
+    return [[] for _ in held], lambda i, _: (
+        PredictionOutcome(*_majority(counts - less[y[i] - 1])), ())
 
 
 def random_folds(spec: ModelSpec, X, y, held):
     """The random baseline's leave-one-out ``folds``: fold i draws from its
     own seed ``mix_seed(spec.seed, i)``."""
-    return lambda i: (_random_outcome(mix_seed(spec.seed, i)), ())
+    return [[] for _ in held], lambda i, _: (_random_outcome(mix_seed(spec.seed, i)), ())

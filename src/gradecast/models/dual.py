@@ -140,24 +140,27 @@ def solve_groups(groups: Iterable, plan: Callable) -> Iterator[tuple]:
     """Solve the duals of every fold of every group in lock-step batches.
 
     ``plan(group)`` returns (problems, note): per fold, the list of that
-    fold's duals.  Folds of a group may hold the same ``Problem`` object:
-    each distinct problem of a group is solved once, and every fold that
-    holds it gets the same ``Solution``.  Yields, per group in order,
-    (note, solutions), with ``solutions[f]`` the solutions of fold f's
-    duals.  Folds join a batch until its padded solver state (distinct
+    fold's duals, which may be empty.  Folds of a group may hold the same
+    ``Problem`` object: each distinct problem of a group is solved once,
+    and every fold that holds it gets the same ``Solution``.  Yields, per
+    group in order, (note, solutions), with ``solutions[f]`` the solutions
+    of fold f's duals, as soon as its duals and every earlier group's are
+    solved: a group without duals can be yielded before the next group is
+    read.  Folds join a batch until its padded solver state (distinct
     problems times the widest one's variables, 8 bytes each) reaches
-    BLOCK_BYTES, so one group's folds may span batches; a problem solved in
-    an earlier batch is not queued again.  A group's duals, and so their
-    kernels, are kept until the group is yielded, and the rest of what
-    ``plan`` reads can be freed as soon as it returns.
+    BLOCK_BYTES, so one group's folds may span batches; a problem solved
+    in an earlier batch is not queued again.  A group's duals and note are
+    kept until the group is yielded and no longer: the group itself, and
+    the rest of what ``plan`` reads, can be freed as soon as ``plan``
+    returns.
     """
     planned: list[_Group] = []
     batch: list[tuple[_Group, Problem]] = []     # distinct problems not solved yet
     width = 0
     for group in groups:
-        problems, note = plan(group)
-        planned.append(_Group(note, problems, {}))
-        for probs in problems:
+        planned.append(_Group(*plan(group), {}))
+        del group
+        for probs in planned[-1].problems:
             for prob in probs:
                 if prob not in planned[-1].solved:
                     planned[-1].solved[prob] = None
@@ -177,8 +180,8 @@ def solve_groups(groups: Iterable, plan: Callable) -> Iterator[tuple]:
 
 @dataclass(eq=False)
 class _Group:
-    note: object
     problems: list[list[Problem]]               # per fold
+    note: object
     solved: dict[Problem, Solution | None]      # each distinct problem, once queued
 
     def done(self) -> bool:

@@ -37,8 +37,8 @@ Two models, each fitted to a RegressionModel whose ``backend`` names it:
   it does not predict with.  Leave-one-out folds that share a transform
   share one kernel on all rows of the group's matrix: fold r's dual uses
   its rows other than r, and it estimates from column r of that kernel
-  less entry r (``predict_svr_held_out``).  A fit that reaches the
-  solver's iteration cap keeps its best-so-far beta and carries a warning.
+  less entry r (``svr_folds``).  A fit that reaches the solver's
+  iteration cap keeps its best-so-far beta and carries a warning.
 
 Prediction for both: clamp the numeric estimate to [1, 5], round half away
 from zero; class_scores[g] = -|estimate - g|.
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -177,7 +176,7 @@ def least_squares_folds(spec: ModelSpec, X, y, held):
     y = y.astype(float)
     n, d = X.shape
     if n - 1 > d:
-        def fold(i):
+        def fold(i, _):
             # np.delete keeps X's memory order, which decides how the
             # primal's BLAS Gram sums, so the fold's rows are bit-identical
             # to its own transformed rows.  The held-out row is made
@@ -185,59 +184,47 @@ def least_squares_folds(spec: ModelSpec, X, y, held):
             # dot product sums it.
             model = _least_squares(np.delete(X, i, axis=0), np.delete(y, i))
             return model.predict(np.ascontiguousarray(X[i])), ()
-        return fold
+        return [[] for _ in held], fold
     kernels = {}
     for first in {int(i == 0) for i in held}:
         rows = X - X[first]
         kernels[first] = linear_kernel(rows, rows)
 
-    def fold(i):
+    def fold(i, _):
         K = kernels[int(i == 0)]
         keep = np.delete(np.arange(n), i)
         ridge = KernelRidge.fit(K[np.ix_(keep, keep)], y[keep])
         return _grade_outcome(ridge.estimate(K[keep, i])), ()
-    return fold
+    return [[] for _ in held], fold
 
 
-def _svr_plan(spec: ModelSpec, X, y, held):
-    """The dual of each fold on the linear kernel of one matrix, and the
-    note (kernel, ``held``), for ``dual.solve_groups``: fold f trains on
-    every row but ``held[f]``, or on every row when that is None."""
-    X, y = validate_training_data(X, y)
-    K, rows, yf = linear_kernel(X, X), np.arange(y.size), y.astype(float)
-    problems = [[_svr_problem(K, rows if r is None else np.delete(rows, r), yf,
-                              spec.C, spec.epsilon)] for r in held]
-    return problems, (K, held)
-
-
-def _svr_fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
-    """Per group (X, y, held) of ``groups``, its kernel and each fold's
-    (held row, KernelSum, warnings); the fold's beta is over its rows."""
-    for (K, held), solutions in dual.solve_groups(groups, lambda g: _svr_plan(spec, *g)):
-        fits = []
-        for r, [(a, rho, converged, _)] in zip(held, solutions):
-            n = a.size // 2
-            warnings = () if converged else ("svr: iteration cap reached",)
-            fits.append((r, KernelSum(a[:n] - a[n:], -rho), warnings))
-        yield K, fits
+def _kernel_sum(solution: dual.Solution) -> tuple[KernelSum, tuple[str, ...]]:
+    """The SVR's fit from its dual's solution, with beta over its rows, and
+    its warnings."""
+    a, rho, converged, _ = solution
+    n = a.size // 2
+    return KernelSum(a[:n] - a[n:], -rho), () if converged else ("svr: iteration cap reached",)
 
 
 def fit_svr(spec: ModelSpec, X, y) -> RegressionModel:
     """One epsilon-SVR on every row of X."""
     X, y = validate_training_data(X, y)
-    [(_, [(_, svr, warnings)])] = _svr_fits(spec, [(X, y, [None])])
+    problem = _svr_problem(linear_kernel(X, X), np.arange(y.size), y.astype(float),
+                           spec.C, spec.epsilon)
+    svr, warnings = _kernel_sum(dual.solve([problem])[0])
     return RegressionModel(X.T @ svr.beta, svr.b, X.shape[1], "epsilon_svr", warnings,
                            dual=(0.0, X, svr))
 
 
-def predict_svr_held_out(spec: ModelSpec, groups) -> Iterator[list]:
-    """Leave-one-out over groups of folds that share one matrix.
+def svr_folds(spec: ModelSpec, X, y, held):
+    """The SVR's leave-one-out ``folds``: a group builds one kernel, fold r's
+    dual uses its rows other than r, and fold r estimates from column r of
+    the kernel less entry r."""
+    K, rows, yf = linear_kernel(X, X), np.arange(y.size), y.astype(float)
+    problems = [[_svr_problem(K, np.delete(rows, r), yf, spec.C, spec.epsilon)]
+                for r in held]
 
-    ``groups`` yields (X, y, held): fold f of a group trains on every row of
-    X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
-    (PredictionOutcome, warnings).  A group builds one kernel, and fold r
-    estimates from its held-out row's column of it, less entry r.
-    """
-    for K, fits in _svr_fits(spec, groups):
-        yield [(_grade_outcome(svr.estimate(np.delete(K[:, r], r))), warnings)
-               for r, svr, warnings in fits]
+    def fold(r, solutions):
+        svr, warnings = _kernel_sum(solutions[0])
+        return _grade_outcome(svr.estimate(np.delete(K[:, r], r))), warnings
+    return problems, fold

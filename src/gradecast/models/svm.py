@@ -12,21 +12,20 @@ by pairwise voting; the sum of |decision value| over won pairs, weighted at
 1e-6, breaks vote ties deterministically, and any remaining exact tie goes
 to the lower grade.
 
-Leave-one-out folds that share a transform share one kernel
-(``predict_held_out``): it is built once on all rows of the group's matrix,
-fold i's pair duals use its rows other than i, and fold i votes on column i
-of the same kernel.  ``rbf_kernel`` computes each entry from its two rows
+Leave-one-out folds that share a transform share one kernel (``folds``):
+it is built once on all rows of the group's matrix, fold i's pair duals
+use its rows other than i, and fold i votes on column i of the same
+kernel.  ``rbf_kernel`` computes each entry from its two rows
 alone, so every fold is bit-identical to a machine trained on its own rows.
 Fold i's dual for a pair (l, u) that does not contain row i's grade is the
 dual on the group's rows of grade l or u, the same in every such fold: the
-group builds it once, ``dual.solve_groups`` solves it once, and one pair
-machine serves all those folds.  Fold i builds only the pairs of its own
+group builds it once, the solver solves it once, and one pair machine
+serves all those folds.  Fold i builds only the pairs of its own
 grade, at most four.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -115,17 +114,17 @@ class PairwiseSvm:
         return _vote(self.classes, self.pairs, rbf_kernel(self.X, x, self.gamma)[:, 0])
 
 
-def _plan(spec: ModelSpec, X, y, held):
-    """The pair duals of each fold on the kernel of one matrix, and the note
-    (kernel, folds), for ``dual.solve_groups``: fold f trains on every row
-    but ``held[f]``, or on every row when that is None.
+def _plan(spec: ModelSpec, X: np.ndarray, y: np.ndarray, held):
+    """The kernel of one validated matrix, each fold's plan (held row,
+    classes, pairs (lower, upper, rows, signs)), and each fold's pair duals:
+    fold f trains on every row but ``held[f]``, or on every row when that is
+    None.
 
     The dual of pair (l, u) on every row is built once, and every fold whose
     held-out grade is neither l nor u holds that same ``Problem``.  A fold
     builds only the pairs of its held-out grade, without that row; a grade
     whose only row is held out leaves the fold's classes.
     """
-    X, y = validate_training_data(X, y)
     K = rbf_kernel(X, X, 1.0 / X.shape[1])
     present = sorted(set(y.tolist()))
     count = np.bincount(y)
@@ -151,46 +150,44 @@ def _plan(spec: ModelSpec, X, y, held):
                 probs.append(prob)
         folds.append((r, classes, pairs))
         problems.append(probs)
-    return problems, (K, folds)
+    return K, folds, problems
 
 
-def _fits(spec: ModelSpec, groups) -> Iterator[tuple[np.ndarray, list]]:
-    """Per group (X, y, held) of ``groups``, its kernel and, per fold, (held
-    row, classes, pair machines, warnings).  Folds that share a dual share
-    its machine."""
-    for (K, folds), solutions in dual.solve_groups(groups, lambda g: _plan(spec, *g)):
-        machine_of = {}
-        fits = []
-        for (r, classes, pairs), sols in zip(folds, solutions):
-            machines, warnings = [], []
-            for (lower, upper, rows, s), sol in zip(pairs, sols):
-                alpha, rho, converged, _ = sol
-                if not converged:
-                    warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
-                if id(sol) not in machine_of:
-                    sv = alpha > 1e-12
-                    machine_of[id(sol)] = PairMachine(lower, upper, rows[sv],
-                                                      alpha[sv] * s[sv], -rho)
-                machines.append(machine_of[id(sol)])
-            fits.append((r, classes, tuple(machines), tuple(warnings)))
-        yield K, fits
+def _machines(pairs, solutions, machine_of: dict) -> tuple[tuple, tuple[str, ...]]:
+    """One fold's pair machines from its duals' solutions, and its warnings.
+
+    ``machine_of`` maps the id of each solution seen so far to its machine,
+    so folds that hold the same solution share one machine.
+    """
+    machines, warnings = [], []
+    for (lower, upper, rows, s), sol in zip(pairs, solutions):
+        alpha, rho, converged, _ = sol
+        if not converged:
+            warnings.append(f"svm pair {lower}-{upper}: iteration cap reached")
+        if id(sol) not in machine_of:
+            sv = alpha > 1e-12
+            machine_of[id(sol)] = PairMachine(lower, upper, rows[sv], alpha[sv] * s[sv], -rho)
+        machines.append(machine_of[id(sol)])
+    return tuple(machines), tuple(warnings)
 
 
 def fit(spec: ModelSpec, X, y) -> PairwiseSvm:
     """One pairwise machine on every row of X."""
-    [(_, [(_, classes, machines, warnings)])] = _fits(spec, [(X, y, [None])])
-    X = np.asarray(X, dtype=float)
+    X, y = validate_training_data(X, y)
+    _, [(_, classes, pairs)], [problems] = _plan(spec, X, y, [None])
+    machines, warnings = _machines(pairs, dual.solve(problems), {})
     return PairwiseSvm(classes, machines, X, 1.0 / X.shape[1], warnings)
 
 
-def predict_held_out(spec: ModelSpec, groups) -> Iterator[list]:
-    """Leave-one-out over groups of folds that share one matrix.
+def folds(spec: ModelSpec, X, y, held):
+    """The SVM's leave-one-out ``folds``: a group builds one kernel and the
+    pair duals of every fold, and fold i votes on column i of the kernel."""
+    K, plans, problems = _plan(spec, X, y, held)
+    plan_of = {r: (classes, pairs) for r, classes, pairs in plans}
+    machine_of = {}
 
-    ``groups`` yields (X, y, held): fold f of a group trains on every row of
-    X but ``held[f]`` and predicts that row.  Yields, per group, each fold's
-    (PredictionOutcome, warnings).  A group builds one kernel, and each fold
-    votes on its held-out row's column of it.
-    """
-    for K, fits in _fits(spec, groups):
-        yield [(_vote(classes, machines, K[:, r]), warnings)
-               for r, classes, machines, warnings in fits]
+    def fold(i, solutions):
+        classes, pairs = plan_of[i]
+        machines, warnings = _machines(pairs, solutions, machine_of)
+        return _vote(classes, machines, K[:, i]), warnings
+    return problems, fold

@@ -90,8 +90,10 @@ class CohortConfig:
             raise InfeasibleConfig(
                 f"grade_counts sum to {sum(counts)}, expected {self.n_students}")
         object.__setattr__(self, "grade_counts", counts)
-        if self.ability_spread < 0 or self.difficulty_spread < 0:
-            raise InfeasibleConfig("spreads must be non-negative")
+        for name in ("ability_spread", "difficulty_spread"):
+            spread = getattr(self, name)
+            if not 0.0 <= spread < np.inf:      # False for NaN
+                raise InfeasibleConfig(f"{name} must be finite and non-negative, got {spread}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """End-to-end acceptance checks for the grade-prediction pipeline.
 
-Each test covers one numbered acceptance criterion and records a single
+Each numbered test covers one acceptance criterion and records a single
 PASS/FAIL line; conftest echoes the collected checklist after the run so
 it is visible regardless of output capture.  Reference numbers for the
 default cohort were frozen from an independent calibration run and
-cross-checked against the analytic values where those exist.
+cross-checked against the analytic values where those exist.  The last
+test holds the default cohort's predicted grades to the expected ones in
+``expected_grades.json``.
 """
+import json
 from collections import Counter
 
 import numpy as np
@@ -29,6 +32,7 @@ from gradecast.selection import variance_mask
 from gradecast.synth import CohortConfig, generate_cohort
 
 from conftest import ACCEPTANCE_VERDICTS
+import expected_grades
 from oracles import (
     kkt_max_violation,
     knn_oracle_predict,
@@ -369,3 +373,15 @@ def test_criterion_10_small_model_oracles():
     verdict(10, ok,
             f"{cases} random small datasets: tree/knn/nb predictions vs "
             f"brute-force oracles, mismatches {dict(mismatches) or 0}")
+
+
+def test_default_cohort_grades_are_the_expected_ones(default_matrix, fold_preps):
+    matrix, y = default_matrix
+    preps = {"raw": fold_preps,
+             "normalized": prepare_fold_preprocessors(matrix, (0.02, 0.05), normalize=True)}
+    actual = expected_grades.predicted(matrix, y, preps)
+    expected = json.loads(expected_grades.PATH.read_text())
+    moved = expected_grades.moved(expected, actual, matrix.row_ids)
+    assert not moved, ("moved from expected_grades.json (regenerate it with "
+                       "`PYTHONPATH=src python tests/expected_grades.py`):\n"
+                       + "\n".join(moved))

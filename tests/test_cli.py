@@ -50,6 +50,17 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ability-spread", "nan", "ability_spread must be finite and non-negative, got nan"),
+        ("--difficulty-spread", "inf", "difficulty_spread must be finite and non-negative, "
+                                       "got inf"),
+    ], ids=["ability-nan", "difficulty-inf"])
+    def test_non_finite_spread_exits_usage(self, tmp_path, capsys, flag, value, message):
+        code = main(["synth", *COHORT_ARGS, flag, value, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_runs_as_a_module(self, tmp_path):
         src = str(Path(gradecast.__file__).parent.parent)
         env = {**os.environ,

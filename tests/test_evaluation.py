@@ -26,7 +26,7 @@ from gradecast.evaluation import (
 from gradecast.features import FeatureMatrix
 from gradecast.cli import main as cli_main
 from gradecast.models import (KINDS, ModelSpec, PredictionOutcome, dual,
-                              predict_held_out, train, tree)
+                              predict_held_out, svm, train, tree)
 from gradecast.rng import mix_seed
 from gradecast.selection import Preprocessor, fit_preprocessor
 from gradecast.models.regression import RIDGE_DAMPING
@@ -309,12 +309,14 @@ class TestBatchedFoldEngine:
             out = tmp_path / f"jobs{jobs}"
             assert cli_main(["evaluate", "--submissions", str(tmp_path / "data" / "submissions.csv"),
                              "--gradebook", str(tmp_path / "data" / "gradebook.csv"),
-                             "--model", "svm,svr,tree", "--jobs", str(jobs), *extra,
+                             "--model", "all,svr", "--jobs", str(jobs), *extra,
                              "--out-dir", str(out)]) == 0
             artifacts.append({f.name: f.read_bytes().split(b"\n", 1)[1]
                               for f in sorted(out.iterdir())})
-        assert sorted(artifacts[0]) == ["predictions_svm.csv", "predictions_svr.csv",
-                                        "predictions_tree.csv", "report.md"]
+        assert sorted(artifacts[0]) == [
+            "predictions_knn.csv", "predictions_linreg.csv", "predictions_majority.csv",
+            "predictions_nb.csv", "predictions_random.csv", "predictions_svm.csv",
+            "predictions_svr.csv", "predictions_tree.csv", "report.md"]
         assert artifacts[0] == artifacts[1]
 
 
@@ -391,24 +393,23 @@ class TestKernelFoldGroups:
 
 
 def svm_plans(monkeypatch, matrix, y, normalize):
-    """Each group's (labels, fold notes, fold duals) as the SVM's leave-one-out
-    path plans them, every problem handed to the solver, and the predictions."""
+    """Each group's (labels, fold plans, fold duals) as ``svm._plan`` gives
+    them on the SVM's leave-one-out path, every problem handed to the
+    solver, and the predictions."""
     plans, solved = [], []
-    solve_groups, solve = dual.solve_groups, dual.solve
+    plan, solve = svm._plan, dual.solve
 
-    def recording_groups(groups, plan):
-        def planning(group):
-            problems, (K, folds) = plan(group)
-            plans.append((np.asarray(group[1]), folds, problems))
-            return problems, (K, folds)
-        return solve_groups(groups, planning)
+    def recording_plan(spec, X, labels, held):
+        K, folds, problems = plan(spec, X, labels, held)
+        plans.append((np.asarray(labels), folds, problems))
+        return K, folds, problems
 
     def recording_solve(problems):
         solved.extend(problems)
         return solve(problems)
 
     with monkeypatch.context() as patch:
-        patch.setattr(dual, "solve_groups", recording_groups)
+        patch.setattr(svm, "_plan", recording_plan)
         patch.setattr(dual, "solve", recording_solve)
         preds = loo(matrix, y, ModelSpec(kind="svm"), normalize=normalize)
     return plans, solved, preds

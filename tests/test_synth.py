@@ -56,6 +56,12 @@ class TestConfigValidation:
         with pytest.raises(InfeasibleConfig):
             CohortConfig(max_attempts_other=0)
 
+    @pytest.mark.parametrize("spread", [-0.5, float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["ability_spread", "difficulty_spread"])
+    def test_spreads_must_be_finite_and_non_negative(self, name, spread):
+        with pytest.raises(InfeasibleConfig, match=f"{name} must be finite"):
+            CohortConfig(**{name: spread})
+
 
 class TestQuestionBank:
     def test_ids_are_zero_padded_and_unique(self):
