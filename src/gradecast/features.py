@@ -65,7 +65,7 @@ def per_question_performance(dataset: Dataset) -> np.ndarray:
 def submissions_per_question(dataset: Dataset) -> np.ndarray:
     """Count matrix of submissions per (student, question); 0 when untouched."""
     n, q = len(dataset.students), dataset.n_questions
-    counts = np.bincount(dataset.row * q + dataset.column, minlength=n * q)
+    counts = np.bincount(dataset.row.astype(np.intp) * q + dataset.column, minlength=n * q)
     return counts.reshape(n, q).astype(float)
 
 

@@ -3,13 +3,16 @@
 Turns the two course export files (``submissions.csv`` and ``gradebook.csv``)
 into one immutable in-memory dataset shared by feature extraction and
 evaluation.  The submission log is held as columns (``EventLog``), from the
-parse to the feature matrix, and the program reads it through those columns
-alone.  Input rows may arrive in any order; parsing canonicalizes the
-ordering, so the same set of rows always produces the same dataset.
+parse to the feature matrix, each at its natural width (int32 codes, an int8
+assignment, int64 times and attempts), and the program reads it through
+those columns alone.  Input rows may arrive in any order; parsing
+canonicalizes the ordering, so the same set of rows always produces the
+same dataset.
 
 A submission log in the form ``write_submissions`` writes is read columnar:
-numpy finds its lines and fields and converts whole columns, in blocks of
-whole lines bounded by BLOCK_BYTES.  The gradebook and every other log go
+the file is streamed in blocks of whole lines bounded by BLOCK_BYTES, and
+numpy finds each block's lines and fields and converts whole columns, so
+ingest never holds the whole file.  The gradebook and every other log go
 through one CSV row reader (``_data_rows``), which checks the header, each
 row's width and that a data row follows the header, and numbers rows by
 physical line; it defines the accepted format and every error, and the two
@@ -155,7 +158,7 @@ def _codes(ids: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     """The distinct ids in Python ``str`` order, and each id's index into them."""
     distinct = tuple(sorted(set(ids)))
     rank = {sid: i for i, sid in enumerate(distinct)}
-    return distinct, np.fromiter(map(rank.__getitem__, ids), dtype=np.intp, count=len(ids))
+    return distinct, np.fromiter(map(rank.__getitem__, ids), dtype=np.int32, count=len(ids))
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +167,11 @@ class EventLog:
 
     ``student`` and ``question`` index ``student_ids`` and ``question_ids``,
     which hold the distinct ids in Python ``str`` order (so ordering by code
-    is ordering by id); every listed id occurs in the log.  ``assignment``,
-    ``timestamp`` and ``attempt`` are int64 and ``correct`` is bool.
+    is ordering by id); every listed id occurs in the log.  Every log built
+    here holds its columns at one set of widths: ``student`` and
+    ``question`` int32, ``assignment`` int8, ``timestamp`` and ``attempt``
+    int64, ``correct`` bool.  A product of codes (such as ``student *
+    len(question_ids) + question``) is formed in int64.
     """
 
     student_ids: tuple[str, ...]
@@ -180,11 +186,18 @@ class EventLog:
     @classmethod
     def from_columns(cls, student_ids: list[str], question_ids: list[str],
                      assignment, timestamp, attempt, correct) -> "EventLog":
-        """Code the id columns and pack the rest; every value must fit in int64."""
+        """Code the id columns and pack the rest at the class's widths.
+
+        Every integer must fit in int64; an assignment outside int8 raises
+        ValueError rather than wrap.
+        """
+        wide = np.array(assignment, dtype=np.int64)
+        narrow = wide.astype(np.int8)
+        if not np.array_equal(narrow, wide):
+            raise ValueError(f"assignment_id {wide[narrow != wide][0]} outside the int8 range")
         sids, student = _codes(student_ids)
         qids, question = _codes(question_ids)
-        return cls(sids, qids, student, question,
-                   np.array(assignment, dtype=np.int64), np.array(timestamp, dtype=np.int64),
+        return cls(sids, qids, student, question, narrow, np.array(timestamp, dtype=np.int64),
                    np.array(attempt, dtype=np.int64), np.array(correct, dtype=bool))
 
     @classmethod
@@ -220,6 +233,7 @@ class SessionIndex:
     - 1`` and never decreases.  ``gaps`` are the within-session gaps
     between adjacent submissions in that same order, and ``gap_row`` the
     student row of each, so one student's gaps are a contiguous slice.
+    ``key`` and ``gap_row`` are int32, ``gaps`` int64.
     """
 
     key: np.ndarray
@@ -233,7 +247,7 @@ class Dataset:
 
     ``log`` keeps the events in the order they were given; ``row`` and
     ``column`` hold each event's student row (index into ``students``) and
-    question ordinal.  ``question_catalog`` maps question_id to
+    question ordinal, as int32.  ``question_catalog`` maps question_id to
     (assignment_id, ordinal); the ordinal is the question's contiguous
     0-based column index, issued in sorted (assignment_id, question_id)
     order.
@@ -251,20 +265,37 @@ class Dataset:
 
     @cached_property
     def sessions(self) -> SessionIndex:
-        """The session index, built on first use; the timing features read it."""
+        """The session index, built on first use; the timing features read it.
+
+        When every row is graded the sort reads the columns themselves, not
+        gathered copies; every temporary is dropped once it has been read.
+        """
         log = self.log
-        graded = np.flatnonzero((log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS))
-        order = graded[_stable_order(col[graded] for col in (
-            self.row, log.assignment, log.timestamp, log.question, log.attempt))]
-        row = self.row[order]
-        key = row * N_ASSIGNMENTS + log.assignment[order] - 1
+        columns = (self.row, log.assignment, log.timestamp, log.question, log.attempt)
+        graded = (log.assignment >= 1) & (log.assignment <= N_ASSIGNMENTS)
+        if graded.all():
+            order = _stable_order(columns).astype(np.int32)
+        else:
+            graded = np.flatnonzero(graded).astype(np.int32)
+            order = graded[_stable_order(col[graded] for col in columns)]
+        del graded
         # Timestamps of one key are sorted, so their uint64 difference is
         # exact even where the int64 one would overflow.
         gap = np.diff(log.timestamp[order].view(np.uint64))
+        row = self.row[order]
+        key = row * N_ASSIGNMENTS
+        key += log.assignment[order]
+        key -= 1
+        del order
         within = (key[1:] == key[:-1]) & (gap <= SESSION_GAP_SECONDS)
-        start = np.ones(order.size, dtype=bool)
+        start = np.ones(key.size, dtype=bool)
         start[1:] = ~within
-        return SessionIndex(key[start], gap[within].astype(np.int64), row[1:][within])
+        key = key[start]
+        gap_row = row[1:][within]
+        del row
+        # A within-session gap is at most SESSION_GAP_SECONDS, so its bits
+        # read the same as int64.
+        return SessionIndex(key, gap[within].view(np.int64), gap_row)
 
 
 def _numbered_rows(path) -> Iterator[tuple[int, list[str]]]:
@@ -340,15 +371,25 @@ def parse_submissions(path) -> tuple[EventLog, RepairCount]:
     question) group, attempts recorded after a correct answer are dropped
     and attempt numbers are re-issued densely in timestamp order; each
     dropped or renumbered row counts once in ``repairs``.  The integer
-    fields are held as int64: a timestamp or attempt number outside that
-    range makes its row malformed.
+    fields are bounded by int64: a timestamp or attempt number outside that
+    range makes its row malformed.  The log comes back at ``EventLog``'s
+    widths.
 
     A file in the form ``write_submissions`` writes is read by
     ``_columnar_log``; every other file, and every error, is the row
     reader's (``_row_log``).  Both give the same log.
     """
+    return _repaired(_read_log(path))
+
+
+def _read_log(path) -> EventLog:
+    """The log of ``path`` as read, by the columnar reader if it can.
+
+    Returned rather than held by the caller, so ``_repaired`` gets the only
+    reference and can free each column once it is gathered.
+    """
     log = _columnar_log(path)
-    return _repaired(_row_log(path) if log is None else log)
+    return _row_log(path) if log is None else log
 
 
 def _row_log(path) -> EventLog:
@@ -390,63 +431,78 @@ def _columnar_log(path) -> EventLog | None:
     """The log of a submissions.csv in the form ``write_submissions`` writes,
     or None for any other file.
 
-    The file is read once and converted with numpy in blocks of whole lines,
-    at most BLOCK_BYTES each unless one line is longer.  The form: valid
-    UTF-8 with no CR outside a CRLF; '#' and empty lines anywhere; the
-    header, then data lines with no '"' and no NUL, of six fields whose
-    integers are 1 to _MAX_DIGITS ASCII digits after an optional '-', with
-    assignment_id in 1..N_ASSIGNMENTS and correct 0 or 1.  The row reader
-    gives such a file the same log.  No IngestError is raised here: a file
-    outside the form is the row reader's.
+    The file is streamed once and converted with numpy in blocks of whole
+    lines (``_line_blocks``); each block is checked as UTF-8 and for CRs on
+    its own, since a line never spans two.  The form: valid UTF-8 with no
+    CR outside a CRLF; '#' and empty lines anywhere; the header, then data
+    lines with no '"' and no NUL, of six fields whose integers are 1 to
+    _MAX_DIGITS ASCII digits after an optional '-', with assignment_id in
+    1..N_ASSIGNMENTS and correct 0 or 1.  The row reader gives such a file
+    the same log.  No IngestError is raised here: a file outside the form
+    is the row reader's.
     """
+    columns: list[list] = [[] for _ in SUBMISSIONS_HEADER]
+    past_header = False
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-    start = _past_header(data)
-    if start is None:
+        for block in _line_blocks(fh):
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError:
+                    return None
+            if not past_header:
+                start = _past_header(block)
+                if start is None:
+                    return None
+                past_header = start > 0
+                block = block[start:] if past_header else b""
+            if block:
+                block_columns = _block_columns(np.frombuffer(block, np.uint8))
+                if block_columns is None:
+                    return None
+                for column, part in zip(columns, block_columns):
+                    column.append(part)
+    if not columns[0]:
         return None
-    blocks = []
-    while start < len(data):
-        end = len(data)
-        if end - start > BLOCK_BYTES:
-            newline = data.rfind(b"\n", start, start + BLOCK_BYTES)
-            if newline < 0:                 # a line longer than a block is a block
-                newline = data.find(b"\n", start)
-            if newline >= 0:
-                end = newline + 1
-        columns = _block_columns(np.frombuffer(data, np.uint8, end - start, start))
-        if columns is None:
-            return None
-        if columns:
-            blocks.append(columns)
-        start = end
-    if not blocks:
-        return None
-    sid_blocks, qid_blocks, *numeric = zip(*blocks)
-    student_ids, student = _merged_codes(sid_blocks)
-    question_ids, question = _merged_codes(qid_blocks)
+    # Each column's blocks are freed as soon as it is merged, before the next one is.
+    student_ids, student = _merged_codes(columns.pop(0))
+    question_ids, question = _merged_codes(columns.pop(0))
     return EventLog(student_ids, question_ids, student, question,
-                    *(np.concatenate(column) for column in numeric))
+                    *(np.concatenate(columns.pop(0)) for _ in range(len(columns))))
 
 
-def _past_header(data: bytes) -> int | None:
-    """The offset after the header line, or None if the first data line is
+def _line_blocks(fh) -> Iterator[bytes]:
+    """The bytes of a binary file in blocks of whole lines, each at most
+    BLOCK_BYTES unless one line is longer; only the last block may lack a
+    final newline."""
+    rest = b""
+    while chunk := fh.read(BLOCK_BYTES - len(rest)):
+        data = rest + chunk
+        end = data.rfind(b"\n") + 1
+        if not end:                             # a line longer than a block is a block
+            data += fh.readline()
+            end = len(data)
+        rest = data[end:]
+        yield data[:end]
+    if rest:
+        yield rest
+
+
+def _past_header(block: bytes) -> int | None:
+    """The offset after the header line in the first block that holds a
+    data line, 0 if ``block`` holds none, or None if its first data line is
     not the header or a CR before it is outside a CRLF."""
     start = 0
-    while start < len(data):
-        end = data.find(b"\n", start)
-        end = len(data) if end < 0 else end
-        line = data[start:end].removesuffix(b"\r")
+    while start < len(block):
+        end = block.find(b"\n", start)
+        end = len(block) if end < 0 else end
+        line = block[start:end].removesuffix(b"\r")
         if b"\r" in line:
             return None
         if line and not line.startswith(b"#"):
             return end + 1 if line == _HEADER_LINE else None
         start = end + 1
-    return None
+    return 0
 
 
 def _block_columns(buf: np.ndarray) -> list | None:
@@ -490,7 +546,7 @@ def _block_columns(buf: np.ndarray) -> list | None:
             or np.any((correct != ord("0")) & (correct != ord("1")))):
         return None
     return [_id_codes(buf, *sid), _id_codes(buf, *qid),
-            assignment, timestamp, attempt, correct == ord("1")]
+            assignment.astype(np.int8), timestamp, attempt, correct == ord("1")]
 
 
 def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
@@ -535,7 +591,7 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a 2-D uint64 array in lexicographic order, and
-    each row's index into them."""
+    each row's int32 index into them."""
     if words.shape[1] == 1:
         order = np.argsort(words[:, 0])
     else:
@@ -543,8 +599,8 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ranked = words[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
+    inverse = np.empty(len(order), dtype=np.int32)
+    inverse[order] = np.cumsum(new, dtype=np.int32) - 1
     return ranked[new], inverse
 
 
@@ -553,17 +609,20 @@ def _merged_codes(blocks) -> tuple[tuple[str, ...], np.ndarray]:
     words = max(ids.shape[1] for ids, _ in blocks)
     distinct, inverse = _distinct_rows(np.concatenate(
         [np.pad(ids, ((0, 0), (0, words - ids.shape[1]))) for ids, _ in blocks]))
-    first = np.cumsum([0, *(len(ids) for ids, _ in blocks)])
-    codes = np.concatenate([inverse[lo:][block_codes]
-                            for lo, (_, block_codes) in zip(first.tolist(), blocks)])
+    codes = np.empty(sum(len(block_codes) for _, block_codes in blocks), dtype=np.int32)
+    lo = at = 0
+    for ids, block_codes in blocks:
+        codes[at:at + len(block_codes)] = inverse[lo:lo + len(ids)][block_codes]
+        lo += len(ids)
+        at += len(block_codes)
     names = distinct.astype(">u8").view(f"S{8 * words}").ravel()
     return tuple(name.decode("utf-8") for name in names.tolist()), codes
 
 
 def _stable_order(keys: Iterable[np.ndarray]) -> np.ndarray:
-    """The stable sort by the int64 ``keys``, which are of one length and
-    most significant first: the permutation ``np.lexsort`` gives for them
-    listed least significant first.
+    """The stable sort by the signed integer ``keys``, which are of one
+    length and most significant first: the permutation ``np.lexsort`` gives
+    for them listed least significant first.
 
     The keys are packed into uint64 words (``_pack``), and each row's index
     is packed last as the least significant key.  That makes the packed
@@ -578,20 +637,22 @@ def _stable_order(keys: Iterable[np.ndarray]) -> np.ndarray:
             return np.zeros(0, dtype=np.intp)
         free = _pack(words, free, key)
         del key                                 # before the next key is made
-    _pack(words, free, np.arange(words[0].size, dtype=np.int64))
+    _pack(words, free, np.arange(words[0].size))
     return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
 
 
 def _pack(words: list[np.ndarray], free: int, key: np.ndarray) -> int:
-    """Pack an int64 key below the last of ``words``, which has ``free``
-    bits left, or start a new word with it; returns the bits left.
+    """Pack a signed integer key (int8 to int64) below the last of
+    ``words``, which has ``free`` bits left, or start a new word with it;
+    returns the bits left.
 
-    The key is offset by its minimum, exactly in uint64 for any int64
-    values, and so takes the bit width of its span.
+    The key is offset by its minimum, exactly in uint64 (the cast and the
+    subtraction both wrap modulo 2**64), and so takes the bit width of its
+    span.
     """
     low = int(key.min())
     width = (int(key.max()) - low).bit_length()
-    offset = key.view(np.uint64) - np.uint64(low % 2**64)
+    offset = np.subtract(key, np.uint64(low % 2**64), dtype=np.uint64, casting="unsafe")
     if words and width <= free:
         words[-1] <<= np.uint64(width)
         words[-1] |= offset
@@ -605,14 +666,18 @@ def _canonical_order(log: EventLog) -> np.ndarray:
     correct, assignment).
 
     Each id pair is one key because question codes are below
-    len(question_ids), and (correct, assignment) is one because assignment
-    is in 1..N_ASSIGNMENTS, below 8.
+    len(question_ids), formed in int64 since the product can pass 2**31;
+    (correct, assignment) is one because assignment is in
+    1..N_ASSIGNMENTS, below 8.
     """
     def keys():
-        yield log.student * len(log.question_ids) + log.question
+        pair = log.student * np.int64(len(log.question_ids))
+        pair += log.question
+        yield pair
+        del pair                                # before the next key is packed
         yield log.timestamp
         yield log.attempt
-        yield log.correct * 8 + log.assignment
+        yield log.correct * np.int8(8) + log.assignment
 
     return _stable_order(keys())
 
@@ -622,26 +687,39 @@ def _repaired(log: EventLog) -> tuple[EventLog, RepairCount]:
 
     The groups, the kept rows and their new attempt numbers are found from
     the permuted student, question and correct columns; every column of the
-    result is then gathered once, through the kept rows' order.
+    result is then gathered once, through the kept rows' order.  Sums,
+    group numbers and the order are int32; the new attempt numbers are the
+    log's int64.  When the caller hands over its only reference, each source
+    column is freed as soon as its gathered copy exists.
     """
-    order = _canonical_order(log)
-    student, question, correct = (col[order] for col in
-                                  (log.student, log.question, log.correct))
+    order = _canonical_order(log).astype(np.int32)
+    student_ids, question_ids = log.student_ids, log.question_ids
+    student, question, assignment, timestamp, attempt, correct = (
+        log.student, log.question, log.assignment, log.timestamp, log.attempt, log.correct)
+    del log
+    student, question, correct = student[order], question[order], correct[order]
     first = np.ones(order.size, dtype=bool)      # first row of its (student, question) group
     first[1:] = (student[1:] != student[:-1]) | (question[1:] != question[:-1])
-    group = np.cumsum(first) - 1
-    correct_before = np.cumsum(correct) - correct
+    group = np.cumsum(first, dtype=np.int32)
+    group -= 1
+    correct_before = np.cumsum(correct, dtype=np.int32)
+    correct_before -= correct
     keep = correct_before == correct_before[first][group]
+    del correct_before
     dropped = order.size - int(np.count_nonzero(keep))
     # A group's first row is always kept, so group numbers stay dense.
-    group = group[keep]
-    position = np.arange(group.size) - np.flatnonzero(first[keep])[group] + 1
+    position = np.arange(1, order.size - dropped + 1, dtype=np.int64)
+    position -= np.flatnonzero(first[keep])[group[keep]]
+    del first, group
     order = order[keep]
-    renumbered = int(np.count_nonzero(log.attempt[order] != position))
-    canonical = EventLog(log.student_ids, log.question_ids,
-                         *(col[order] for col in (log.student, log.question,
-                                                  log.assignment, log.timestamp)),
-                         position, log.correct[order])
+    student, question, correct = student[keep], question[keep], correct[keep]
+    del keep
+    renumbered = int(np.count_nonzero(attempt[order] != position))
+    del attempt
+    assignment = assignment[order]
+    timestamp = timestamp[order]
+    canonical = EventLog(student_ids, question_ids, student, question,
+                         assignment, timestamp, position, correct)
     return canonical, RepairCount(dropped, renumbered)
 
 
@@ -687,7 +765,7 @@ def build_dataset(events: EventLog | Sequence[SubmissionEvent],
         if rec.student_id in rows:
             raise DuplicateStudent(rec.student_id)
         rows[rec.student_id] = i
-    row = np.array([rows.get(sid, -1) for sid in log.student_ids], dtype=np.intp)[log.student]
+    row = np.array([rows.get(sid, -1) for sid in log.student_ids], dtype=np.int32)[log.student]
     _, first = np.unique(log.question, return_index=True)    # every code occurs
     first_assignment = log.assignment[first]
     orphan = row < 0
@@ -700,8 +778,8 @@ def build_dataset(events: EventLog | Sequence[SubmissionEvent],
     # Codes follow question_id order, so a stable sort by assignment gives
     # (assignment_id, question_id) order.
     by_column = np.argsort(first_assignment, kind="stable")
-    ordinal = np.empty_like(by_column)
-    ordinal[by_column] = np.arange(by_column.size)
+    ordinal = np.empty(by_column.size, dtype=np.int32)
+    ordinal[by_column] = np.arange(by_column.size, dtype=np.int32)
     catalog = {log.question_ids[code]: (assignment, i) for i, (code, assignment) in
                enumerate(zip(by_column.tolist(), first_assignment[by_column].tolist()))}
     return Dataset(log, tuple(students), catalog, row, ordinal[log.question])

@@ -26,8 +26,9 @@ class ModelSpec:
     ``kind`` is one of KINDS.  Defaults: C=1.0 for the SVM and the SVR
     (the SVM's RBF kernel has gamma = 1 / n_features), k=5 neighbors,
     epsilon=0.1 for the SVR.  ``seed`` only matters for the random baseline.
-    C must be positive, k at least 1 and epsilon finite and non-negative;
-    any other value, NaN included, raises ValueError.
+    C must be positive and finite (the paper's SVMs are soft-margin, so no
+    hard margin), k at least 1 and epsilon finite and non-negative; any
+    other value, NaN included, raises ValueError.
     """
 
     kind: str
@@ -41,6 +42,8 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not self.C > 0:
             raise ValueError(f"C must be positive, got {self.C!r}")
+        if self.C == np.inf:
+            raise ValueError(f"C must be finite, got {self.C!r}")
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k!r}")
         if not self.epsilon >= 0:       # also NaN

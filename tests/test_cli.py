@@ -287,10 +287,13 @@ def fresh_run_skips_module(argv, module):
     ("k", "0", "knn", "knn: k must be at least 1, got 0"),
     ("C", "0", "svm", "svm: C must be positive, got 0.0"),
     ("C", "-1", "svr", "svr: C must be positive, got -1.0"),
+    ("C", "Infinity", "svm", "svm: C must be finite, got inf"),
+    ("C", "1e400", "svm", "svm: C must be finite, got inf"),
     ("epsilon", "-1", "svr", "svr: epsilon must be non-negative, got -1.0"),
     ("epsilon", "NaN", "svr", "svr: epsilon must be non-negative, got nan"),
     ("epsilon", "Infinity", "svr", "svr: epsilon must be finite, got inf"),
-], ids=["k-0", "C-0", "C-negative", "epsilon-negative", "epsilon-nan", "epsilon-inf"])
+], ids=["k-0", "C-0", "C-negative", "C-inf", "C-1e400", "epsilon-negative",
+        "epsilon-nan", "epsilon-inf"])
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, key, value,
                                         model, message, source):
@@ -298,7 +301,7 @@ def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, k
         extra = [f"--{key}", value]
     else:
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({key.lower(): json.loads(value)}))
+        cfg.write_text(f'{{"{key.lower()}": {value}}}')    # 1e400 as written, not Infinity
         extra = ["--config", str(cfg)]
     code = main([command, *inputs(cohort_dir), "--model", model, *extra,
                  "--out-dir", str(tmp_path / "out")])

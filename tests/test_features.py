@@ -21,7 +21,11 @@ from gradecast.features import (
 )
 from gradecast.ingest import N_ASSIGNMENTS, SessionIndex, build_dataset
 from helpers import dataset_from, event, events_of, gaps_of, record
-from oracles import reference_write_features_csv
+from oracles import (
+    reference_build_dataset,
+    reference_submissions_per_question,
+    reference_write_features_csv,
+)
 
 
 def events_at(times, student="s1", question="q1", assignment=1):
@@ -53,6 +57,25 @@ class TestPerformanceAndSubmissions:
         ds = dataset_from(evs, [record()])
         assert per_question_performance(ds)[0, 0] == 0.0
         assert submissions_per_question(ds)[0, 0] == 3.0
+
+
+    def test_cell_codes_are_formed_in_int64(self, small_cohort, monkeypatch):
+        """Each event's cell, row * n_questions + column, is formed in int64
+        from the int32 columns: it passes 2**31 once students x questions
+        does.  A cohort that large has a 2**31-cell matrix, so the width is
+        checked on a small one, and the counts against the oracle."""
+        cells = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda x, **kw: cells.append(x) or bincount(x, **kw))
+        counts = submissions_per_question(small_cohort)
+        monkeypatch.undo()
+        [cell] = cells
+        q = small_cohort.n_questions
+        assert small_cohort.row.dtype == np.int32 and cell.dtype == np.int64
+        assert cell.tolist() == [r * q + c for r, c in zip(small_cohort.row.tolist(),
+                                                            small_cohort.column.tolist())]
+        reference = reference_build_dataset(events_of(small_cohort.log), small_cohort.students)
+        assert np.array_equal(counts, reference_submissions_per_question(reference))
 
 
 class TestSessions:
