@@ -51,6 +51,18 @@ def _thresholds_arg(text: str) -> tuple[float, float]:
     return thresholds
 
 
+def _finite_float_arg(text: str) -> float:
+    """A float flag's value; NaN and infinities, which no setting takes and
+    JSON cannot hold, are rejected."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _grade_counts_arg(text: str) -> tuple[int, ...]:
     try:
         counts = tuple(int(p) for p in text.split(","))
@@ -94,9 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                              help="generate a synthetic cohort")
     p_synth.add_argument("--students", type=int, default=_UNSET)
     p_synth.add_argument("--questions", type=int, default=_UNSET)
-    p_synth.add_argument("--boolean-fraction", type=float, default=_UNSET)
-    p_synth.add_argument("--ability-spread", type=float, default=_UNSET)
-    p_synth.add_argument("--difficulty-spread", type=float, default=_UNSET)
+    p_synth.add_argument("--boolean-fraction", type=_finite_float_arg, default=_UNSET)
+    p_synth.add_argument("--ability-spread", type=_finite_float_arg, default=_UNSET)
+    p_synth.add_argument("--difficulty-spread", type=_finite_float_arg, default=_UNSET)
     p_synth.add_argument("--grade-counts", type=_grade_counts_arg, default=_UNSET,
                          help="five comma-separated counts for F,D,C,B,A")
 
@@ -108,10 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
                                help="write the feature matrix as features.csv")
 
     hyper = argparse.ArgumentParser(add_help=False)
-    hyper.add_argument("--C", dest="c", type=float, default=_UNSET,
+    hyper.add_argument("--C", dest="c", type=_finite_float_arg, default=_UNSET,
                        help="SVM / SVR box constraint (default 1.0)")
     hyper.add_argument("--k", type=int, default=_UNSET, help="KNN neighbours (default 5)")
-    hyper.add_argument("--epsilon", type=float, default=_UNSET,
+    hyper.add_argument("--epsilon", type=_finite_float_arg, default=_UNSET,
                        help="SVR insensitive-tube width (default 0.1)")
     hyper.add_argument("--normalize", action="store_true", default=_UNSET,
                        help="min-max normalize kept columns per fold")
@@ -179,7 +191,9 @@ class _Settings:
         payload = dict(self.resolved)
         payload.pop("jobs", None)
         payload["command"] = command
-        return "run-config: " + json.dumps(_plain(payload), sort_keys=True)
+        # Strict JSON: a non-finite value raises here rather than reach a header.
+        return "run-config: " + json.dumps(_plain(payload), sort_keys=True,
+                                           allow_nan=False)
 
 
 def _plain(value):
@@ -210,7 +224,7 @@ def _as_int(value) -> int:
 
 
 def _as_float(value) -> float:
-    return float(str(value))        # so true is no number, as for a flag
+    return _finite_float_arg(str(value))    # so true is no number, as for a flag
 
 
 def _as_models(value) -> tuple[str, ...]:

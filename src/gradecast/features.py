@@ -111,21 +111,26 @@ def score_features(dataset: Dataset) -> np.ndarray:
 
 
 def assemble_feature_matrix(dataset: Dataset) -> FeatureMatrix:
-    """Concatenate all families into the canonical 2Q + 13 column layout."""
+    """Write all families into one matrix in the canonical 2Q + 13 column layout.
+
+    Each family is written into its columns of one preallocated matrix and
+    freed before the next is computed.
+    """
     q = dataset.n_questions
-    blocks = [
-        (per_question_performance(dataset), [f"perf:q{i}" for i in range(q)], GROUP_PERF),
-        (submissions_per_question(dataset), [f"subs:q{i}" for i in range(q)], GROUP_SUBS),
-        (response_time_features(dataset), list(RT_FEATURE_NAMES), GROUP_RT),
-        (sessions_per_assignment(dataset), list(SESSION_FEATURE_NAMES), GROUP_SESS),
-        (score_features(dataset), list(SCORE_FEATURE_NAMES), GROUP_SCORE),
-    ]
+    families = (
+        (per_question_performance, [f"perf:q{i}" for i in range(q)], GROUP_PERF),
+        (submissions_per_question, [f"subs:q{i}" for i in range(q)], GROUP_SUBS),
+        (response_time_features, list(RT_FEATURE_NAMES), GROUP_RT),
+        (sessions_per_assignment, list(SESSION_FEATURE_NAMES), GROUP_SESS),
+        (score_features, list(SCORE_FEATURE_NAMES), GROUP_SCORE),
+    )
     names: list[str] = []
     groups: list[str] = []
-    for _, block_names, tag in blocks:
-        names.extend(block_names)
-        groups.extend([tag] * len(block_names))
-    values = np.hstack([block for block, _, _ in blocks])
+    values = np.empty((len(dataset.students), 2 * q + 13))
+    for family, family_names, tag in families:
+        values[:, len(names):len(names) + len(family_names)] = family(dataset)
+        names.extend(family_names)
+        groups.extend([tag] * len(family_names))
     row_ids = tuple(rec.student_id for rec in dataset.students)
     return FeatureMatrix(row_ids, tuple(names), tuple(groups), values)
 

@@ -457,7 +457,7 @@ def _columnar_log(path) -> EventLog | None:
                 past_header = start > 0
                 block = block[start:] if past_header else b""
             if block:
-                block_columns = _block_columns(np.frombuffer(block, np.uint8))
+                block_columns = _block_columns(block)
                 if block_columns is None:
                     return None
                 for column, part in zip(columns, block_columns):
@@ -505,13 +505,15 @@ def _past_header(block: bytes) -> int | None:
     return 0
 
 
-def _block_columns(buf: np.ndarray) -> list | None:
-    """The columns of the data lines in ``buf``, whole lines of a file checked
-    by ``_columnar_log``: [(distinct student ids, codes), (distinct question
-    ids, codes), assignment, timestamp, attempt, correct].  An empty list if
-    it holds no data line, None if a data line is outside the form or a CR
-    in ``buf`` is outside a CRLF.
+def _block_columns(block: bytes) -> list | None:
+    """The columns of the data lines in ``block``, whole lines of a file
+    checked by ``_columnar_log``: [(distinct student ids, codes), (distinct
+    question ids, codes), assignment, timestamp, attempt, correct].  An
+    empty list if it holds no data line, None if a data line is outside the
+    form or a CR in ``block`` is outside a CRLF.  '"' and NULs are located
+    only in a block that holds one.
     """
+    buf = np.frombuffer(block, np.uint8)
     newline = np.flatnonzero(buf == ord("\n"))
     # Every CR ends a CRLF when there are as many CRs as CRLFs.
     if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(
@@ -522,18 +524,22 @@ def _block_columns(buf: np.ndarray) -> list | None:
     # Every CR ends a CRLF, so a line's last byte is CR only where the line
     # ends in CRLF.
     end -= (end > start) & (buf[end - 1] == ord("\r"))
+    comma = np.flatnonzero(buf == ord(","))
+    # A line's commas lie before the next line's start, so each line's
+    # count is a step of the index of the first comma at or after its start.
+    first = np.searchsorted(comma, start)
+    commas = np.diff(first, append=comma.size)
     row = (end > start) & (buf[np.minimum(start, buf.size - 1)] != ord("#"))
-    start, end = start[row], end[row]
+    start, end, first = start[row], end[row], first[row]
     if not start.size:
         return []
+    if np.any(commas[row] != len(SUBMISSIONS_HEADER) - 1):
+        return None
     # The CSV reader never sees a comment line, so a '"' or NUL may sit there.
-    barred = np.flatnonzero((buf == ord('"')) | (buf == 0))
-    if np.any(np.searchsorted(barred, start) != np.searchsorted(barred, end)):
-        return None
-    comma = np.flatnonzero(buf == ord(","))
-    first = np.searchsorted(comma, start)
-    if np.any(np.searchsorted(comma, end) - first != len(SUBMISSIONS_HEADER) - 1):
-        return None
+    if b'"' in block or b"\0" in block:
+        barred = np.flatnonzero((buf == ord('"')) | (buf == 0))
+        if np.any(np.searchsorted(barred, start) != np.searchsorted(barred, end)):
+            return None
     cut = comma[first + np.arange(len(SUBMISSIONS_HEADER) - 1)[:, None]]
     sid, qid, assignment, timestamp, attempt, correct = zip((start, *(cut + 1)), (*cut, end))
     assignment, timestamp, attempt = (_integers(buf, *field)
@@ -551,42 +557,65 @@ def _block_columns(buf: np.ndarray) -> list | None:
 
 def _integers(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
     """The int64 value of each field ``buf[start:end]``, or None unless every
-    field is 1 to _MAX_DIGITS ASCII digits, after an optional '-'."""
+    field is 1 to _MAX_DIGITS ASCII digits, after an optional '-'.
+
+    The digits of every field are gathered right-aligned into one row of
+    the widest field's width; the bytes before a narrower field are zeroed
+    only when the widths differ.  The value is accumulated one column at a
+    time by Horner's rule in int64, where at most _MAX_DIGITS digits never
+    overflow.
+    """
     negative = buf[start] == ord("-")
     start = start + negative
     width = end - start
-    if np.any((width < 1) | (width > _MAX_DIGITS)):
+    narrowest, widest = int(width.min()), int(width.max())
+    if narrowest < 1 or widest > _MAX_DIGITS:
         return None
-    widest = int(width.max())
-    digit = _windows(buf, end - widest, widest) - np.uint8(ord("0"))   # right-aligned
-    digit *= np.arange(widest) >= (widest - width)[:, None]
-    if np.any(digit > 9):             # uint8 arithmetic wraps bytes below '0' above 9
+    digit = _windows(buf, end - widest, widest)
+    digit -= np.uint8(ord("0"))
+    if narrowest < widest:
+        digit *= np.arange(widest) >= (widest - width)[:, None]
+    if digit.max() > 9:               # uint8 arithmetic wraps bytes below '0' above 9
         return None
-    value = digit.astype(np.int64) @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
-    return np.where(negative, -value, value)
+    value = digit[:, 0].astype(np.int64)
+    for column in digit.T[1:]:
+        value *= 10
+        value += column
+    return np.negative(value, out=value, where=negative)
 
 
 def _id_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     """The distinct fields ``buf[start:end]`` in byte order, and each field's index into them.
 
-    Each field is zero-padded to a multiple of 8 bytes and read as
-    big-endian uint64 words, one row of words per field; the distinct
-    fields are returned as such rows.  Zero-padded big-endian words order
-    the fields as bytes (no field holds a NUL), and UTF-8 byte order is
-    code-point order, the order of Python ``str``.
+    Each field is read as big-endian uint64 words, zero-padded to a whole
+    word; the distinct fields are returned as rows of words.  Word j of
+    every field is one gather, at start + 8j, from a big-endian view of the
+    zero-padded block that starts a word at every byte; the bytes of the
+    word past the field are then cleared.  Zero-padded big-endian words
+    order the fields as bytes (no field holds a NUL), and UTF-8 byte order
+    is code-point order, the order of Python ``str``.
     """
-    width = -(-max(int((end - start).max()), 1) // 8) * 8
-    padded = _windows(buf, start, width)
-    padded *= np.arange(width) < (end - start)[:, None]
-    return _distinct_rows(padded.view(">u8").astype(np.uint64))
+    length = end - start
+    words = -(-max(int(length.max()), 1) // 8)
+    # A field starts at most at the block's end, so its last word ends at
+    # most 8 * words bytes past it.
+    padded = np.concatenate((buf, np.zeros(8 * words, dtype=np.uint8)))
+    word_at = np.ndarray((padded.size - 7,), dtype=">u8", buffer=padded, strides=(1,))
+    ones = np.uint64(2**64 - 1)
+    rows = np.empty((start.size, words), dtype=np.uint64)
+    for j in range(words):
+        past = np.clip(8 * (j + 1) - length, 0, 8).astype(np.uint64)   # bytes past the field
+        np.bitwise_and(word_at[start + 8 * j], np.left_shift(ones, 8 * past), out=rows[:, j])
+    return _distinct_rows(rows)
 
 
 def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     """``buf[i:i + width]`` for each offset i in ``at``, one row each, where
     bytes outside ``buf`` read as zeros; every i is at least ``-width``."""
     pad = np.zeros(width, dtype=np.uint8)
-    return np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((pad, buf, pad)), width)[at + width]
+    padded = np.concatenate((pad, buf, pad))
+    rows = np.ndarray((padded.size - width + 1, width), np.uint8, padded, strides=(1, 1))
+    return rows[at + width]
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -596,12 +625,14 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(words[:, 0])
     else:
         order = np.lexsort(words.T[::-1])
-    ranked = words[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    new = np.ones(len(order), dtype=bool)       # the first of each run of equal sorted rows
+    new[1:] = False
+    for column in words.T:
+        ranked = column[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
     inverse = np.empty(len(order), dtype=np.int32)
     inverse[order] = np.cumsum(new, dtype=np.int32) - 1
-    return ranked[new], inverse
+    return words[order[new]], inverse
 
 
 def _merged_codes(blocks) -> tuple[tuple[str, ...], np.ndarray]:
@@ -766,22 +797,25 @@ def build_dataset(events: EventLog | Sequence[SubmissionEvent],
             raise DuplicateStudent(rec.student_id)
         rows[rec.student_id] = i
     row = np.array([rows.get(sid, -1) for sid in log.student_ids], dtype=np.int32)[log.student]
-    _, first = np.unique(log.question, return_index=True)    # every code occurs
-    first_assignment = log.assignment[first]
+    # Some one event's assignment per question (which one is unspecified):
+    # the log is consistent only if every event agrees with it.
+    question_assignment = np.empty(len(log.question_ids), dtype=log.assignment.dtype)
+    question_assignment[log.question] = log.assignment        # every code occurs
     orphan = row < 0
-    offending = np.flatnonzero(orphan | (log.assignment != first_assignment[log.question]))
-    if offending.size:
-        i = offending[0]
+    if orphan.any() or (log.assignment != question_assignment[log.question]).any():
+        # Only a faulty log pays for the sort that finds each first event.
+        _, first = np.unique(log.question, return_index=True)
+        i = np.flatnonzero(orphan | (log.assignment != log.assignment[first][log.question]))[0]
         if orphan[i]:
             raise OrphanEvent(log.student_ids[log.student[i]])
         raise InconsistentAssignment(log.question_ids[log.question[i]])
     # Codes follow question_id order, so a stable sort by assignment gives
     # (assignment_id, question_id) order.
-    by_column = np.argsort(first_assignment, kind="stable")
+    by_column = np.argsort(question_assignment, kind="stable")
     ordinal = np.empty(by_column.size, dtype=np.int32)
     ordinal[by_column] = np.arange(by_column.size, dtype=np.int32)
     catalog = {log.question_ids[code]: (assignment, i) for i, (code, assignment) in
-               enumerate(zip(by_column.tolist(), first_assignment[by_column].tolist()))}
+               enumerate(zip(by_column.tolist(), question_assignment[by_column].tolist()))}
     return Dataset(log, tuple(students), catalog, row, ordinal[log.question])
 
 

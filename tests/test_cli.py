@@ -50,17 +50,6 @@ class TestSynth:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--ability-spread", "nan", "ability_spread must be finite and non-negative, got nan"),
-        ("--difficulty-spread", "inf", "difficulty_spread must be finite and non-negative, "
-                                       "got inf"),
-    ], ids=["ability-nan", "difficulty-inf"])
-    def test_non_finite_spread_exits_usage(self, tmp_path, capsys, flag, value, message):
-        code = main(["synth", *COHORT_ARGS, flag, value, "--out-dir", str(tmp_path / "out")])
-        assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "out").exists()
-
     def test_runs_as_a_module(self, tmp_path):
         src = str(Path(gradecast.__file__).parent.parent)
         env = {**os.environ,
@@ -287,26 +276,76 @@ def fresh_run_skips_module(argv, module):
     ("k", "0", "knn", "knn: k must be at least 1, got 0"),
     ("C", "0", "svm", "svm: C must be positive, got 0.0"),
     ("C", "-1", "svr", "svr: C must be positive, got -1.0"),
-    ("C", "Infinity", "svm", "svm: C must be finite, got inf"),
-    ("C", "1e400", "svm", "svm: C must be finite, got inf"),
+    ("C", "Infinity", "svm", None),
+    ("C", "1e400", "svm", None),
     ("epsilon", "-1", "svr", "svr: epsilon must be non-negative, got -1.0"),
-    ("epsilon", "NaN", "svr", "svr: epsilon must be non-negative, got nan"),
-    ("epsilon", "Infinity", "svr", "svr: epsilon must be finite, got inf"),
+    ("epsilon", "NaN", "svr", None),
+    ("epsilon", "Infinity", "svr", None),
 ], ids=["k-0", "C-0", "C-negative", "C-inf", "C-1e400", "epsilon-negative",
         "epsilon-nan", "epsilon-inf"])
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])
 def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, key, value,
                                         model, message, source):
+    """A non-finite value (message None) is refused by the flag's or the
+    config key's finite-float converter, before the model sees it."""
+    argv = [command, *inputs(cohort_dir), "--model", model, "--out-dir", str(tmp_path / "out")]
     if source == "flag":
-        extra = [f"--{key}", value]
+        argv += [f"--{key}", value]
     else:
         cfg = tmp_path / "run.json"
         cfg.write_text(f'{{"{key.lower()}": {value}}}')    # 1e400 as written, not Infinity
-        extra = ["--config", str(cfg)]
-    code = main([command, *inputs(cohort_dir), "--model", model, *extra,
-                 "--out-dir", str(tmp_path / "out")])
+        argv += ["--config", str(cfg)]
+    if message is None and source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert errors == [f"gradecast {command}: error: argument --{key}: "
+                          f"expected a finite number, got {value!r}"]
+    else:
+        if message is None:
+            message = (f"config key {key.lower()!r}: expected a finite number, "
+                       f"got {str(float(value))!r}")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Every float setting: its flag, its config key and the command that takes it.
+FLOAT_SETTINGS = {
+    "--C": ("c", ["evaluate", "--model", "knn"]),
+    "--epsilon": ("epsilon", ["evaluate", "--model", "knn"]),
+    "--boolean-fraction": ("boolean_fraction", ["synth"]),
+    "--ability-spread": ("ability_spread", ["synth"]),
+    "--difficulty-spread": ("difficulty_spread", ["synth"]),
+}
+# Each non-finite value as flag text and as JSON text.
+NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "1e400"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("flag", FLOAT_SETTINGS)
+def test_non_finite_float_setting_exits_usage(cohort_dir, tmp_path, capsys, flag, value,
+                                              source):
+    """No float setting takes NaN or an infinity, even one the chosen model
+    ignores: each would reach the run-config header."""
+    key, (command, *extra) = FLOAT_SETTINGS[flag]
+    args = [command, *extra, *(inputs(cohort_dir) if command == "evaluate" else ()),
+            "--out-dir", str(tmp_path / "out")]
+    if source == "flag":
+        with pytest.raises(SystemExit) as exc:
+            main([*args, f"{flag}={value}"])
+        code = exc.value.code
+        message = f"argument {flag}: expected a finite number, got {value!r}"
+    else:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(f'{{"{key}": {NON_FINITE[value]}}}')
+        code = main([*args, "--config", str(cfg)])
+        message = f"config key {key!r}: expected a finite number, got {str(float(value))!r}"
     assert code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
     assert not (tmp_path / "out").exists()
 
 

@@ -9,6 +9,7 @@ import pytest
 from gradecast import ingest
 from gradecast.features import assemble_feature_matrix
 from gradecast.ingest import (
+    _MAX_DIGITS,
     N_ASSIGNMENTS,
     DuplicateStudent,
     EmptyLog,
@@ -413,6 +414,80 @@ class TestStreamedReader:
         with mock.patch.object(ingest, "BLOCK_BYTES", 64), pytest.raises(NotUtf8) as err:
             parse_submissions(path)
         assert err.value.line_no == 2 + 4 * ROWS.count(b"\n") + 1
+
+    @pytest.mark.parametrize("block_bytes", [64, ingest.BLOCK_BYTES])
+    def test_short_id_on_the_last_line_of_a_block_of_long_ids(self, tmp_path, block_bytes):
+        """Blocks that hold an id of 9 to 24 bytes and end in a line of
+        1-byte ids, whose later words start past the block's end, and
+        comment lines that hold a '"' and a NUL in every block."""
+        note = '# a "q" \0 note\n'
+        units = []
+        for length in (9, 16, 17, 24):
+            # Lines of one length: a note, a unit and a short line fill a
+            # 64-byte block but for two bytes.
+            long, pad = ("abcdefgh" * 3)[:length], "5" * (25 - length)
+            units += [f"{long},q,1,{pad},1,0\n", f"s,{long},2,{pad},2,1\n"]
+        text = (note + SUB_HEADER + "".join(note + unit + "a,b,3,7,1,0\n" for unit in units))
+        path = tmp_path / "s.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), open(path, "rb") as fh:
+            blocks = [block.decode() for block in ingest._line_blocks(fh)]
+        data = [block for block in blocks if "a,b,3,7,1,0" in block]
+        assert data and all(block.endswith("a,b,3,7,1,0\n") and note in block
+                            for block in data)
+        longest_ids = {max(len(field) for line in block.splitlines()[1:]
+                           for field in line.split(",")[:2] if not line.startswith("#"))
+                       for block in data}
+        assert longest_ids == ({24} if len(data) == 1 else {9, 16, 17, 24})
+        columnar, _ = streamed(path, block_bytes)
+        assert columnar is not None
+        assert log_bits(columnar) == log_bits(ingest._row_log(path))
+
+    SECTION_BYTES = 2048
+
+    def section(self, lines):
+        """``lines`` padded by a comment line to SECTION_BYTES, one block."""
+        pad = self.SECTION_BYTES - len(lines) - 2
+        assert pad >= 0
+        return lines + "#" + "x" * pad + "\n"
+
+    def test_integer_widths_match_the_row_reader(self, tmp_path):
+        """Integers of 1 to 18 digits, with and without '-', in blocks where
+        the fields of each integer column differ in width and in blocks
+        where they all have one; a 19-digit field in a later block sends the
+        file, through that block alone, to the row reader."""
+        rng = np.random.default_rng(19)
+        groups = [(width,) * 4 for width in range(1, _MAX_DIGITS + 1)]
+        groups += [tuple(range(1, 10)) * 2, tuple(range(10, _MAX_DIGITS + 1)) * 2,
+                   tuple(rng.permutation(np.arange(1, _MAX_DIGITS + 1)).tolist())]
+        sections = [self.section(SUB_HEADER)]
+        for group in groups:
+            mixed = len(set(group)) > 1          # else every field of a column has one width
+            sections.append(self.section("".join(
+                f"s{i},q{width},{'0' * (i % 3 * mixed)}{1 + i % 4},"
+                f"{'-' * (i % 2)}{''.join(map(str, rng.integers(0, 10, width)))},"
+                f"{'-' * (i // 2 % 2)}{''.join(map(str, rng.integers(0, 10, width)))},{i % 2}\n"
+                for i, width in enumerate(group))))
+        path = tmp_path / "s.csv"
+        for wide in (False, True):
+            if wide:
+                sections.insert(5, self.section(f"s9,q9,1,{10**18},-{10**18 + 7},1\n"))
+            path.write_bytes("".join(sections).encode())
+            with mock.patch.object(ingest, "BLOCK_BYTES", self.SECTION_BYTES):
+                with open(path, "rb") as fh:
+                    blocks = list(ingest._line_blocks(fh))
+                assert blocks == [section.encode() for section in sections]
+                rejected = [i for i, block in enumerate(blocks[1:], 1)
+                            if ingest._block_columns(block) is None]
+                assert rejected == ([5] if wide else [])
+                columnar = ingest._columnar_log(path)
+                assert (columnar is None) == wide
+                got = parse_outcome(parse_submissions, path)
+            row = ingest._row_log(path)
+            assert got == parse_outcome(lambda q: ingest._repaired(row), path)
+            assert isinstance(got[0], tuple)
+            if not wide:
+                assert log_bits(columnar) == log_bits(row)
 
 
 class TestColumnWidths:

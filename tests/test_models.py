@@ -34,6 +34,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ModelSpec(kind="regression")
 
+    @pytest.mark.parametrize("kind, name, value, message", [
+        ("svm", "C", np.nan, "C must be positive, got nan"),
+        ("svm", "C", np.inf, "C must be finite, got inf"),
+        ("svr", "epsilon", np.nan, "epsilon must be non-negative, got nan"),
+        ("svr", "epsilon", np.inf, "epsilon must be finite, got inf"),
+    ], ids=["C-nan", "C-inf", "epsilon-nan", "epsilon-inf"])
+    def test_non_finite_hyperparameters_rejected(self, kind, name, value, message):
+        with pytest.raises(ValueError) as exc:
+            ModelSpec(kind=kind, **{name: value})
+        assert str(exc.value) == message
+
     def test_training_data_validation(self):
         with pytest.raises(ValueError):
             train(ModelSpec(kind="majority"), np.zeros((0, 2)), np.array([]))
