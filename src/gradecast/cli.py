@@ -278,10 +278,8 @@ def _jobs(settings: _Settings) -> int:
 
 
 def _out_dir(settings: _Settings) -> str:
-    """The output directory, created if it does not exist yet."""
-    out_dir = settings.get("out_dir", ".", _as_text) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+    """The output directory; its command creates it once the inputs have loaded."""
+    return settings.get("out_dir", ".", _as_text) or "."
 
 
 def _model_spec(name: str, settings: _Settings, seed: int) -> ModelSpec:
@@ -321,9 +319,10 @@ def cmd_synth(settings: _Settings) -> int:
 
 
 def cmd_extract(settings: _Settings) -> int:
-    dataset = _load_inputs(settings)
     out_dir = _out_dir(settings)
     settings.get("seed", 0, _as_int)
+    dataset = _load_inputs(settings)
+    os.makedirs(out_dir, exist_ok=True)
     matrix = assemble_feature_matrix(dataset)
     out_path = os.path.join(out_dir, "features.csv")
     write_features_csv(matrix, out_path, header_comment=settings.header("extract"))
@@ -333,7 +332,7 @@ def cmd_extract(settings: _Settings) -> int:
 
 
 def cmd_evaluate(settings: _Settings) -> int:
-    dataset = _load_inputs(settings)
+    # Every setting is checked before the inputs are read.
     names = settings.get("model", ALL_MODELS, _as_models)
     thresholds = settings.get("thresholds", evaluation.DEFAULT_THRESHOLDS, _as_thresholds)
     normalize = settings.get("normalize", False, _as_bool)
@@ -342,6 +341,8 @@ def cmd_evaluate(settings: _Settings) -> int:
     seed = settings.get("seed", 0, _as_int)
     specs = {name: _model_spec(name, settings, seed) for name in names}
     out_dir = _out_dir(settings)
+    dataset = _load_inputs(settings)
+    os.makedirs(out_dir, exist_ok=True)
     header = settings.header("evaluate")
 
     matrix = assemble_feature_matrix(dataset)
@@ -385,7 +386,7 @@ def cmd_evaluate(settings: _Settings) -> int:
 
 
 def cmd_sweep(settings: _Settings) -> int:
-    dataset = _load_inputs(settings)
+    # Every setting is checked before the inputs are read.
     names = settings.get("model", ("svm",), _as_models)
     if len(names) != 1:
         raise UsageError("sweep takes exactly one model")
@@ -394,6 +395,8 @@ def cmd_sweep(settings: _Settings) -> int:
     seed = settings.get("seed", 0, _as_int)
     spec = _model_spec(names[0], settings, seed)
     out_dir = _out_dir(settings)
+    dataset = _load_inputs(settings)
+    os.makedirs(out_dir, exist_ok=True)
     header = settings.header("sweep")
 
     matrix = assemble_feature_matrix(dataset)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import N_ASSIGNMENTS, Dataset
+from .ingest import N_ASSIGNMENTS, Dataset, csv_field
 
 QUICK_RESPONSE_SECONDS = 12.0    # faster than 5 submissions per minute
 CSV_BLOCK_ROWS = 32              # features.csv rows whose distinct values are formatted together
@@ -157,12 +157,7 @@ def write_features_csv(matrix: FeatureMatrix, path,
             text = [repr(v) for v in bits.view(np.float64).tolist()]
             for sid, row in zip(matrix.row_ids[lo:lo + CSV_BLOCK_ROWS],
                                 codes.reshape(block.shape).tolist()):
-                fh.write(",".join((_csv_field(sid), *map(text.__getitem__, row))) + "\n")
+                # Joined by hand: csv.writer, which checks every value of a
+                # 2Q+14-field row for quoting, writes it several times slower.
+                fh.write(",".join((csv_field(sid), *map(text.__getitem__, row))) + "\n")
 
-
-def _csv_field(text: str) -> str:
-    # Lines are joined by hand: csv.writer, which checks every value of a
-    # 2Q+14-field row for quoting, writes them several times slower.
-    if any(c in text for c in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text

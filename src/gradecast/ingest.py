@@ -18,6 +18,12 @@ row's width and that a data row follows the header, and numbers rows by
 physical line; it defines the accepted format and every error, and the two
 log readers give the same log.
 
+One writer defines the log's bytes: ``write_log_columns`` formats coded
+columns LOG_BLOCK_ROWS rows at a time in numpy, each field a matrix of bytes
+with a mask of its valid ones, and writes what ``csv.writer`` would (CRLF
+rows, ids quoted by ``csv_field``).  ``write_submissions`` takes the columns
+of its events and ``synth.write_cohort`` passes its draw columns to it.
+
 Repairs are preferred over rejection where the log is merely untidy:
 attempt numbers are re-issued densely in timestamp order, and submissions
 recorded after a correct answer are dropped.  The number of repaired rows
@@ -45,6 +51,8 @@ _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 BLOCK_BYTES = 256 << 10          # bytes of a log converted at once by the columnar reader
 _MAX_DIGITS = 18                 # 10**18 - 1 < 2**63 - 1: such digits never overflow int64
 _HEADER_LINE = ",".join(SUBMISSIONS_HEADER).encode()
+LOG_BLOCK_ROWS = 1 << 13          # submission-log rows formatted at once by the writer
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)     # 10**19 < 2**64
 
 
 class Grade(IntEnum):
@@ -657,9 +665,10 @@ def _stable_order(keys: Iterable[np.ndarray]) -> np.ndarray:
 
     The keys are packed into uint64 words (``_pack``), and each row's index
     is packed last as the least significant key.  That makes the packed
-    rows distinct, so when they fit in one word, any sort of it gives the
-    stable order; more words are ``np.lexsort``ed.  The keys are taken one
-    at a time, so a generator of gathered keys holds only one at once.
+    rows distinct, so when they fit in one word, the sorted word's low bits,
+    the index, are the stable order; more words are ``np.lexsort``ed.  The
+    keys are taken one at a time, so a generator of gathered keys holds
+    only one at once.
     """
     words: list[np.ndarray] = []
     free = 0                                    # bits left in the last word
@@ -668,8 +677,13 @@ def _stable_order(keys: Iterable[np.ndarray]) -> np.ndarray:
             return np.zeros(0, dtype=np.intp)
         free = _pack(words, free, key)
         del key                                 # before the next key is made
-    _pack(words, free, np.arange(words[0].size))
-    return np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    n = words[0].size
+    _pack(words, free, np.arange(n))
+    if len(words) > 1:
+        return np.lexsort(words[::-1])
+    order = np.sort(words.pop())
+    order &= np.uint64(2**(n - 1).bit_length() - 1)
+    return order.view(np.int64)
 
 
 def _pack(words: list[np.ndarray], free: int, key: np.ndarray) -> int:
@@ -826,16 +840,135 @@ def load_dataset(submissions_path, gradebook_path) -> tuple[Dataset, RepairCount
     return build_dataset(log, students), repairs
 
 
+def csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted, with its quotes
+    doubled, only if it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_submissions(events: Iterable[SubmissionEvent], path,
                       header_comment: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write the events as a submission log, in the order given.
+
+    Each field is taken into one column, the ids coded as ``_codes`` codes
+    them, and the columns are written by ``write_log_columns``; every
+    integer must fit in int64.
+    """
+    events = tuple(events)
+    write_log_columns((_codes([ev.student_id for ev in events]),
+                       _codes([ev.question_id for ev in events]),
+                       np.array([ev.assignment_id for ev in events], dtype=np.int64),
+                       np.array([ev.timestamp for ev in events], dtype=np.int64),
+                       np.array([ev.attempt_number for ev in events], dtype=np.int64),
+                       np.array([ev.correct for ev in events], dtype=bool)),
+                      path, header_comment)
+
+
+def write_log_columns(columns, path, header_comment: str | None = None) -> None:
+    """Write a submission log from its columns: [(student ids, codes),
+    (question ids, codes), assignment, timestamp, attempt, correct], as
+    ``_block_columns`` reads them back.
+
+    The ids are any distinct strings, each column of them indexed by an
+    integer array of codes; the three integer columns are int64 and
+    ``correct`` is bool.  The bytes are those ``csv.writer`` writes: an
+    optional ``# header_comment`` line, then the header and one row per
+    event, each ended by CRLF, with every id quoted as ``csv_field`` quotes
+    it.  LOG_BLOCK_ROWS rows at a time are formatted into one matrix of
+    bytes, a row per line, in which each field takes as many columns as its
+    widest value.  A field narrower than its columns in some row gives a
+    mask of its bytes, and only a block with such a field is compressed by
+    its masks.
+    """
+    (student_ids, student), (question_ids, question), *integers, correct = columns
+    ids = [(_id_rows(student_ids), student), (_id_rows(question_ids), question)]
+    digits = [_digit_count(column) for column in integers]
+    widths = [rows.itemsize for (rows, _), _ in ids]
+    widths += [n + bool(column.min(initial=0) < 0) for n, column in zip(digits, integers)]
+    ends = np.cumsum([width + 1 for width in widths]) - 1     # the comma after each field
+    line = np.full(ends[-1] + 4, ord(","), dtype=np.uint8)     # then correct, CR and LF
+    line[-2:] = (ord("\r"), ord("\n"))
+    with open(path, "wb") as fh:
         if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(SUBMISSIONS_HEADER)
-        for ev in events:
-            writer.writerow([ev.student_id, ev.question_id, ev.assignment_id,
-                             ev.timestamp, ev.attempt_number, int(ev.correct)])
+            fh.write(f"# {header_comment}\n".encode())
+        fh.write(_HEADER_LINE + b"\r\n")
+        for lo in range(0, len(correct), LOG_BLOCK_ROWS):
+            block = slice(lo, lo + LOG_BLOCK_ROWS)
+            text = np.empty((len(correct[block]), line.size), dtype=np.uint8)
+            text[:] = line
+            cells = [text[:, end - width:end] for end, width in zip(ends, widths)]
+            masks = [_put_ids(rows, length, codes[block], cell)
+                     for ((rows, length), codes), cell in zip(ids, cells)]
+            masks += [_put_integers(column[block], n, cell)
+                      for column, n, cell in zip(integers, digits, cells[2:])]
+            np.add(correct[block], ord("0"), out=text[:, -3], dtype=np.uint8)
+            if any(mask is not None for mask in masks):
+                valid = np.ones(text.shape, dtype=bool)
+                for end, width, mask in zip(ends, widths, masks):
+                    if mask is not None:
+                        valid[:, end - width:end] = mask
+                text = text[valid]
+            fh.write(text)
+
+
+def _id_rows(ids: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each id's UTF-8 bytes as ``csv_field`` writes them, zero-padded to
+    the longest and held as one void item, and each id's length."""
+    encoded = [csv_field(text).encode() for text in ids]
+    length = np.array([len(field) for field in encoded], dtype=np.intp)
+    width = max(int(length.max(initial=0)), 1)
+    rows = np.frombuffer(b"".join(field.ljust(width, b"\0") for field in encoded),
+                         dtype=np.dtype((np.void, width)))
+    return rows, length
+
+
+def _put_ids(rows: np.ndarray, length: np.ndarray, codes: np.ndarray,
+             text: np.ndarray) -> np.ndarray | None:
+    """Write the id of each code into its row of ``text``, left-aligned;
+    return the mask of the id bytes, or None if every id fills its row."""
+    width = rows.itemsize
+    text[:] = rows[codes].view(np.uint8).reshape(len(codes), width)
+    length = length[codes]
+    if length.min(initial=width) == width:
+        return None
+    return np.arange(width) < length[:, None]
+
+
+def _digit_count(column: np.ndarray) -> int:
+    """The most decimal digits in the magnitude of any value of ``column``."""
+    return len(str(max(int(column.max(initial=0)), -int(column.min(initial=0)))))
+
+
+def _put_integers(values: np.ndarray, n_digits: int, text: np.ndarray) -> np.ndarray | None:
+    """Write each int64 value in decimal into its row of ``text``,
+    right-aligned; return the mask of its bytes, or None if every value
+    fills its row.  ``n_digits`` is at least the digits of any magnitude.
+
+    The magnitude is taken in uint64, where it is exact (the cast and the
+    negation wrap modulo 2**64, and |-2**63| < 2**64), and its digits are
+    peeled by repeated division by 10 into one contiguous row per digit.
+    """
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    digits = np.empty((n_digits, values.size), dtype=np.uint8)
+    rest = magnitude
+    ten = np.uint64(10)
+    for k in range(n_digits - 1, -1, -1):
+        quotient = rest // ten
+        digits[k] = rest - quotient * ten
+        rest = quotient
+    digits += np.uint8(ord("0"))
+    width = text.shape[1]
+    text[:, width - n_digits:] = digits.T
+    if width == n_digits and int(magnitude.min(initial=10**n_digits)) >= 10**(n_digits - 1):
+        return None
+    length = 1 + np.searchsorted(_POWERS_OF_TEN, magnitude, side="right") + negative
+    rows = np.flatnonzero(negative)
+    text[rows, width - length[rows]] = ord("-")
+    return np.arange(width) >= width - length[:, None]
 
 
 def write_gradebook(students: Iterable[StudentRecord], path,

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import (N_ASSIGNMENTS, SUBMISSIONS_HEADER, Grade, StudentRecord, SubmissionEvent,
-                     write_gradebook)
+from .ingest import (N_ASSIGNMENTS, Grade, StudentRecord, SubmissionEvent, write_gradebook,
+                     write_log_columns)
 from .rng import substream
 
 DEFAULT_GRADE_COUNTS = (26, 10, 22, 72, 119)   # F, D, C, B, A
@@ -137,15 +137,21 @@ def generate_cohort(config: CohortConfig):
     student, then question, then attempt.
     """
     columns, records = _cohort_columns(config)
-    return tuple(map(SubmissionEvent, *columns)), records
+    (student_ids, student), (question_ids, question), *rest = columns
+    events = map(SubmissionEvent, np.array(student_ids, dtype=object)[student].tolist(),
+                 np.array(question_ids, dtype=object)[question].tolist(),
+                 *(column.tolist() for column in rest))
+    return tuple(events), records
 
 
 def _cohort_columns(config: CohortConfig):
-    """Return (columns, records): ``generate_cohort``'s events as six lists.
+    """Return (columns, records): ``generate_cohort``'s events as columns.
 
-    The lists hold the event fields in ``SubmissionEvent`` order (student
-    id, question id, assignment id, timestamp, attempt number, correct),
-    one entry per event in the same order.
+    The columns are those ``ingest.write_log_columns`` writes, one entry
+    per event in the same order: (student ids, student codes), (question
+    ids, question codes), then the assignment, timestamp, attempt number
+    and correct arrays.  The ids are the padded ids, so code order is id
+    order.
     """
     bank = question_bank(config)
     student_ids = _pad_ids("s", config.n_students)
@@ -183,11 +189,10 @@ def _cohort_columns(config: CohortConfig):
     first_row = np.cumsum(counts) - counts
     attempt_number = np.arange(counts.sum()) - np.repeat(first_row, counts) + 1
     correct = np.repeat(solved.ravel(), counts) & (attempt_number == np.repeat(counts, counts))
-    student_col = np.repeat(np.array(student_ids, dtype=object), attempts.sum(axis=1))
-    question_col = np.array([info.question_id for info in bank], dtype=object)[question]
-    columns = (student_col.tolist(), question_col.tolist(),
-               assignment_of[question].tolist(), np.concatenate(timestamps).tolist(),
-               attempt_number.tolist(), correct.tolist())
+    student = np.repeat(np.arange(config.n_students), attempts.sum(axis=1))
+    columns = ((tuple(student_ids), student),
+               (tuple(info.question_id for info in bank), question),
+               assignment_of[question], np.concatenate(timestamps), attempt_number, correct)
 
     test_scores = 100.0 * _logistic(ability + noise)
     hw_scores = np.column_stack([
@@ -243,10 +248,10 @@ def _assign_grades(final_numeric: np.ndarray, counts) -> np.ndarray:
 def write_cohort(config: CohortConfig, out_dir, header_comment: str | None = None):
     """Write submissions.csv and gradebook.csv under out_dir; return paths.
 
-    The log is formatted straight from the event columns, in the bytes
-    ``write_submissions`` writes for the same events: ``csv.writer`` ends
-    rows in CRLF, and quotes no field here, since padded ids and integers
-    hold no comma, quote or line break.
+    The log is written from the cohort's columns by
+    ``ingest.write_log_columns``, the writer ``write_submissions`` calls,
+    so no event object is built and the bytes are those
+    ``write_submissions`` writes for ``generate_cohort``'s events.
     """
     import os
 
@@ -254,11 +259,6 @@ def write_cohort(config: CohortConfig, out_dir, header_comment: str | None = Non
     os.makedirs(out_dir, exist_ok=True)
     sub_path = os.path.join(out_dir, "submissions.csv")
     gb_path = os.path.join(out_dir, "gradebook.csv")
-    with open(sub_path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment is not None:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(SUBMISSIONS_HEADER) + "\r\n")
-        fh.write("".join([f"{s},{q},{a},{t},{n},{c:d}\r\n"
-                          for s, q, a, t, n, c in zip(*columns)]))
+    write_log_columns(columns, sub_path, header_comment=header_comment)
     write_gradebook(records, gb_path, header_comment=header_comment)
     return sub_path, gb_path

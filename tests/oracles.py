@@ -715,6 +715,19 @@ def reference_write_features_csv(matrix: FeatureMatrix, path,
             writer.writerow((sid, *[repr(float(v)) for v in row]))
 
 
+def reference_write_submissions(events, path, header_comment: str | None = None) -> None:
+    """The per-row writer that the columnar log writer replaced: each event
+    written by ``csv.writer``, which quotes and ends every row itself."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if header_comment is not None:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(SUBMISSIONS_HEADER)
+        for ev in events:
+            writer.writerow([ev.student_id, ev.question_id, ev.assignment_id,
+                             ev.timestamp, ev.attempt_number, int(ev.correct)])
+
+
 def reference_session_order(dataset) -> np.ndarray:
     """The events of a Dataset's sessions in session order, by the five-key
     lexsort that the packed sort replaced."""

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import gradecast
+from gradecast import cli
 from gradecast.cli import main
 from gradecast.ingest import SubmissionEvent
 from gradecast.models import tree
@@ -308,6 +309,26 @@ def test_bad_hyperparameter_exits_usage(cohort_dir, tmp_path, capsys, command, k
                        f"got {str(float(value))!r}")
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("setting, config, message", [
+    (["--model", "svm", "--C", "0"], None, "svm: C must be positive, got 0.0"),
+    ([], '{"epsilon": NaN}', "config key 'epsilon': expected a finite number, got 'nan'"),
+], ids=["C-0-flag", "epsilon-nan-config"])
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_bad_setting_exits_before_the_inputs_are_read(cohort_dir, tmp_path, capsys, monkeypatch,
+                                                      command, setting, config, message):
+    def load_dataset(*args):
+        raise AssertionError("the inputs were read before every setting was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    argv = [command, *inputs(cohort_dir), *setting, "--out-dir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "run.json").write_text(config)
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -8,6 +8,7 @@ which its stable sort keeps, and the two canonical orders then agree.
 """
 from __future__ import annotations
 
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -34,6 +35,7 @@ from oracles import (
     reference_feature_values,
     reference_parse_submissions,
     reference_response_times,
+    reference_write_submissions,
 )
 
 FUZZ = settings(derandomize=True, database=None, max_examples=150, deadline=None,
@@ -252,3 +254,28 @@ def test_columnar_reader_matches_row_reader(log, ending, extra, final_newline, b
     (a, repairs_a), (b, repairs_b) = ingest._repaired(columnar), ingest._repaired(rows)
     assert log_bits(a) == log_bits(b)
     assert (repairs_a.dropped, repairs_a.renumbered) == (repairs_b.dropped, repairs_b.renumbered)
+
+
+# Ids with every byte that csv.writer quotes for (a comma, a quote, CR, LF),
+# non-ASCII ones of two to four UTF-8 bytes, and the empty id.  A NUL is
+# drawn only where csv.writer writes one: before Python 3.11 it raises.
+ID_CHARS = [*'ab,"\r\n', "é", "日", "\U00010000", *(["\0"] if sys.version_info >= (3, 11) else [])]
+INT64 = st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from((-2**63, 2**63 - 1, -1, 0)))
+
+
+@FUZZ
+@given(st.lists(st.builds(event, student=st.text(st.sampled_from(ID_CHARS), max_size=4),
+                          question=st.text(st.sampled_from(ID_CHARS), max_size=4),
+                          assignment=st.one_of(st.integers(1, 4), INT64), timestamp=INT64,
+                          attempt=st.one_of(st.integers(-12, 12), INT64), correct=st.booleans()),
+                max_size=30),
+       st.sampled_from((None, 'run-config: {"seed": 1}')), st.sampled_from((1, 3, 1 << 13)))
+def test_writer_matches_csv_writer(events, header_comment, block_rows):
+    """write_submissions writes csv.writer's bytes for any ids and any int64
+    integers, in blocks of one row, of a few, or one block."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        with mock.patch.object(ingest, "LOG_BLOCK_ROWS", block_rows):
+            write_submissions(events, got, header_comment=header_comment)
+        reference_write_submissions(events, want, header_comment=header_comment)
+        assert got.read_bytes() == want.read_bytes()
