@@ -282,6 +282,18 @@ def _out_dir(settings: _Settings) -> str:
     return settings.get("out_dir", ".", _as_text) or "."
 
 
+def _loo_inputs(settings: _Settings, command: str):
+    """A leave-one-out command's output directory, made once inputs of two
+    students or more have loaded, its header, and its features and grades."""
+    out_dir = _out_dir(settings)
+    dataset = _load_inputs(settings)
+    if len(dataset.students) < 2:
+        raise UsageError("leave-one-out needs at least 2 students")
+    os.makedirs(out_dir, exist_ok=True)
+    y = np.array([int(rec.final_grade) for rec in dataset.students])
+    return out_dir, settings.header(command), assemble_feature_matrix(dataset), y
+
+
 def _model_spec(name: str, settings: _Settings, seed: int) -> ModelSpec:
     values = {"C": settings.get("c", ModelSpec.C, _as_float),
               "k": settings.get("k", ModelSpec.k, _as_int),
@@ -340,13 +352,7 @@ def cmd_evaluate(settings: _Settings) -> int:
     jobs = _jobs(settings)
     seed = settings.get("seed", 0, _as_int)
     specs = {name: _model_spec(name, settings, seed) for name in names}
-    out_dir = _out_dir(settings)
-    dataset = _load_inputs(settings)
-    os.makedirs(out_dir, exist_ok=True)
-    header = settings.header("evaluate")
-
-    matrix = assemble_feature_matrix(dataset)
-    y = np.array([int(rec.final_grade) for rec in dataset.students])
+    out_dir, header, matrix, y = _loo_inputs(settings, "evaluate")
     preprocessors = evaluation.prepare_fold_preprocessors(
         matrix, thresholds, normalize, global_prep)
 
@@ -394,19 +400,15 @@ def cmd_sweep(settings: _Settings) -> int:
     jobs = _jobs(settings)
     seed = settings.get("seed", 0, _as_int)
     spec = _model_spec(names[0], settings, seed)
-    out_dir = _out_dir(settings)
-    dataset = _load_inputs(settings)
-    os.makedirs(out_dir, exist_ok=True)
-    header = settings.header("sweep")
-
-    matrix = assemble_feature_matrix(dataset)
-    y = np.array([int(rec.final_grade) for rec in dataset.students])
+    out_dir, header, matrix, y = _loo_inputs(settings, "sweep")
     try:
         result = evaluation.threshold_sweep(matrix, y, spec, normalize=normalize, jobs=jobs)
     except evaluation.SweepFailure as exc:
         print(f"sweep failed at thresholds {exc.thresholds}: {exc.__cause__}",
               file=sys.stderr)
         return EXIT_MODEL_FAILURE
+    for line in result.warnings:
+        print(f"warning: {spec.kind}: {line}", file=sys.stderr)
 
     csv_path = os.path.join(out_dir, "sweep.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:

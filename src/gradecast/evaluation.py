@@ -75,6 +75,9 @@ class EvalReport:
 class ThresholdSweepResult:
     accuracies: dict[tuple[float, float], float]
     winner: tuple[float, float]
+    # "thresholds <t_perf>,<t_subs>: fold <i>: <warning>", in combination
+    # order, then fold order.
+    warnings: tuple[str, ...]
 
 
 class SweepFailure(RuntimeError):
@@ -153,15 +156,19 @@ def threshold_sweep(matrix: FeatureMatrix, y: np.ndarray, model_spec: ModelSpec,
     to the lexicographically smaller (t_perf, t_subs) pair.
     """
     accuracies: dict[tuple[float, float], float] = {}
+    warnings: list[str] = []
     for combo in SWEEP_THRESHOLDS:
+        sink: list[str] = []
         try:
             preprocessors = prepare_fold_preprocessors(matrix, combo, normalize)
-            preds = loocv_matrix(matrix, y, model_spec, preprocessors, jobs=jobs)
+            preds = loocv_matrix(matrix, y, model_spec, preprocessors, jobs=jobs,
+                                 warning_sink=sink)
         except Exception as exc:
             raise SweepFailure(combo, exc) from exc
         accuracies[combo] = accuracy(preds)
+        warnings.extend(f"thresholds {combo[0]:.2f},{combo[1]:.2f}: {w}" for w in sink)
     winner = min(accuracies, key=lambda combo: (-accuracies[combo], combo))
-    return ThresholdSweepResult(accuracies, winner)
+    return ThresholdSweepResult(accuracies, winner, tuple(warnings))
 
 
 def _correct_count(preds) -> int:

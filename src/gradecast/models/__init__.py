@@ -13,9 +13,12 @@ group share once and returns (duals, fold): ``duals[f]`` lists the
 ``dual.Problem``s of the fold that holds out ``held[f]`` (none for a model
 that solves no dual), and ``fold(i, solutions)`` returns that fold's
 (PredictionOutcome, warnings) from its duals' solutions.  The engine here
-validates each group once, solves the duals of every group through
-``dual.solve_groups`` and maps ``fold`` over its held-out rows.  Each fold
-is bit-identical to the model ``train`` fits on that fold's own rows.
+solves the duals of every group through ``dual.solve_groups`` and maps
+``fold`` over its held-out rows.  Each fold is bit-identical to the model
+``train`` fits on that fold's own rows.
+
+``train`` and ``predict_held_out`` check their rows once and hand them on
+C-ordered (``validate_training_data``); the model modules trust them.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ _MODELS = {
 
 def train(spec: ModelSpec, X, y):
     """Fit the model named by ``spec.kind`` on grade-labeled rows."""
-    return _MODELS[spec.kind][0](spec, X, y)
+    return _MODELS[spec.kind][0](spec, *validate_training_data(X, y))
 
 
 def predict_held_out(spec: ModelSpec, groups, jobs: int = 1) -> Iterator[list]:

@@ -97,7 +97,8 @@ def linear_kernel(A, B) -> np.ndarray:
 
 
 def validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
+    """X as finite, C-ordered float rows and y as their grades 1..5, or ValueError."""
+    X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise ValueError("X must be a non-empty 2-D matrix")

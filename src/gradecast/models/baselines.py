@@ -6,8 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import mix_seed, uniforms
-from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
-                   check_dim, validate_training_data)
+from .base import N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade, check_dim
 
 _PREDICT_STREAM = 0x7D1C7
 
@@ -59,13 +58,11 @@ def _majority(counts: np.ndarray) -> tuple[int, np.ndarray]:
 
 
 def fit_majority(spec: ModelSpec, X, y) -> MajorityBaseline:
-    X, y = validate_training_data(X, y)
     return MajorityBaseline(*_majority(np.bincount(y, minlength=N_GRADES + 1)[1:]),
                             X.shape[1])
 
 
 def fit_random(spec: ModelSpec, X, y) -> RandomBaseline:
-    X, y = validate_training_data(X, y)
     return RandomBaseline(spec.seed, X.shape[1])
 
 

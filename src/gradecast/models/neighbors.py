@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (N_GRADES, ModelSpec, PredictionOutcome, check_dim,
-                   validate_training_data)
+from .base import N_GRADES, ModelSpec, PredictionOutcome, check_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,7 +39,6 @@ def _vote(d2: np.ndarray, train_y: np.ndarray, k: int) -> PredictionOutcome:
 
 
 def fit(spec: ModelSpec, X, y) -> Knn:
-    X, y = validate_training_data(X, y)
     return Knn(X, y, min(spec.k, X.shape[0]), X.shape[1])
 
 

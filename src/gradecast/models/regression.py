@@ -51,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dual
-from .base import (N_GRADES, ModelSpec, PredictionOutcome, check_dim,
-                   linear_kernel, validate_training_data)
+from .base import N_GRADES, ModelSpec, PredictionOutcome, check_dim, linear_kernel
 
 RIDGE_DAMPING = 1e-6
 
@@ -143,12 +142,8 @@ class RegressionModel:
 
 
 def fit_least_squares(spec: ModelSpec, X, y) -> RegressionModel:
-    X, y = validate_training_data(X, y)
-    return _least_squares(X, y.astype(float))
-
-
-def _least_squares(X: np.ndarray, y: np.ndarray) -> RegressionModel:
-    """linreg on validated rows X and float labels y."""
+    """linreg on every row of X."""
+    y = y.astype(float)
     n, d = X.shape
     xmean = X.mean(axis=0)
     if n > d:
@@ -177,13 +172,8 @@ def least_squares_folds(spec: ModelSpec, X, y, held):
     n, d = X.shape
     if n - 1 > d:
         def fold(i, _):
-            # np.delete keeps X's memory order, which decides how the
-            # primal's BLAS Gram sums, so the fold's rows are bit-identical
-            # to its own transformed rows.  The held-out row is made
-            # contiguous: a strided row of a Fortran-ordered X changes how a
-            # dot product sums it.
-            model = _least_squares(np.delete(X, i, axis=0), np.delete(y, i))
-            return model.predict(np.ascontiguousarray(X[i])), ()
+            model = fit_least_squares(spec, np.delete(X, i, axis=0), np.delete(y, i))
+            return model.predict(X[i]), ()
         return [[] for _ in held], fold
     kernels = {}
     for first in {int(i == 0) for i in held}:
@@ -208,7 +198,6 @@ def _kernel_sum(solution: dual.Solution) -> tuple[KernelSum, tuple[str, ...]]:
 
 def fit_svr(spec: ModelSpec, X, y) -> RegressionModel:
     """One epsilon-SVR on every row of X."""
-    X, y = validate_training_data(X, y)
     problem = _svr_problem(linear_kernel(X, X), np.arange(y.size), y.astype(float),
                            spec.C, spec.epsilon)
     svr, warnings = _kernel_sum(dual.solve([problem])[0])

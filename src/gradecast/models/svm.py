@@ -31,7 +31,7 @@ import numpy as np
 
 from . import dual
 from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
-                   check_dim, linear_kernel, validate_training_data)
+                   check_dim, linear_kernel)
 
 
 def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
@@ -173,7 +173,6 @@ def _machines(pairs, solutions, machine_of: dict) -> tuple[tuple, tuple[str, ...
 
 def fit(spec: ModelSpec, X, y) -> PairwiseSvm:
     """One pairwise machine on every row of X."""
-    X, y = validate_training_data(X, y)
     _, [(_, classes, pairs)], [problems] = _plan(spec, X, y, [None])
     machines, warnings = _machines(pairs, dual.solve(problems), {})
     return PairwiseSvm(classes, machines, X, 1.0 / X.shape[1], warnings)

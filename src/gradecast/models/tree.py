@@ -33,8 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import (N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade,
-                   check_dim, validate_training_data)
+from .base import N_GRADES, ModelSpec, PredictionOutcome, argmax_lower_grade, check_dim
 
 # Splits whose impurity decrease is below this are treated as zero-gain and
 # rejected; genuine gains on integer class counts are orders of magnitude
@@ -80,12 +79,11 @@ class Grower:
 
     Holds the value codes of ``X`` and the histogram of all its rows, which
     growing only reads, and every subtree grown so far, which later trees
-    reuse.  Every row must pass the training-data checks, a left-out one
-    too.
+    reuse.  Its rows, a left-out one too, come checked from ``models.train``
+    or ``models.predict_held_out``.
     """
 
-    def __init__(self, X, y):
-        X, y = validate_training_data(X, y)
+    def __init__(self, X: np.ndarray, y: np.ndarray):
         self.X, self.y = X, y
         n, d = X.shape
         order = np.argsort(X, axis=0, kind="stable")

@@ -44,21 +44,16 @@ class Preprocessor:
                      for value in (getattr(self, f.name) for f in fields(self)))
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        if self.mins is None:
-            # One C-ordered copy: boolean column indexing returns a Fortran-
-            # ordered array, and the memory order decides how BLAS sums the
-            # models' Gram and kernel products, down to the last bit.
-            return values.compress(self.kept, axis=1)
-        # Scaled column by column in the transpose: its .T is the Fortran-
-        # ordered array that boolean column indexing gave, for the same
-        # reason.  Columns constant on the training rows map to 0.
-        cols = values.T.compress(self.kept, axis=0)
-        cols -= self.mins[:, None]
-        scaled = np.zeros(cols.shape)
-        np.divide(cols, self.ranges[:, None], out=scaled,
-                  where=(self.ranges > 0)[:, None])
-        return scaled.T
+        # The kept columns, as a new C-ordered matrix (models take their rows
+        # C-ordered), min-max scaled in place when normalizing.  Columns
+        # constant on the training rows map to 0.
+        rows = np.asarray(values, dtype=float).compress(self.kept, axis=1)
+        if self.mins is not None:
+            rows -= self.mins
+            moving = self.ranges > 0
+            np.divide(rows, self.ranges, out=rows, where=moving)
+            rows[:, ~moving] = 0.0
+        return rows
 
 
 def variance_mask(values: np.ndarray, groups, t_perf: float, t_subs: float) -> np.ndarray:
@@ -98,10 +93,12 @@ def fit_fold_preprocessors(values: np.ndarray, groups, t_perf: float, t_subs: fl
     column whose variance is within its error margin of the threshold is
     masked by ``variance_mask`` on its own rows, as ``fit_preprocessor``
     does.  A per-fold statistic joins this pass as one more (fold, column)
-    array.
+    array.  Fewer than two rows leave no fold to fit: ValueError.
     """
     values = np.asarray(values, dtype=float)
     n, d = values.shape
+    if n < 2:
+        raise ValueError("leave-one-out needs at least 2 rows")
 
     def own_rows(i):
         return values[np.arange(n) != i]
@@ -109,7 +106,7 @@ def fit_fold_preprocessors(values: np.ndarray, groups, t_perf: float, t_subs: fl
     # Fitted fold by fold: a non-finite value has no error margin, and a min
     # or max over a tie of 0.0 and -0.0 keeps whichever its reduction meets
     # last, which the runner-up rule cannot tell.
-    if (n < 2 or not np.isfinite(values).all()
+    if (not np.isfinite(values).all()
             or normalize and np.signbit(values[values == 0.0]).any()):
         return [fit_preprocessor(own_rows(i), groups, t_perf, t_subs, normalize)
                 for i in range(n)]

@@ -1,17 +1,23 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradecast
 from gradecast import cli
 from gradecast.cli import main
+from gradecast.evaluation import SWEEP_THRESHOLDS
 from gradecast.ingest import SubmissionEvent
-from gradecast.models import tree
+from gradecast.models import dual, tree
 from gradecast.synth import CohortConfig, generate_cohort
 
 COHORT_ARGS = ["--students", "20", "--questions", "16",
@@ -597,3 +603,163 @@ class TestSweep:
                               "mask.json": (out / "mask.json").read_bytes()})
         assert sorted(f.name for f in out.iterdir()) == ["mask.json", "sweep.csv"]
         assert artifacts[0] == artifacts[1]
+
+
+@pytest.fixture(scope="module")
+def one_student_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("one-student")
+    assert main(["synth", "--students", "1", "--questions", "8",
+                 "--grade-counts", "0,0,0,0,1", "--out-dir", str(out)]) == 0
+    return out
+
+
+class TestOneStudent:
+    """Leave-one-out needs two students; extract needs one."""
+
+    @pytest.mark.parametrize("argv", [["evaluate", "--model", "knn"],
+                                      ["evaluate", "--model", "knn", "--normalize"],
+                                      ["sweep", "--model", "knn"]],
+                             ids=["evaluate", "evaluate-normalize", "sweep"])
+    def test_leave_one_out_exits_usage_before_any_fold(self, one_student_dir, tmp_path,
+                                                      capsys, monkeypatch, argv):
+        def assemble_feature_matrix(*args):
+            raise AssertionError("features were built for a cohort with no fold")
+
+        monkeypatch.setattr(cli, "assemble_feature_matrix", assemble_feature_matrix)
+        out = tmp_path / "out"
+        assert main([*argv, *inputs(one_student_dir), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: leave-one-out needs at least 2 students\n"
+        assert not out.exists()
+
+    def test_extract_exits_ok(self, one_student_dir, tmp_path):
+        assert main(["extract", *inputs(one_student_dir), "--out-dir", str(tmp_path)]) == 0
+        assert len((tmp_path / "features.csv").read_text().splitlines()) == 3
+
+
+def test_sweep_prints_solver_warnings_as_evaluate_does(cohort_dir, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.setattr(dual, "MAX_ITER", 1)     # every SVM pair dual hits the cap
+
+    def warnings():
+        return [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: svm: ")]
+
+    want = []
+    for t_perf, t_subs in SWEEP_THRESHOLDS:
+        assert main(["evaluate", *inputs(cohort_dir), "--model", "svm",
+                     f"--thresholds={t_perf},{t_subs}", "--out-dir", str(tmp_path)]) == 0
+        prefix = f"warning: svm: thresholds {t_perf:.2f},{t_subs:.2f}: "
+        want += [prefix + line.removeprefix("warning: svm: ") for line in warnings()]
+    assert main(["sweep", *inputs(cohort_dir), "--model", "svm",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(want) >= 4 * 20
+    assert warnings() == want
+
+
+# Every numeric setting of each command, by config key, with its flag and a
+# few valid values.  No valid value starts more than 4 threads or asks synth
+# for more than 40 students or questions.
+NUMERIC_SETTINGS = {
+    "seed": ("--seed", ["0", "7"]),
+    "students": ("--students", ["20"]),
+    "questions": ("--questions", ["8", "40"]),
+    "boolean_fraction": ("--boolean-fraction", ["0.5", "1"]),
+    "ability_spread": ("--ability-spread", ["0.5", "2"]),
+    "difficulty_spread": ("--difficulty-spread", ["0.5", "2"]),
+    "grade_counts": ("--grade-counts", ["2,2,4,5,7"]),
+    "c": ("--C", ["0.5", "10"]),
+    "k": ("--k", ["1", "3"]),
+    "epsilon": ("--epsilon", ["0.5"]),
+    "jobs": ("--jobs", ["1", "2"]),
+    "thresholds": ("--thresholds", ["0.02,0.05", "0,0"]),
+}
+COMMAND_SETTINGS = {
+    "synth": ("seed", "students", "questions", "boolean_fraction", "ability_spread",
+              "difficulty_spread", "grade_counts"),
+    "extract": ("seed",),
+    "evaluate": ("seed", "c", "k", "epsilon", "jobs", "thresholds"),
+    "sweep": ("seed", "c", "k", "epsilon", "jobs"),
+}
+# Each edge value as flag text and as JSON text.
+EDGE_VALUES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "1e400",
+               "-0.0": "-0.0", "0": "0", "-1": "-1", "1e308": "1e308"}
+# A 20-student synth cohort unless a drawn value replaces a part of it.
+SYNTH_BASE = {"students": "20", "questions": "16", "grade_counts": "2,2,4,5,7"}
+
+
+@st.composite
+def numeric_runs(draw):
+    """A command and its numeric settings: key -> (flag text, from the config?)."""
+    command = draw(st.sampled_from(sorted(COMMAND_SETTINGS)))
+    texts = dict(SYNTH_BASE) if command == "synth" else {}
+    for key in draw(st.lists(st.sampled_from(COMMAND_SETTINGS[command]), min_size=1,
+                             max_size=3, unique=True)):
+        valid = NUMERIC_SETTINGS[key][1]
+        value = draw(st.sampled_from(list(EDGE_VALUES)) | st.sampled_from(valid))
+        if "," in valid[0] and value not in valid:      # one part of a list setting
+            parts = valid[0].split(",")
+            parts[draw(st.integers(0, len(parts) - 1))] = value
+            value = ",".join(parts)
+        texts[key] = value
+    return command, {key: (text, draw(st.booleans())) for key, text in texts.items()}
+
+
+def json_text(flag_text: str) -> str:
+    """A setting's flag text as the JSON a config file holds: a list setting
+    as a JSON list."""
+    parts = [EDGE_VALUES.get(part, part) for part in flag_text.split(",")]
+    return parts[0] if len(parts) == 1 else "[" + ", ".join(parts) + "]"
+
+
+def strict_json(text: str):
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=no_constant)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=numeric_runs(), model=st.sampled_from(["knn", "majority"]))
+def test_numeric_settings_exit_ok_with_strict_json_or_usage(cohort_dir, run, model):
+    """Every numeric flag and config key, at edge values, either runs and
+    writes strict-JSON headers or exits 2 with one error line."""
+    command, chosen = run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = [command, "--out-dir", str(out)]
+        if command != "synth":
+            argv += inputs(cohort_dir)
+        if command in ("evaluate", "sweep"):
+            argv += ["--model", model]
+        # --flag=value, so that a leading "-" is not read as an option.
+        argv += [f"{NUMERIC_SETTINGS[key][0]}={text}"
+                 for key, (text, in_config) in chosen.items() if not in_config]
+        config = {key: text for key, (text, in_config) in chosen.items() if in_config}
+        if config:
+            cfg = Path(tmp) / "run.json"
+            cfg.write_text("{" + ", ".join(f'"{key}": {json_text(text)}'
+                                           for key, text in config.items()) + "}")
+            argv += ["--config", str(cfg)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert "Traceback" not in err
+        if code == 2:
+            assert len([line for line in err.splitlines() if "error:" in line]) == 1, err
+            return
+        assert code == 0, err
+        written = sorted(out.iterdir())
+        assert written
+        for path in written:
+            text = path.read_text(encoding="utf-8")
+            if path.suffix == ".json":
+                strict_json(text)
+                continue
+            first = text.split("\n", 1)[0]
+            header = (first.removeprefix("<!-- ").removesuffix(" -->") if path.suffix == ".md"
+                      else first.removeprefix("# "))
+            assert header.startswith("run-config: "), path
+            strict_json(header.removeprefix("run-config: "))

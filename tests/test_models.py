@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from gradecast.models import (
+    KINDS,
     DimensionMismatch,
     ModelSpec,
     bayes,
     predict_held_out,
     train,
 )
+from gradecast.models.base import validate_training_data
 from gradecast.models.regression import (RIDGE_DAMPING, RegressionModel,
                                          round_half_away_from_zero)
 from gradecast.models.tree import Grower
@@ -53,6 +55,17 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             train(ModelSpec(kind="majority"), np.array([[np.inf, 0], [0, 0]]),
                   np.array([1, 2]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_train_checks_the_rows_of_every_model(self, kind):
+        with pytest.raises(ValueError, match="^X must be finite$"):
+            train(ModelSpec(kind=kind), np.array([[np.nan, 0.0], [1.0, 2.0]]),
+                  grades("A", "B"))
+
+    def test_checked_rows_are_c_ordered_floats(self):
+        X, y = validate_training_data(np.asfortranarray(np.arange(6).reshape(3, 2)), [1, 2, 3])
+        assert X.flags.c_contiguous and X.dtype == np.float64
+        assert np.array_equal(X, np.arange(6.0).reshape(3, 2)) and y.tolist() == [1, 2, 3]
 
     def test_predict_checks_dimension(self):
         model = train(ModelSpec(kind="knn"), np.eye(3), grades("A", "B", "C"))

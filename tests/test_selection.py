@@ -147,9 +147,9 @@ class TestPreprocessor:
         assert out.flags.c_contiguous and not np.shares_memory(out, values)
         assert np.array_equal(out, values[:, [0, 2, 3]])
 
-    def test_normalized_output_matches_masked_formula_in_fortran_order(self):
-        # Reference: the boolean-indexing formula, whose Fortran-ordered
-        # result the kernel models' last bits depend on.
+    def test_normalized_output_matches_masked_formula_in_c_order(self):
+        # Reference: the boolean-indexing formula.  Models take their rows
+        # C-ordered, as the raw transform gives them.
         rng = np.random.default_rng(7)
         for _ in range(50):
             n, d = int(rng.integers(2, 30)), int(rng.integers(1, 40))
@@ -163,7 +163,7 @@ class TestPreprocessor:
                 want[:, moving] = (out[:, moving] - prep.mins[moving]) / prep.ranges[moving]
                 got = prep.transform(values)
                 assert np.array_equal(got, want)
-                assert got.flags.f_contiguous and not np.shares_memory(got, values)
+                assert got.flags.c_contiguous and not np.shares_memory(got, values)
 
 
 def assert_fold_preprocessors_match(values, groups):
@@ -235,6 +235,14 @@ class TestFoldPreprocessors:
         values = np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, 2.0],
                            [1.0, -0.0, 2.0], [0.0, 3.0, -0.0]])
         assert_fold_preprocessors_match(values, ("perf", "subs", "score"))
+
+    @pytest.mark.parametrize("values", [np.ones((1, 3)), np.array([[np.nan, 1.0, 2.0]]),
+                                        np.empty((0, 3))], ids=["one-row", "non-finite", "empty"])
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_fewer_than_two_rows_raise(self, values, normalize):
+        # No fold is fitted on zero rows, on either path.
+        with pytest.raises(ValueError, match="^leave-one-out needs at least 2 rows$"):
+            fit_fold_preprocessors(values, ("perf", "subs", "score"), 0.0, 0.0, normalize)
 
     def test_default_and_benchmark_cohorts(self):
         # The default cohort (seed 42) and the ten 40-student cohorts of the
